@@ -215,7 +215,7 @@ def cmd_estimate(args) -> int:
         if i == j:
             if diag is None:
                 raise ValueError(f"element {i},{i} is diagonal: needs --diag-record")
-            est = estimator.estimate_diagonal(diag, i, args.epsilon, args.delta)
+            est = estimator.estimate_diagonal(diag, family, i, args.epsilon, args.delta)
         else:
             if offdiag is None:
                 raise ValueError(f"element {i},{j} is off-diagonal: needs --record")
@@ -303,7 +303,7 @@ def _fig2_trial(task) -> tuple:
     dist = measurement.outcome_distribution(rho, family, PovmMode.OFFDIAG)
     cells = dist.sample_cells(rng, n)
     counts = np.bincount(cells, minlength=d * d).reshape(d, d)
-    estimate = (counts * mub.eta_table(family, i, j)).sum() / n
+    estimate = estimator.fold(counts, n, mub.eta_table(family, i, j))
     return d, trial, abs(complex(estimate) - complex(rho[i, j]))
 
 
@@ -428,7 +428,7 @@ def cmd_operator_estimate(args) -> int:
         phases = _load_phases(args.phases, record.d, args.seed)
         coeffs = estimator.extreme_operator(phases, args.extreme, family)
         matrix = coeffs.reconstruct(family)
-    value = estimator.estimate_mean(record, coeffs)
+    value = estimator.fold_mean(record, family, coeffs)
     payload = {"d": record.d, "n": record.n, "k_bound": coeffs.k_bound,
                "estimate": _complex_pair(value), "trace": _complex_pair(coeffs.trace)}
     if args.truth:

@@ -1,10 +1,18 @@
-"""Post-processing: element estimates, sample planning, operator mean values.
+"""Post-processing: one fold over the count table, sample planning, operator means.
 
-Every estimator is a pure fold over one immutable record, so any element (or
-any operator in the bounded manifold) can be re-estimated from the same data
-without new measurements.  Folds are computed by counting outcome
-multiplicities once and taking the count-weighted sum over (m, k) cells in
-row-major order; the result is permutation-invariant and bit-stable per seed.
+Every estimate is the same linear fold of a (basis, outcome) table:
+
+    fold(table, total, weights) = (table * weights).sum() / total
+
+where the table is a record's outcome counts with total n, or an exact
+distribution's probabilities with total 1.  `count_table` is the one way to
+get that table, and it checks mode, dimension and MUB fingerprint on the way.
+Only the weights differ: eta_ij for an off-diagonal element, a unit vector for
+a diagonal, (d+1)-scaled projector coefficients for an operator mean.  So any
+element, or any operator in the bounded manifold, can be re-estimated from the
+same record without new measurements, and the exact value is the same fold of
+the distribution.  The sum runs over (m, k) cells in row-major order, so the
+result is permutation-invariant and bit-stable per seed.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import MeasurementRecord, OutcomeDistribution, PovmMode
+from .measurement import MeasurementRecord, OutcomeDistribution, PovmMode, check_family
 from .mub import MubFamily, eta_table
 
 
@@ -89,71 +97,63 @@ def outcome_counts(record: MeasurementRecord) -> np.ndarray:
     return np.bincount(flat, minlength=nb * d).reshape(nb, d)
 
 
-def _element_guarantee(n: int, epsilon, delta) -> tuple:
+def count_table(source: MeasurementRecord | OutcomeDistribution, family: MubFamily,
+                mode: PovmMode) -> tuple:
+    """(table, total) of a record (counts, n) or a distribution (probabilities, 1).
+
+    The source is first checked against the family and the mode it must have.
+    """
+    check_family(source, family, mode)
+    if isinstance(source, OutcomeDistribution):
+        return source.probs.reshape(-1, source.d), 1
+    return outcome_counts(source), source.n
+
+
+def fold(table: np.ndarray, total: int, weights: np.ndarray):
+    """The one estimator: the weights averaged over the (basis, outcome) table."""
+    return (table * weights).sum() / total
+
+
+def fold_element(source, family: MubFamily, i: int, j: int) -> complex:
+    """Off-diagonal rho_ij: the mean of eta_ij over an offdiag record or distribution."""
+    if i == j:
+        raise ValueError("i == j is a diagonal element; use fold_diagonal")
+    return complex(fold(*count_table(source, family, PovmMode.OFFDIAG), eta_table(family, i, j)))
+
+
+def fold_diagonal(source, family: MubFamily, i: int) -> float:
+    """Diagonal rho_ii: the frequency of outcome i in the computational basis."""
+    family._check_index(i, "i")
+    return float(fold(*count_table(source, family, PovmMode.COMPUTATIONAL),
+                      np.eye(1, family.d, i)))
+
+
+def _estimate(record: MeasurementRecord, i: int, j: int, value, epsilon, delta) -> SelectiveEstimate:
+    """Attach the Hoeffding guarantee for record.n copies to a folded value.
+
+    Hoeffding on Re and Im, joined by a union bound, bounds the chance that
+    either part is off by epsilon; it says nothing sharper about the modulus.
+    """
+    n = record.n
     if epsilon is None:
         eff_delta = 0.01 if delta is None else delta
         epsilon = math.sqrt(2.0 * math.log(4.0 / eff_delta) / n)
     bound = min(1.0, hoeffding_failure(n, epsilon))
-    text = f"Pr[|error| >= {epsilon:.6g}] <= {bound:.6g} (Hoeffding, n={n})"
-    return epsilon, delta, text
-
-
-def _check_record(record: MeasurementRecord, family: MubFamily, mode: PovmMode) -> None:
-    if record.mode is not mode:
-        raise ValueError(f"record mode {record.mode.value} != required {mode.value}")
-    if record.d != family.d:
-        raise ValueError(f"record dimension {record.d} != family dimension {family.d}")
-    if record.mub_fingerprint != family.fingerprint():
-        raise ValueError(
-            f"record fingerprint {record.mub_fingerprint} does not match family "
-            f"{family.fingerprint()}"
-        )
+    text = f"Pr[max(|Re error|, |Im error|) >= {epsilon:.6g}] <= {bound:.6g} (Hoeffding, n={n})"
+    return SelectiveEstimate(i=i, j=j, value=value, n=n, epsilon=epsilon, delta=delta,
+                             guarantee=text)
 
 
 def estimate_element(record: MeasurementRecord, family: MubFamily, i: int, j: int,
                      epsilon: float | None = None, delta: float | None = None) -> SelectiveEstimate:
-    """Off-diagonal element estimate: the mean of eta_ij over the record."""
-    if i == j:
-        raise ValueError("i == j is a diagonal element; use estimate_diagonal")
-    _check_record(record, family, PovmMode.OFFDIAG)
-    counts = outcome_counts(record)
-    value = complex((counts * eta_table(family, i, j)).sum() / record.n)
-    eps, dlt, text = _element_guarantee(record.n, epsilon, delta)
-    return SelectiveEstimate(i=i, j=j, value=value, n=record.n,
-                             epsilon=eps, delta=dlt, guarantee=text)
+    """Off-diagonal element estimate with its Hoeffding guarantee."""
+    return _estimate(record, i, j, fold_element(record, family, i, j), epsilon, delta)
 
 
-def estimate_diagonal(record: MeasurementRecord, i: int,
+def estimate_diagonal(record: MeasurementRecord, family: MubFamily, i: int,
                       epsilon: float | None = None, delta: float | None = None) -> SelectiveEstimate:
-    """Diagonal element estimate: frequency of outcome i in the computational record."""
-    if record.mode is not PovmMode.COMPUTATIONAL:
-        raise ValueError(f"diagonal estimation needs a computational record, got {record.mode.value}")
-    if not 0 <= i < record.d:
-        raise ValueError(f"index {i} outside 0..{record.d - 1}")
-    value = float(np.count_nonzero(record.ks == i)) / record.n
-    eps, dlt, text = _element_guarantee(record.n, epsilon, delta)
-    return SelectiveEstimate(i=i, j=i, value=value, n=record.n,
-                             epsilon=eps, delta=dlt, guarantee=text)
-
-
-def exact_fold(dist: OutcomeDistribution, family: MubFamily, i: int, j: int) -> complex:
-    """Probability-weighted eta sum; equals rho_ij of the generating state."""
-    if i == j:
-        raise ValueError("i == j is a diagonal element; fold the computational distribution")
-    if dist.mode is not PovmMode.OFFDIAG:
-        raise ValueError(f"element folds need the offdiag distribution, got {dist.mode.value}")
-    if dist.mub_fingerprint != family.fingerprint():
-        raise ValueError("distribution fingerprint does not match family")
-    return complex((dist.probs.reshape(family.d, family.d) * eta_table(family, i, j)).sum())
-
-
-def exact_fold_diagonal(dist: OutcomeDistribution, i: int) -> float:
-    """Exact diagonal: the computational distribution evaluated at outcome i."""
-    if dist.mode is not PovmMode.COMPUTATIONAL:
-        raise ValueError(f"diagonal folds need the computational distribution, got {dist.mode.value}")
-    if not 0 <= i < dist.d:
-        raise ValueError(f"index {i} outside 0..{dist.d - 1}")
-    return float(dist.probs[i])
+    """Diagonal element estimate with its Hoeffding guarantee."""
+    return _estimate(record, i, i, fold_diagonal(record, family, i), epsilon, delta)
 
 
 @dataclass(frozen=True)
@@ -208,22 +208,9 @@ def extreme_operator(phases: np.ndarray, k_bound: float, family: MubFamily) -> O
                                 identity_coeff=0.0, k_bound=float(k_bound))
 
 
-def estimate_mean(record: MeasurementRecord, coeffs: OperatorCoefficients) -> complex:
-    """Mean value of the operator from a FULL-mode record."""
-    if record.mode is not PovmMode.FULL:
-        raise ValueError(f"mean estimation needs a full-mode record, got {record.mode.value}")
-    if record.d != coeffs.d:
-        raise ValueError(f"record dimension {record.d} != coefficient dimension {coeffs.d}")
-    counts = outcome_counts(record)
-    fold = (counts * coeffs.coeffs).sum() / record.n
-    return complex(coeffs.identity_coeff + (coeffs.d + 1) * fold)
-
-
-def exact_fold_mean(dist: OutcomeDistribution, coeffs: OperatorCoefficients) -> complex:
-    """Probability-weighted mean fold; equals tr(rho A) for the generating state."""
-    if dist.mode is not PovmMode.FULL:
-        raise ValueError(f"mean folds need the full-mode distribution, got {dist.mode.value}")
-    if dist.d != coeffs.d:
-        raise ValueError(f"distribution dimension {dist.d} != coefficient dimension {coeffs.d}")
-    fold = (dist.probs.reshape(coeffs.d + 1, coeffs.d) * coeffs.coeffs).sum()
-    return complex(coeffs.identity_coeff + (coeffs.d + 1) * fold)
+def fold_mean(source, family: MubFamily, coeffs: OperatorCoefficients) -> complex:
+    """Mean value of the operator from a full-mode record or distribution."""
+    if coeffs.d != family.d:
+        raise ValueError(f"coefficient dimension {coeffs.d} != family dimension {family.d}")
+    mean = fold(*count_table(source, family, PovmMode.FULL), coeffs.coeffs)
+    return complex(coeffs.identity_coeff + (coeffs.d + 1) * mean)

@@ -85,26 +85,7 @@ class FiniteField:
     q: int
     add_table: np.ndarray = field(repr=False)
     mul_table: np.ndarray = field(repr=False)
-    inv_table: np.ndarray = field(repr=False)
-    trace_table: np.ndarray = field(repr=False)
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return int(self.inv_table[a])
-
-    def trace(self, a: int) -> int:
-        """Field trace down to GF(p), as an integer in {0, ..., p-1}."""
-        return int(self.trace_table[a])
-
-    def elements(self) -> range:
-        return range(self.q)
+    trace_table: np.ndarray = field(repr=False)  # field trace down to GF(p), in 0 .. p-1
 
 
 def _poly_mul_mod(da, db, modulus, p):
@@ -170,17 +151,13 @@ def build_field(p: int, n: int, max_order: int = MAX_FIELD_ORDER) -> FiniteField
                 raise AssertionError(f"trace of element {a} not in prime subfield")
             trace[a] = acc
 
-    inv = np.zeros(q, dtype=np.int64)
     for a in range(1, q):
-        hits = np.nonzero(mul[a] == 1)[0]
-        if len(hits) != 1:
+        if np.count_nonzero(mul[a] == 1) != 1:
             raise AssertionError(f"element {a} has no unique inverse; bad modulus?")
-        inv[a] = hits[0]
 
-    for arr in (add, mul, inv, trace):
+    for arr in (add, mul, trace):
         arr.setflags(write=False)
-    return FiniteField(p=p, n=n, q=q, add_table=add, mul_table=mul,
-                       inv_table=inv, trace_table=trace)
+    return FiniteField(p=p, n=n, q=q, add_table=add, mul_table=mul, trace_table=trace)
 
 
 def _pow(mul_table: np.ndarray, a: int, e: int) -> int:

@@ -13,7 +13,8 @@ Record files exist in two formats sharing one header line
   (uint16 m, uint16 k) pairs.
 
 The ``mub`` field fingerprints the basis family that produced the record;
-estimators refuse records whose fingerprint does not match their family.
+`check_family` is the one place that refuses a record or distribution whose
+mode, dimension or fingerprint does not match the family it is used with.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _HEADER_BLOCK = 128
 
 
 class PovmMode(enum.Enum):
-    """Which bases the POVM draws from, and the uniform basis weight 1/B."""
+    """Which bases the POVM draws from; each is drawn with weight 1/basis_count."""
 
     OFFDIAG = "offdiag"  # m = 2 .. d+1, elements Pi/d   (off-diagonal record)
     FULL = "full"  # m = 1 .. d+1, elements Pi/(d+1)     (operator-mean record)
@@ -47,22 +48,6 @@ class PovmMode(enum.Enum):
         if self is PovmMode.FULL:
             return d + 1
         return 1
-
-    def weight(self, d: int) -> int:
-        if self is PovmMode.OFFDIAG:
-            return d
-        if self is PovmMode.FULL:
-            return d + 1
-        return 1
-
-
-def povm_elements(family: MubFamily, mode: PovmMode) -> np.ndarray:
-    """The POVM elements of a mode, shape (count, d, d); they sum to identity."""
-    d = family.d
-    first = mode.first_basis
-    vecs = family.vectors[first - 1 : first - 1 + mode.basis_count(d)]
-    proj = np.einsum("mki,mkj->mkij", vecs, vecs.conj())
-    return proj.reshape(-1, d, d) / mode.weight(d)
 
 
 class AliasTable:
@@ -129,7 +114,7 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
     born = np.einsum("mkl,lx,mkx->mk", vecs.conj(), rho, vecs).real
     if born.min() < -1e-12:
         raise ValueError(f"negative Born weight {born.min():.3e}")
-    probs = np.clip(born, 0.0, None).reshape(-1) / mode.weight(d)
+    probs = np.clip(born, 0.0, None).reshape(-1) / mode.basis_count(d)
     nb, _ = born.shape
     ms = np.repeat(np.arange(first, first + nb, dtype=np.uint16), d)
     ks = np.tile(np.arange(d, dtype=np.uint16), nb)
@@ -152,6 +137,8 @@ class MeasurementRecord:
     ks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
         if self.n != len(self.ms) or self.n != len(self.ks):
             raise ValueError("header count does not match outcome sequence length")
         _check_ranges(self.ms, self.ks, self.d, self.mode)
@@ -172,14 +159,23 @@ class RecordFormatError(ValueError):
 
 
 class FingerprintMismatch(RecordFormatError):
-    """Record was produced by a different basis family than the one supplied."""
+    """Record or distribution was produced by another basis family than the one supplied."""
+
+
+def check_family(source, family: MubFamily, mode: PovmMode | None = None) -> None:
+    """The one check that a record or distribution belongs to family (and mode, if given)."""
+    if mode is not None and source.mode is not mode:
+        raise ValueError(f"mode {source.mode.value} where {mode.value} is required")
+    if source.d != family.d:
+        raise FingerprintMismatch(f"dimension {source.d} != family dimension {family.d}")
+    fp = family.fingerprint()
+    if source.mub_fingerprint != fp:
+        raise FingerprintMismatch(f"fingerprint {source.mub_fingerprint} does not match family {fp}")
 
 
 def _check_ranges(ms: np.ndarray, ks: np.ndarray, d: int, mode: PovmMode) -> None:
     first = mode.first_basis
     last = first + mode.basis_count(d) - 1
-    if len(ms) == 0:
-        return
     if ms.min() < first or ms.max() > last:
         raise RecordFormatError(f"basis label outside {first}..{last} for mode {mode.value}")
     if ks.min() < 0 or ks.max() >= d:
@@ -200,7 +196,7 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
     base, extra = divmod(n, shards)
     sizes = [base + (1 if s < extra else 0) for s in range(shards)]
     cells = [dist.sample_cells(philox_rng(seed, s), size) for s, size in enumerate(sizes) if size]
-    flat = np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
+    flat = np.concatenate(cells)
     return MeasurementRecord(
         d=dist.d, mode=dist.mode, seed=seed, n=n,
         mub_fingerprint=dist.mub_fingerprint,
@@ -225,7 +221,10 @@ def _parse_header(line: str):
     if not m:
         raise RecordFormatError(f"corrupt record header: {line[:60]!r}")
     d, mode, seed, n, fp = m.groups()
-    return int(d), PovmMode(mode), int(seed), int(n), fp
+    try:
+        return int(d), PovmMode(mode), int(seed), int(n), fp
+    except ValueError as exc:  # an integer field longer than int() accepts
+        raise RecordFormatError(f"corrupt record header: {exc}") from exc
 
 
 def write_record(record: MeasurementRecord, path, binary: bool = False) -> None:
@@ -256,11 +255,8 @@ def read_record(path, family: MubFamily | None = None) -> MeasurementRecord:
         record = _read_binary(data, path)
     else:
         record = _read_text(data, path)
-    if family is not None and family.fingerprint() != record.mub_fingerprint:
-        raise FingerprintMismatch(
-            f"{path}: record was taken against family {record.mub_fingerprint}, "
-            f"not {family.fingerprint()}"
-        )
+    if family is not None:
+        check_family(record, family)
     return record
 
 
@@ -295,6 +291,6 @@ def _read_text(data: bytes, path) -> MeasurementRecord:
         try:
             m_str, k_str = line.split(",")
             ms[idx], ks[idx] = int(m_str), int(k_str)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: label outside uint16
             raise RecordFormatError(f"{path}: bad outcome line {idx + 2}: {line!r}") from exc
     return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp, ms=ms, ks=ks)

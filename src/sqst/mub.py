@@ -31,36 +31,13 @@ class MubFamily:
     """d+1 mutually unbiased orthonormal bases, m=1 computational.
 
     vectors[m-1, k, l] is the l-th computational coefficient of vector k of
-    basis m (all indices stored 0-based; the basis label m is 1-based in the
-    public API because m=1 is special).  Immutable; safe to share.
+    basis m (all indices stored 0-based; the basis label m is 1-based in
+    records because m=1 is special).  Immutable; safe to share.
     """
 
     d: int
     vectors: np.ndarray = field(repr=False)
     convention: str = "m1-computational"
-
-    def basis(self, m: int) -> np.ndarray:
-        """Rows are the d vectors of basis m (1 <= m <= d+1)."""
-        self._check_m(m)
-        return self.vectors[m - 1]
-
-    def vector(self, k: int, m: int) -> np.ndarray:
-        self._check_m(m)
-        self._check_index(k, "k")
-        return self.vectors[m - 1, k]
-
-    def alpha(self, l: int, k: int, m: int) -> complex:
-        """Unit-modulus phase: the l-th coefficient of |k,m> scaled by sqrt(d)."""
-        if m == 1:
-            raise ValueError("basis m=1 is the computational basis and has no phases")
-        self._check_m(m)
-        self._check_index(k, "k")
-        self._check_index(l, "l")
-        return complex(np.sqrt(self.d) * self.vectors[m - 1, k, l])
-
-    def projector(self, k: int, m: int) -> np.ndarray:
-        v = self.vector(k, m)
-        return np.outer(v, v.conj())
 
     def fingerprint(self) -> str:
         """64-bit hash of the coefficients rounded to 12 decimals, as 16 hex chars."""
@@ -68,10 +45,6 @@ class MubFamily:
         im = np.round(self.vectors.imag, 12) + 0.0
         data = np.ascontiguousarray(np.stack([re, im]), dtype="<f8").tobytes()
         return hashlib.sha256(data).digest()[:8].hex()
-
-    def _check_m(self, m: int) -> None:
-        if not 1 <= m <= self.d + 1:
-            raise ValueError(f"basis label m={m} outside 1..{self.d + 1}")
 
     def _check_index(self, i: int, name: str) -> None:
         if not 0 <= i < self.d:
@@ -162,19 +135,11 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubReport:
     )
 
 
-def eta(family: MubFamily, i: int, j: int, k: int, m: int) -> complex:
-    """Unit-modulus weight alpha_i * conj(alpha_j) for outcome (k, m), m >= 2."""
-    if m == 1:
-        raise ValueError("eta is undefined for the computational basis m=1")
-    family._check_m(m)
-    for name, v in (("i", i), ("j", j), ("k", k)):
-        family._check_index(v, name)
-    vec = family.vectors[m - 1, k]
-    return complex(family.d * vec[i] * vec[j].conjugate())
-
-
 def eta_table(family: MubFamily, i: int, j: int) -> np.ndarray:
-    """All eta weights at once: array E[m-2, k] over bases m = 2 .. d+1."""
+    """Unit-modulus weights d * <i|k,m> * conj(<j|k,m>) as E[m-2, k], bases m = 2 .. d+1.
+
+    The computational basis m=1 carries no eta weight, so it has no row.
+    """
     for name, v in (("i", i), ("j", j)):
         family._check_index(v, name)
     v = family.vectors[1:]

@@ -1,8 +1,10 @@
-"""Density matrices, Hermitian eigenwork, and the matrix-norm machinery.
+"""Density matrices, the one Hermitian check, and the matrix-norm machinery.
 
 Matrices are plain complex numpy arrays; the functions here validate the
 structural invariants (Hermiticity to 1e-12, unit trace, positive spectrum)
-instead of wrapping arrays in classes.
+instead of wrapping arrays in classes.  `require_hermitian` is the one
+Hermitian check: states (presets and files) and projection inputs all pass
+through it, so a non-finite or non-Hermitian matrix fails in one place.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "ma
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
     dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if dev > tol:
         raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
@@ -85,12 +89,6 @@ def random_hermitian(d: int, seed_or_rng, scale: float = 1.0) -> np.ndarray:
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else philox_rng(seed_or_rng)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (g + g.conj().T) / 2
-
-
-def hermitian_eigen(h: np.ndarray, tol: float = HERMITIAN_TOL):
-    """Eigenvalues (ascending) and unitary eigenvector matrix of Hermitian h."""
-    h = require_hermitian(h, tol=tol)
-    return np.linalg.eigh(h)
 
 
 def schatten_norm(h: np.ndarray, p) -> float:

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import outcome_counts
+from .estimator import count_table, outcome_counts  # noqa: F401  perfbench traces this name
 from .measurement import MeasurementRecord, PovmMode
 from .mub import MubFamily
-from .states import NormChainReport, check_norm_chain, max_norm, schatten_norm
+from .states import (NormChainReport, check_norm_chain, max_norm, require_hermitian,
+                     schatten_norm)
 
 EIGEN_FLOOR = 1e-10
 TRACE_SLACK = 1e-12
@@ -56,25 +57,15 @@ def assemble_linear_estimate(offdiag_record: MeasurementRecord,
     (structurally, not numerically), and (i, i) the computational frequency.
     """
     d = family.d
-    fp = family.fingerprint()
-    if offdiag_record.mode is not PovmMode.OFFDIAG:
-        raise ValueError(f"off-diagonal record has mode {offdiag_record.mode.value}")
-    if diag_record.mode is not PovmMode.COMPUTATIONAL:
-        raise ValueError(f"diagonal record has mode {diag_record.mode.value}")
-    if offdiag_record.d != d or diag_record.d != d:
-        raise ValueError("record dimensions do not match the family")
-    for rec in (offdiag_record, diag_record):
-        if rec.mub_fingerprint != fp:
-            raise ValueError(f"record fingerprint {rec.mub_fingerprint} does not match family {fp}")
-
-    counts = outcome_counts(offdiag_record)
+    counts, n = count_table(offdiag_record, family, PovmMode.OFFDIAG)
+    diag_counts, n_diag = count_table(diag_record, family, PovmMode.COMPUTATIONAL)
     v = family.vectors[1:]
-    # folded[i, j] = mean of eta_ij over the record, for all pairs at once
-    folded = d * np.einsum("mk,mki,mkj->ij", counts, v, v.conj()) / offdiag_record.n
+    # folded[i, j] = estimator.fold_element(offdiag_record, family, i, j) for all
+    # pairs at once: the eta_ij weights are d * v[m, k, i] * conj(v[m, k, j])
+    folded = d * np.einsum("mk,mki,mkj->ij", counts, v, v.conj()) / n
     upper = np.triu(folded, 1)
     matrix = upper + upper.conj().T
-    diag_counts = np.bincount(diag_record.ks, minlength=d).astype(np.float64)
-    matrix[np.diag_indices(d)] = diag_counts / diag_record.n
+    matrix[np.diag_indices(d)] = diag_counts[0] / n_diag
     matrix.setflags(write=False)
     return LinearEstimate(d=d, matrix=matrix, epsilon=epsilon, delta=delta,
                           offdiag_fingerprint=offdiag_record.mub_fingerprint,
@@ -93,14 +84,10 @@ class ProjectionResult:
     method: str
 
 
-def _as_matrix(x) -> np.ndarray:
-    m = x.matrix if isinstance(x, LinearEstimate) else x
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > 1e-10:
-        raise ValueError(f"input is not Hermitian: deviation {dev:.3e}")
+def _hermitian_input(x) -> np.ndarray:
+    """A matrix or LinearEstimate, checked Hermitian to 1e-10, then symmetrised."""
+    m = require_hermitian(x.matrix if isinstance(x, LinearEstimate) else x, tol=1e-10,
+                          what="input")
     return (m + m.conj().T) / 2
 
 
@@ -137,7 +124,7 @@ def _is_valid_density(m: np.ndarray, enforce_trace: bool = True) -> bool:
 
 def project_psd_clip(rho_l) -> ProjectionResult:
     """Baseline repair: clip negative eigenvalues, renormalize the trace."""
-    x = _as_matrix(rho_l)
+    x = _hermitian_input(rho_l)
     w, v = np.linalg.eigh(x)
     w = np.clip(w, 0.0, None)
     total = w.sum()
@@ -161,7 +148,7 @@ def project_psd_maxnorm(rho_l, tol: float = 1e-6, enforce_trace: bool = True,
     achieved distance is the reported t_star.  The optimum is generally
     non-unique; this fixed sweep order keeps the output deterministic.
     """
-    x = _as_matrix(rho_l)
+    x = _hermitian_input(rho_l)
     d = x.shape[0]
     if _is_valid_density(x, enforce_trace):
         return ProjectionResult(rho=x, t_star=0.0, iterations=0,
@@ -244,7 +231,7 @@ class ErrorReport:
 
 def error_report(truth: np.ndarray, estimate) -> ErrorReport:
     t = np.asarray(truth, dtype=np.complex128)
-    e = _as_matrix(estimate)
+    e = _hermitian_input(estimate)
     if t.shape != e.shape:
         raise ValueError(f"dimension mismatch: {t.shape} vs {e.shape}")
     diff = t - e

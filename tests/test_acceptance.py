@@ -14,8 +14,8 @@ from oracles import (maxnorm_projection_grid_d2, maxnorm_projection_grid_d3,
                      random_nonpsd_matrix, smallest_n_satisfying)
 from sqst.cli import main as cli_main
 from sqst.cli import reproduce_fig2
-from sqst.estimator import (decompose_operator, estimate_mean, exact_fold,
-                            exact_fold_mean, extreme_operator, plan_samples,
+from sqst.estimator import (decompose_operator, extreme_operator, fold_element, fold_mean,
+                            plan_samples,
                             plan_samples_general)
 from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub, verify_mub
@@ -60,7 +60,7 @@ def test_criterion_2_exact_mixture_identity():
                 for j in range(d):
                     if i != j:
                         worst_elem = max(worst_elem,
-                                         abs(exact_fold(dist, family, i, j) - rho[i, j]))
+                                         abs(fold_element(dist, family, i, j) - rho[i, j]))
         rng = philox_rng(2, d)
         for rep in range(50):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -68,7 +68,7 @@ def test_criterion_2_exact_mixture_identity():
             dist = outcome_distribution(rho, family, PovmMode.FULL)
             coeffs = decompose_operator(a, family)
             worst_mean = max(worst_mean,
-                             abs(exact_fold_mean(dist, coeffs) - np.trace(rho @ a)))
+                             abs(fold_mean(dist, family, coeffs) - np.trace(rho @ a)))
     elapsed = time.time() - start
     ok = worst_elem <= 1e-10 and worst_mean <= 1e-10 and elapsed < 30.0
     _report(2, "exact mixture identity", ok,
@@ -233,7 +233,7 @@ def test_criterion_9_general_operator_estimation():
         record = sample_record(outcome_distribution(rho, family, PovmMode.FULL),
                                n, seed=70_000 + run)
         truth = complex(np.trace(rho @ coeffs.reconstruct(family)))
-        if abs(estimate_mean(record, coeffs) - truth) <= 0.05:
+        if abs(fold_mean(record, family, coeffs) - truth) <= 0.05:
             hits += 1
     frac = hits / runs
     elapsed = time.time() - start

@@ -171,6 +171,31 @@ def test_estimate_requires_elements(record_pair):
     assert run("estimate", "--record", off, "--diag-record", diag) == 1
 
 
+def _header(mode, n, d=2):
+    return f"#SQST v1 d={d} mode={mode} seed=0 n={n} mub={build_mub(d).fingerprint()}\n"
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_zero_copy_records_fail_cleanly(tmp_path, capsys, binary):
+    paths = {}
+    for mode in ("offdiag", "computational"):
+        head = _header(mode, 0).encode("ascii")
+        paths[mode] = tmp_path / f"{mode}.rec"
+        paths[mode].write_bytes(head.ljust(128, b"\x00") if binary else head)
+    off, diag = str(paths["offdiag"]), str(paths["computational"])
+    assert run("estimate", "--record", off, "--element", "0,1") == 1
+    assert run("tomography", "--record", off, "--diag-record", diag, "--quiet") == 1
+    assert capsys.readouterr().err.count("n=0") == 2
+
+
+@pytest.mark.parametrize("line", ["70000,0", "-1,0"])
+def test_out_of_range_text_label_fails_cleanly(tmp_path, capsys, line):
+    path = tmp_path / "r.txt"
+    path.write_text(_header("offdiag", 1) + line + "\n")
+    assert run("estimate", "--record", str(path), "--element", "0,1") == 1
+    assert "bad outcome line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # tomography
 
@@ -300,6 +325,14 @@ def test_operator_estimate_needs_exactly_one_source(full_record):
     assert run("operator-estimate", "--record", full_record) == 1
 
 
+def test_operator_estimate_rejects_foreign_family_record(tmp_path, capsys):
+    path = tmp_path / "full.txt"
+    path.write_text("#SQST v1 d=2 mode=full seed=0 n=3 mub=0123456789abcdef\n1,0\n2,1\n3,0\n")
+    assert run("operator-estimate", "--record", str(path), "--extreme", "0.2",
+               "--quiet") == 1
+    assert "fingerprint" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # state spec parsing
 
@@ -320,6 +353,18 @@ def test_parse_state_file_round_trip(tmp_path):
     assert np.allclose(parse_state(f"file:{path}"), rho)
     with pytest.raises(ValueError, match="dimension"):
         parse_state(f"file:{path}", 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_file_fails_cleanly(tmp_path, capsys, bad):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = rho[1, 0] = bad
+    path = tmp_path / "state.json"
+    save_matrix(rho, path)
+    assert run("simulate", "--dim", "2", "--state", f"file:{path}", "--copies", "10",
+               "--out", str(tmp_path / "r.txt")) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_parse_state_rejects_unknown():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import smallest_n_satisfying
-from sqst.estimator import (decompose_operator, estimate_diagonal,
-                            estimate_element, estimate_mean, exact_fold,
-                            exact_fold_diagonal, exact_fold_mean, extreme_operator,
+from sqst.estimator import (decompose_operator, estimate_diagonal, estimate_element,
+                            extreme_operator, fold_diagonal, fold_element, fold_mean,
                             plan_samples, plan_samples_general)
-from sqst.measurement import MeasurementRecord, PovmMode, outcome_distribution, sample_record
-from sqst.mub import build_mub, eta
+from sqst.measurement import (FingerprintMismatch, MeasurementRecord, PovmMode,
+                              outcome_distribution, sample_record)
+from sqst.mub import build_mub, eta_table
 from sqst.states import (make_pure_superposition, max_norm, philox_rng, random_density,
                          random_hermitian, schatten_norm)
 
@@ -47,13 +47,13 @@ def test_exact_fold_plus_state_enumeration(fam2):
     assert expected == 0.5
     rho = make_pure_superposition(0, 1, 1, 1, 2)
     dist = outcome_distribution(rho, fam2, PovmMode.OFFDIAG)
-    assert exact_fold(dist, fam2, 0, 1) == pytest.approx(expected, abs=1e-12)
+    assert fold_element(dist, fam2, 0, 1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_fold_basis_state_cancels(fam2):
     rho = make_pure_superposition(0, 1, 1, 0, 2)
     dist = outcome_distribution(rho, fam2, PovmMode.OFFDIAG)
-    assert exact_fold(dist, fam2, 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert fold_element(dist, fam2, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_fold_matches_all_elements_d5():
@@ -63,7 +63,7 @@ def test_exact_fold_matches_all_elements_d5():
     for i in range(5):
         for j in range(5):
             if i != j:
-                assert exact_fold(dist, family, i, j) == pytest.approx(rho[i, j], abs=1e-10)
+                assert fold_element(dist, family, i, j) == pytest.approx(rho[i, j], abs=1e-10)
 
 
 def test_exact_fold_maximally_mixed_is_zero(fam4):
@@ -71,14 +71,14 @@ def test_exact_fold_maximally_mixed_is_zero(fam4):
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert abs(exact_fold(dist, fam4, i, j)) <= 1e-12
+                assert abs(fold_element(dist, fam4, i, j)) <= 1e-12
 
 
 def test_exact_fold_complex_superposition():
     family = build_mub(8)
     rho = make_pure_superposition(2, 5, 1, 1j, 8)
     dist = outcome_distribution(rho, family, PovmMode.OFFDIAG)
-    assert exact_fold(dist, family, 2, 5) == pytest.approx(-0.5j, abs=1e-10)
+    assert fold_element(dist, family, 2, 5) == pytest.approx(-0.5j, abs=1e-10)
 
 
 def test_estimate_element_mode_and_index_errors(fam2):
@@ -144,24 +144,24 @@ def test_diagonal_point_mass(fam4):
     rho[3, 3] = 1.0
     dist = outcome_distribution(rho, fam4, PovmMode.COMPUTATIONAL)
     record = sample_record(dist, 200, seed=2)
-    assert estimate_diagonal(record, 3).value == 1.0
-    assert estimate_diagonal(record, 0).value == 0.0
+    assert estimate_diagonal(record, fam4, 3).value == 1.0
+    assert estimate_diagonal(record, fam4, 0).value == 0.0
 
 
 def test_diagonal_exact_folds(fam2):
     mixed = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.COMPUTATIONAL)
-    assert exact_fold_diagonal(mixed, 0) == pytest.approx(0.5, abs=1e-14)
+    assert fold_diagonal(mixed, fam2, 0) == pytest.approx(0.5, abs=1e-14)
     plus = outcome_distribution(make_pure_superposition(0, 1, 1, 1, 2), fam2,
                                 PovmMode.COMPUTATIONAL)
     for i in (0, 1):
-        assert exact_fold_diagonal(plus, i) == pytest.approx(0.5, abs=1e-12)
+        assert fold_diagonal(plus, fam2, i) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_diagonal_mode_mismatch(fam2):
     record = sample_record(
         outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG), 10, 0)
     with pytest.raises(ValueError, match="computational"):
-        estimate_diagonal(record, 0)
+        estimate_diagonal(record, fam2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_decompose_matrix_unit_matches_eta():
     for m in range(2, d + 2):
         for k in range(d):
             assert coeffs.coeffs[m - 1, k] == pytest.approx(
-                eta(family, i, j, k, m) / d, abs=1e-12)
+                eta_table(family, i, j)[m - 2, k] / d, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -296,7 +296,8 @@ def test_extreme_single_phase_block(fam2):
     phases[1, 0] = theta
     coeffs = extreme_operator(phases, 0.5, fam2)
     base = 0.5 * 3 * np.eye(2)
-    bump = 0.5 * (np.exp(1j * theta) - 1) * fam2.projector(0, 2)
+    v = fam2.vectors[1, 0]  # |k=0, m=2>
+    bump = 0.5 * (np.exp(1j * theta) - 1) * np.outer(v, v.conj())
     assert np.abs(coeffs.reconstruct(fam2) - base - bump).max() <= 1e-12
 
 
@@ -332,7 +333,7 @@ def test_mean_fold_pauli_z_on_basis_state(fam2):
     rho = make_pure_superposition(0, 1, 1, 0, 2)  # |0><0|, <Z> = +1
     dist = outcome_distribution(rho, fam2, PovmMode.FULL)
     coeffs = decompose_operator(np.diag([1.0, -1.0]).astype(complex), fam2)
-    assert exact_fold_mean(dist, coeffs) == pytest.approx(1.0, abs=1e-10)
+    assert fold_mean(dist, fam2, coeffs) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mean_fold_identity_is_one(fam4):
@@ -340,7 +341,7 @@ def test_mean_fold_identity_is_one(fam4):
     for seed in range(5):
         rho = random_density(4, 1 + seed % 4, seed)
         dist = outcome_distribution(rho, fam4, PovmMode.FULL)
-        assert exact_fold_mean(dist, coeffs) == pytest.approx(1.0, abs=1e-10)
+        assert fold_mean(dist, fam4, coeffs) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -352,7 +353,7 @@ def test_mean_fold_matches_trace_oracle(d):
         rho = random_density(d, 1 + rep % d, 500 + rep)
         dist = outcome_distribution(rho, family, PovmMode.FULL)
         coeffs = decompose_operator(g, family)
-        assert exact_fold_mean(dist, coeffs) == pytest.approx(
+        assert fold_mean(dist, family, coeffs) == pytest.approx(
             complex(np.trace(rho @ g)), abs=1e-10)
 
 
@@ -361,7 +362,7 @@ def test_estimate_mean_sampled(fam2):
     dist = outcome_distribution(rho, fam2, PovmMode.FULL)
     record = sample_record(dist, 200_000, seed=6)
     coeffs = decompose_operator(np.diag([1.0, -1.0]).astype(complex), fam2)
-    value = estimate_mean(record, coeffs)
+    value = fold_mean(record, fam2, coeffs)
     assert value.real == pytest.approx(1.0, abs=0.05)
 
 
@@ -370,7 +371,7 @@ def test_estimate_mean_mode_mismatch(fam2):
     record = sample_record(outcome_distribution(rho, fam2, PovmMode.OFFDIAG), 10, 0)
     coeffs = decompose_operator(np.eye(2, dtype=complex), fam2)
     with pytest.raises(ValueError, match="full"):
-        estimate_mean(record, coeffs)
+        fold_mean(record, fam2, coeffs)
 
 
 def test_mean_fold_extreme_operator_matches_trace(fam4):
@@ -381,5 +382,41 @@ def test_mean_fold_extreme_operator_matches_trace(fam4):
         a = coeffs.reconstruct(fam4)
         rho = random_density(4, 4, 700 + rep)
         dist = outcome_distribution(rho, fam4, PovmMode.FULL)
-        assert exact_fold_mean(dist, coeffs) == pytest.approx(
+        assert fold_mean(dist, fam4, coeffs) == pytest.approx(
             complex(np.trace(rho @ a)), abs=1e-10)
+
+
+def test_mean_and_diagonal_folds_check_the_fingerprint(fam2):
+    # same dimension and mode, but taken against another family
+    def foreign(mode, ms):
+        return MeasurementRecord(d=2, mode=mode, seed=0, n=len(ms),
+                                 mub_fingerprint="0123456789abcdef",
+                                 ms=np.array(ms, dtype=np.uint16),
+                                 ks=np.zeros(len(ms), dtype=np.uint16))
+
+    coeffs = decompose_operator(np.eye(2, dtype=complex), fam2)
+    with pytest.raises(FingerprintMismatch):
+        fold_mean(foreign(PovmMode.FULL, [1, 2, 3]), fam2, coeffs)
+    with pytest.raises(FingerprintMismatch):
+        estimate_diagonal(foreign(PovmMode.COMPUTATIONAL, [1, 1]), fam2, 0)
+
+
+def test_folds_check_distributions_like_records(fam2):
+    fam3 = build_mub(3)
+    dist = outcome_distribution(np.eye(3, dtype=complex) / 3, fam3, PovmMode.OFFDIAG)
+    with pytest.raises(FingerprintMismatch, match="dimension"):
+        fold_element(dist, fam2, 0, 1)
+    with pytest.raises(ValueError, match="computational"):
+        fold_diagonal(dist, fam3, 0)
+
+
+def test_guarantee_states_what_hoeffding_proves(fam2):
+    # Hoeffding on Re and Im with a union bound bounds max(|Re err|, |Im err|), not |err|
+    n = 119_830
+    record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
+                               mub_fingerprint=fam2.fingerprint(),
+                               ms=np.full(n, 2, dtype=np.uint16),
+                               ks=np.zeros(n, dtype=np.uint16))
+    est = estimate_element(record, fam2, 0, 1, epsilon=0.01)
+    assert est.guarantee == ("Pr[max(|Re error|, |Im error|) >= 0.01] <= 0.00999965 "
+                             "(Hoeffding, n=119830)")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
                               PovmMode, RecordFormatError, outcome_distribution,
-                              povm_elements, read_record, sample_record, write_record)
+                              read_record, sample_record, write_record)
 from sqst.mub import build_mub
 from sqst.states import make_pure_superposition, philox_rng, random_density
 
@@ -21,9 +23,12 @@ def fam3():
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 @pytest.mark.parametrize("mode", list(PovmMode))
 def test_povm_elements_sum_to_identity(d, mode):
+    # the mode's POVM: projectors of its bases, each basis drawn with weight 1/basis_count
     family = build_mub(d)
-    elements = povm_elements(family, mode)
-    assert np.abs(elements.sum(axis=0) - np.eye(d)).max() <= 1e-10
+    first = mode.first_basis
+    vecs = family.vectors[first - 1 : first - 1 + mode.basis_count(d)]
+    elements = np.einsum("mki,mkj->mkij", vecs, vecs.conj()) / mode.basis_count(d)
+    assert np.abs(elements.sum(axis=(0, 1)) - np.eye(d)).max() <= 1e-10
 
 
 def test_maximally_mixed_offdiag_is_uniform(fam2):
@@ -51,6 +56,14 @@ def test_distribution_sums_to_one(fam3, mode):
         dist = outcome_distribution(rho, fam3, mode)
         assert dist.probs.min() >= 0
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_rejects_non_finite_state(fam2, bad):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        outcome_distribution(rho, fam2, PovmMode.OFFDIAG)
 
 
 def test_distribution_dimension_mismatch(fam2):
@@ -203,3 +216,84 @@ def test_record_header_count_must_match():
                           mub_fingerprint="0" * 16,
                           ms=np.array([2, 2], dtype=np.uint16),
                           ks=np.array([0, 1], dtype=np.uint16))
+
+
+def _header(d, mode, n, fp="0123456789abcdef", seed=0):
+    return f"#SQST v1 d={d} mode={mode} seed={seed} n={n} mub={fp}"
+
+
+def test_zero_copy_text_record_rejected(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_text(_header(2, "offdiag", 0) + "\n")
+    with pytest.raises(RecordFormatError, match="n=0"):
+        read_record(path)
+
+
+def test_zero_copy_binary_record_rejected(tmp_path):
+    path = tmp_path / "r.bin"
+    path.write_bytes((_header(2, "offdiag", 0) + "\n").encode("ascii").ljust(128, b"\x00"))
+    with pytest.raises(RecordFormatError, match="n=0"):
+        read_record(path)
+
+
+@pytest.mark.parametrize("line", ["70000,0", "-1,0", "2,65536", "2,-3"])
+def test_text_label_outside_uint16_rejected(tmp_path, line):
+    path = tmp_path / "r.txt"
+    path.write_text(_header(2, "offdiag", 1) + "\n" + line + "\n")
+    with pytest.raises(RecordFormatError, match="line 2"):
+        read_record(path)
+
+
+def test_read_with_matching_dimension_but_foreign_fingerprint(fam2, tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_text(_header(2, "offdiag", 1) + "\n2,0\n")
+    with pytest.raises(FingerprintMismatch, match="fingerprint"):
+        read_record(path, fam2)
+
+
+def _record_invariants_hold(record):
+    first = record.mode.first_basis
+    last = first + record.mode.basis_count(record.d) - 1
+    return (record.n >= 1 and len(record.ms) == len(record.ks) == record.n
+            and record.ms.dtype == record.ks.dtype == np.uint16
+            and first <= int(record.ms.min()) and int(record.ms.max()) <= last
+            and int(record.ks.max()) < record.d)
+
+
+_labels = st.integers(min_value=-3, max_value=70_000)
+_text_bodies = st.lists(
+    st.one_of(st.tuples(_labels, _labels).map(lambda mk: f"{mk[0]},{mk[1]}"),
+              st.text(alphabet="0123456789,- x\t", max_size=12)),
+    max_size=6).map("\n".join)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(d=st.integers(min_value=0, max_value=70_000),
+       mode=st.sampled_from([m.value for m in PovmMode]),
+       n=st.integers(min_value=0, max_value=6),
+       binary=st.booleans(),
+       text_body=_text_bodies,
+       raw_body=st.binary(max_size=28),
+       trailing_newline=st.booleans())
+def test_read_record_parses_or_raises_format_error(tmp_path_factory, d, mode, n, binary,
+                                                   text_body, raw_body, trailing_newline):
+    head = _header(d, mode, n) + "\n"
+    if binary:
+        data = head.encode("ascii").ljust(128, b"\x00") + raw_body
+    else:
+        data = (head + text_body + ("\n" if trailing_newline else "")).encode("ascii")
+    path = tmp_path_factory.getbasetemp() / "fuzzed.record"
+    path.write_bytes(data)
+    try:
+        record = read_record(path)
+    except RecordFormatError:
+        return
+    assert (record.d, record.mode.value, record.n) == (d, mode, n)
+    assert _record_invariants_hold(record)
+
+
+def test_header_integer_too_long_for_int_is_format_error(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_text(_header("9" * 5000, "offdiag", 1) + "\n2,0\n")
+    with pytest.raises(RecordFormatError, match="header"):
+        read_record(path)

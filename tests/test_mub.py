@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from sqst.mub import (MubFamily, build_mub, eta, eta_table, load_mub, mub_from_json,
-                      mub_to_json, save_mub, verify_mub)
+from sqst.mub import (MubFamily, build_mub, eta_table, load_mub, mub_from_json, mub_to_json,
+                      save_mub, verify_mub)
 
 SMALL_DIMS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def _projector(family, k, m):
+    v = family.vectors[m - 1, k]
+    return np.outer(v, v.conj())
 
 
 def test_d2_has_three_unbiased_bases():
@@ -16,7 +21,7 @@ def test_d2_has_three_unbiased_bases():
         for n in range(m + 1, 4):
             for k in range(2):
                 for l in range(2):
-                    ov = abs(np.vdot(family.vector(k, m), family.vector(l, n))) ** 2
+                    ov = abs(np.vdot(family.vectors[m - 1, k], family.vectors[n - 1, l])) ** 2
                     assert ov == pytest.approx(0.5, abs=1e-10)
 
 
@@ -24,8 +29,8 @@ def test_d2_bases_are_pauli_eigenbases():
     # fixed convention: m=2 is the X eigenbasis, m=3 the Y eigenbasis
     family = build_mub(2)
     s = 1 / np.sqrt(2)
-    assert np.allclose(family.basis(2), [[s, s], [s, -s]], atol=1e-12)
-    assert np.allclose(family.basis(3), [[s, 1j * s], [s, -1j * s]], atol=1e-12)
+    assert np.allclose(family.vectors[1], [[s, s], [s, -s]], atol=1e-12)
+    assert np.allclose(family.vectors[2], [[s, 1j * s], [s, -1j * s]], atol=1e-12)
 
 
 def test_d3_overlaps_are_one_third():
@@ -33,7 +38,7 @@ def test_d3_overlaps_are_one_third():
     assert family.vectors.shape == (4, 3, 3)
     report = verify_mub(family, 1e-10)
     assert report.passed
-    ov = abs(np.vdot(family.vector(0, 2), family.vector(1, 3))) ** 2
+    ov = abs(np.vdot(family.vectors[1, 0], family.vectors[2, 1])) ** 2
     assert ov == pytest.approx(1 / 3, abs=1e-10)
 
 
@@ -54,7 +59,7 @@ def test_verify_mub_passes(d):
 def test_computational_basis_is_exact():
     for d in (2, 4, 9):
         family = build_mub(d)
-        assert np.array_equal(family.basis(1), np.eye(d))
+        assert np.array_equal(family.vectors[0], np.eye(d))
 
 
 def test_verify_reports_broken_family():
@@ -68,41 +73,39 @@ def test_verify_reports_broken_family():
 
 
 def test_alpha_is_unit_modulus():
+    # the phases alpha_l of |k,m> are sqrt(d) times its coefficients, m >= 2
     for d in (3, 4, 8):
         family = build_mub(d)
-        for m in range(2, d + 2):
-            mags = np.abs([family.alpha(l, k, m) for k in range(d) for l in range(d)])
-            assert np.allclose(mags, 1.0, atol=1e-12)
+        mags = np.abs(np.sqrt(d) * family.vectors[1:])
+        assert np.allclose(mags, 1.0, atol=1e-12)
 
 
-def test_alpha_rejects_computational_basis():
+def test_computational_basis_has_no_phases():
+    # basis m=1 is |k> itself: its scaled coefficients are 0 or sqrt(d), not phases
     family = build_mub(2)
-    with pytest.raises(ValueError):
-        family.alpha(0, 0, 1)
+    assert not np.allclose(np.abs(np.sqrt(2) * family.vectors[0]), 1.0)
 
 
 def test_eta_hand_values_d2():
     # m=2 holds {(1,1)/sqrt2, (1,-1)/sqrt2}: expanding alpha_0 * conj(alpha_1)
     # gives +1 for k=0 and -1 for k=1
-    family = build_mub(2)
-    assert eta(family, 0, 1, 0, 2) == pytest.approx(1.0, abs=1e-12)
-    assert eta(family, 0, 1, 1, 2) == pytest.approx(-1.0, abs=1e-12)
+    tab = eta_table(build_mub(2), 0, 1)
+    assert tab[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert tab[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_eta_diagonal_is_one():
     family = build_mub(5)
-    for m in range(2, 7):
-        for k in range(5):
-            for i in range(5):
-                assert eta(family, i, i, k, m) == pytest.approx(1.0, abs=1e-12)
+    for i in range(5):
+        assert np.abs(eta_table(family, i, i) - 1.0).max() <= 1e-12
 
 
 def test_eta_errors():
     family = build_mub(2)
+    # computational basis carries no eta: rows are the d bases m = 2 .. d+1 only
+    assert eta_table(family, 0, 1).shape == (2, 2)
     with pytest.raises(ValueError):
-        eta(family, 0, 1, 0, 1)  # computational basis carries no eta
-    with pytest.raises(ValueError):
-        eta(family, 0, 2, 0, 2)  # index out of range
+        eta_table(family, 0, 2)  # index out of range
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -117,14 +120,16 @@ def test_eta_closure_properties(d):
             assert np.allclose(tab, eta_table(family, j, i).conj(), atol=1e-14)
             for m in range(2, d + 2):
                 for k in range(d):
-                    assert tab[m - 2, k] == pytest.approx(eta(family, i, j, k, m), abs=1e-14)
+                    vec = family.vectors[m - 1, k]
+                    assert tab[m - 2, k] == pytest.approx(d * vec[i] * vec[j].conjugate(),
+                                                          abs=1e-14)
 
 
 @pytest.mark.parametrize("d", SMALL_DIMS)
 def test_basis_completeness(d):
     family = build_mub(d)
     for m in range(1, d + 2):
-        total = sum(family.projector(k, m) for k in range(d))
+        total = sum(_projector(family, k, m) for k in range(d))
         assert np.abs(total - np.eye(d)).max() <= 1e-10
 
 
@@ -132,7 +137,7 @@ def test_basis_completeness(d):
 def test_operator_basis_sanity(d):
     # with A = identity: -d*I + sum of all projectors over d+1 bases equals I
     family = build_mub(d)
-    total = sum(family.projector(k, m) for m in range(1, d + 2) for k in range(d))
+    total = sum(_projector(family, k, m) for m in range(1, d + 2) for k in range(d))
     assert np.abs(-d * np.eye(d) + total - np.eye(d)).max() <= 1e-10
 
 

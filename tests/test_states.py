@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sqst.states import (check_norm_chain, hermitian_eigen, load_matrix,
-                         make_pure_superposition, matrix_from_json, matrix_to_json,
-                         max_norm, philox_rng, random_density, random_hermitian,
-                         require_density, save_matrix, schatten_norm)
+from sqst.states import (check_norm_chain, load_matrix, make_pure_superposition,
+                         matrix_from_json, matrix_to_json, max_norm, philox_rng,
+                         random_density, random_hermitian, require_density,
+                         require_hermitian, save_matrix, schatten_norm)
 
 
 def test_plus_state_offdiagonal():
@@ -68,21 +68,21 @@ def test_random_density_always_valid():
 
 
 def test_eigen_diagonal_input():
-    w, v = hermitian_eigen(np.diag([3.0, 1.0]).astype(complex))
+    w, v = np.linalg.eigh(require_hermitian(np.diag([3.0, 1.0]).astype(complex)))
     assert np.allclose(w, [1.0, 3.0])
     assert np.allclose(np.abs(v), [[0, 1], [1, 0]])
 
 
 def test_eigen_pauli_x():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, _ = hermitian_eigen(x)
+    w, _ = np.linalg.eigh(require_hermitian(x))
     assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
 
 def test_eigen_reconstruction_fuzz():
     for seed in range(10):
         h = random_hermitian(6, seed)
-        w, v = hermitian_eigen(h)
+        w, v = np.linalg.eigh(require_hermitian(h))
         assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-10
         assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
         assert w.sum() == pytest.approx(np.trace(h).real, abs=1e-10)
@@ -91,7 +91,21 @@ def test_eigen_reconstruction_fuzz():
 
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        np.linalg.eigh(require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_entries_rejected(bad):
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        require_hermitian(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        require_density(m)
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 0] = bad  # a non-finite diagonal passes the trace test as NaN, too
+    with pytest.raises(ValueError, match="non-finite"):
+        require_density(m)
 
 
 def test_schatten_hand_values():

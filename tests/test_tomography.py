@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (maxnorm_projection_grid_d2, maxnorm_projection_grid_d3,
                      random_nonpsd_matrix)
-from sqst.estimator import exact_fold, exact_fold_diagonal
+from sqst.estimator import fold_diagonal, fold_element
 from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub
 from sqst.states import max_norm, random_density
@@ -36,9 +36,9 @@ def test_exact_fold_assembly_reproduces_state(fam4):
     comp_dist = outcome_distribution(rho, fam4, PovmMode.COMPUTATIONAL)
     assembled = np.zeros((4, 4), dtype=complex)
     for i in range(4):
-        assembled[i, i] = exact_fold_diagonal(comp_dist, i)
+        assembled[i, i] = fold_diagonal(comp_dist, fam4, i)
         for j in range(i + 1, 4):
-            assembled[i, j] = exact_fold(off_dist, fam4, i, j)
+            assembled[i, j] = fold_element(off_dist, fam4, i, j)
             assembled[j, i] = assembled[i, j].conjugate()
     assert max_norm(assembled - rho) <= 1e-10
 
@@ -67,7 +67,7 @@ def test_assembly_matches_elementwise_estimators(fam4):
     off, diag = _records_for(rho, fam4, 5000, seed=70)
     lin = assemble_linear_estimate(off, diag, fam4)
     for i in range(4):
-        assert lin.matrix[i, i] == pytest.approx(estimate_diagonal(diag, i).value, abs=1e-14)
+        assert lin.matrix[i, i] == pytest.approx(estimate_diagonal(diag, fam4, i).value, abs=1e-14)
         for j in range(i + 1, 4):
             assert lin.matrix[i, j] == pytest.approx(
                 estimate_element(off, fam4, i, j).value, abs=1e-12)
@@ -169,6 +169,15 @@ def test_maxnorm_rejects_non_hermitian():
         project_psd_maxnorm(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projections_reject_non_finite_input(bad):
+    x = np.diag([1.2, -0.2]).astype(complex)
+    x[0, 1] = x[1, 0] = bad
+    for project in (project_psd_maxnorm, project_psd_clip):
+        with pytest.raises(ValueError, match="non-finite"):
+            project(x)
+
+
 def test_projection_does_not_worsen_failure_rate():
     # probabilistic contraction: over sampled trials, the projected state
     # misses the max-norm target at most as often as the raw linear estimate
@@ -227,10 +236,10 @@ def test_error_report_exact_assembly(fam4):
     comp_dist = outcome_distribution(rho, fam4, PovmMode.COMPUTATIONAL)
     assembled = np.zeros((4, 4), dtype=complex)
     for i in range(4):
-        assembled[i, i] = exact_fold_diagonal(comp_dist, i)
+        assembled[i, i] = fold_diagonal(comp_dist, fam4, i)
         for j in range(4):
             if i < j:
-                assembled[i, j] = exact_fold(off_dist, fam4, i, j)
+                assembled[i, j] = fold_element(off_dist, fam4, i, j)
                 assembled[j, i] = assembled[i, j].conjugate()
     report = error_report(rho, assembled)
     assert report.max_norm <= 1e-9
