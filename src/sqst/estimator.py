@@ -89,12 +89,20 @@ class SelectiveEstimate:
 
 
 def outcome_counts(record: MeasurementRecord) -> np.ndarray:
-    """Multiplicity of each (basis, outcome) cell, shaped (bases, d)."""
-    d = record.d
-    nb = record.mode.basis_count(d)
-    first = record.mode.first_basis
-    flat = (record.ms.astype(np.int64) - first) * d + record.ks
-    return np.bincount(flat, minlength=nb * d).reshape(nb, d)
+    """Multiplicity of each (basis, outcome) cell, shaped (bases, d).
+
+    Counted once per record and cached on it, read-only: every element
+    estimated from the record folds the same table.
+    """
+    if record._counts is None:
+        d = record.d
+        nb = record.mode.basis_count(d)
+        first = record.mode.first_basis
+        flat = (record.ms.astype(np.int64) - first) * d + record.ks
+        counts = np.bincount(flat, minlength=nb * d).reshape(nb, d)
+        counts.setflags(write=False)
+        object.__setattr__(record, "_counts", counts)
+    return record._counts
 
 
 def count_table(source: MeasurementRecord | OutcomeDistribution, family: MubFamily,
@@ -187,6 +195,8 @@ def decompose_operator(a: np.ndarray, family: MubFamily) -> OperatorCoefficients
     d = family.d
     if a.shape != (d, d):
         raise ValueError(f"operator shape {a.shape} != {(d, d)}")
+    if not np.isfinite(a).all():
+        raise ValueError("operator has non-finite (NaN or inf) entries")
     v = family.vectors
     coeffs = np.einsum("mkl,lx,mkx->mk", v.conj(), a, v)
     tr = complex(np.trace(a))

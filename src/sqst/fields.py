@@ -7,6 +7,12 @@ that exhaustive q x q tables are cheaper and safer than clever arithmetic.
 
 Extension fields use a fixed Conway polynomial per (p, n), so the tables
 are identical across builds and platforms.
+
+The Galois ring GR(4, n) for even dimensions needs only its trace on
+products of Teichmueller elements.  That table is closed-form: the
+Teichmueller set is closed under multiplication, the trace is Z4-linear and
+Frobenius squares Teichmueller elements, so all d^3 phase exponents follow
+from the d - 1 traces tr(xi^e) by integer-array indexing.
 """
 
 from __future__ import annotations
@@ -180,7 +186,8 @@ class GaloisRing4:
     tuples of Z4 coefficients, constant term first.
 
     Exposes the Teichmueller set T = {0, 1, xi, ..., xi^(2^n - 2)} and the
-    ring trace, which is all the basis construction needs.
+    table of ring traces over T + 2T, which is all the basis construction
+    needs.
     """
 
     def __init__(self, n: int):
@@ -191,8 +198,7 @@ class GaloisRing4:
         base = (1, 1) if n == 1 else _CONWAY[(2, n)]
         self.modulus = self._lift_modulus(base)
         self.teichmuller = self._build_teichmuller()
-        self._two_adic = self._index_two_adic()
-        self._trace_cache = {}
+        self._check_two_adic()
 
     # -- ring arithmetic on coefficient tuples -------------------------------
 
@@ -242,53 +248,32 @@ class GaloisRing4:
             t.append(self.mul(t[-1], xi))
         return t
 
-    def _index_two_adic(self):
-        table = {}
-        for i, a in enumerate(self.teichmuller):
-            for j, b in enumerate(self.teichmuller):
-                table[self.add(a, self._scale(b, 2))] = (i, j)
-        if len(table) != 4**self.n:
+    def _check_two_adic(self):
+        """Every ring element is a + 2b for exactly one pair (a, b) in T x T."""
+        sums = {self.add(a, self._scale(b, 2)) for a in self.teichmuller for b in self.teichmuller}
+        if len(sums) != 4**self.n:
             raise AssertionError("2-adic decomposition is not a bijection")
-        return table
 
     # -- trace ----------------------------------------------------------------
-
-    def frobenius(self, e):
-        i, j = self._two_adic[e]
-        a, b = self.teichmuller[i], self.teichmuller[j]
-        return self.add(self.mul(a, a), self._scale(self.mul(b, b), 2))
-
-    def trace(self, e) -> int:
-        """Ring trace to Z4: sum of the n Frobenius conjugates.
-
-        Memoized: phase_exponents queries all d^3 products, which hit only
-        the 4^n distinct ring elements.
-        """
-        cached = self._trace_cache.get(e)
-        if cached is not None:
-            return cached
-        acc = self.zero
-        cur = e
-        for _ in range(self.n):
-            acc = self.add(acc, cur)
-            cur = self.frobenius(cur)
-        if any(acc[1:]):
-            raise AssertionError(f"trace of {e} not in Z4")
-        self._trace_cache[e] = acc[0]
-        return acc[0]
 
     def phase_exponents(self) -> np.ndarray:
         """uint8 array E[a, b, x] = trace((T[a] + 2 T[b]) * T[x]) in Z4.
 
         Indices run over the Teichmueller set; this is the full phase data
-        of the d unbiased bases in dimension d = 2^n.
+        of the d unbiased bases in dimension d = 2^n.  T is closed under
+        multiplication, the trace is Z4-linear and Frobenius acts on T as
+        squaring, so E[a, b, x] = S[a, x] + 2 S[b, x] mod 4 with
+        S[a, x] = tr(T[a] T[x]), and the d - 1 traces
+        tr(xi^e) = sum_{j<n} xi^(e 2^j) fill S through exponent addition.
         """
-        d = self.d
-        t = self.teichmuller
-        out = np.zeros((d, d, d), dtype=np.uint8)
-        for ai, a in enumerate(t):
-            for bi, b in enumerate(t):
-                c = self.add(a, self._scale(b, 2))
-                for xi_, x in enumerate(t):
-                    out[ai, bi, xi_] = self.trace(self.mul(c, x))
-        return out
+        d, n = self.d, self.n
+        order = d - 1
+        t = np.array(self.teichmuller, dtype=np.int64)  # (d, n) coefficient rows
+        e = np.arange(order)
+        conj = (e[:, None] * (2 ** np.arange(n))[None, :]) % order  # exponents of xi^(e 2^j)
+        traces = t[1 + conj].sum(axis=1) % 4  # (d - 1, n)
+        if traces[:, 1:].any():
+            raise AssertionError("a trace of a Teichmueller element is not in Z4")
+        s = np.zeros((d, d), dtype=np.int64)
+        s[1:, 1:] = traces[(e[:, None] + e[None, :]) % order, 0]
+        return ((s[:, None, :] + 2 * s[None, :, :]) % 4).astype(np.uint8)

@@ -8,7 +8,11 @@ Record files exist in two formats sharing one header line
 
     #SQST v1 d=<d> mode=<mode> seed=<seed> n=<n> mub=<16 hex chars>
 
-* text: the header line, then one ``m,k`` pair per line;
+* text: the header line, then a body of exactly n lines ``<m>,<k>``, each
+  label 1 to 5 ASCII digits of a value <= 65535, each line ended by LF or
+  CRLF, the final line's newline optional.  Nothing else is accepted: no
+  signs, spaces, underscores or empty lines.  Text is written and parsed in
+  blocks with numpy, never line by line in Python;
 * binary: the header line NUL-padded to 128 bytes, then n little-endian
   (uint16 m, uint16 k) pairs.
 
@@ -29,6 +33,9 @@ from .mub import MubFamily
 from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128
+_TEXT_BLOCK = 65_536  # outcomes per written block of text
+_TEXT_BLOCK_BYTES = 1 << 19  # bytes per parsed block of text, cut after a newline
+_MAX_DIGITS = 5  # digits of the largest uint16 label
 
 
 class PovmMode(enum.Enum):
@@ -126,7 +133,11 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Ordered (m, k) outcome sequence plus its provenance header."""
+    """Ordered (m, k) outcome sequence plus its provenance header.
+
+    Immutable, outcome arrays included (writeable arrays are copied), so the
+    count table that `estimator.outcome_counts` caches on it cannot go stale.
+    """
 
     d: int
     mode: PovmMode
@@ -135,6 +146,7 @@ class MeasurementRecord:
     mub_fingerprint: str
     ms: np.ndarray = field(repr=False)
     ks: np.ndarray = field(repr=False)
+    _counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -142,6 +154,12 @@ class MeasurementRecord:
         if self.n != len(self.ms) or self.n != len(self.ks):
             raise ValueError("header count does not match outcome sequence length")
         _check_ranges(self.ms, self.ks, self.d, self.mode)
+        for name in ("ms", "ks"):
+            labels = getattr(self, name)
+            if labels.flags.writeable:
+                labels = labels.copy()
+                labels.setflags(write=False)
+                object.__setattr__(self, name, labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementRecord):
@@ -200,8 +218,13 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
     return MeasurementRecord(
         d=dist.d, mode=dist.mode, seed=seed, n=n,
         mub_fingerprint=dist.mub_fingerprint,
-        ms=dist.ms[flat], ks=dist.ks[flat],
+        ms=_readonly(dist.ms[flat]), ks=_readonly(dist.ks[flat]),
     )
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 _HEADER_RE = re.compile(
@@ -239,10 +262,24 @@ def write_record(record: MeasurementRecord, path, binary: bool = False) -> None:
             fh.write(head.ljust(_HEADER_BLOCK, b"\x00"))
             fh.write(body)
     else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for m, k in zip(record.ms, record.ks):
-                fh.write(f"{m},{k}\n")
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
+            _write_text_body(record, fh)
+
+
+def _write_text_body(record: MeasurementRecord, fh) -> None:
+    """Write the ``m,k`` lines block by block from a table of every cell's line."""
+    d, first = record.d, record.mode.first_basis
+    lines = [f"{first + c // d},{c % d}\n".encode("ascii")
+             for c in range(record.mode.basis_count(d) * d)]
+    width = max(map(len, lines))
+    table = np.array(lines, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    lengths = np.array([len(line) for line in lines])
+    columns = np.arange(width)
+    for start in range(0, record.n, _TEXT_BLOCK):
+        block = slice(start, start + _TEXT_BLOCK)
+        cells = (record.ms[block].astype(np.int64) - first) * d + record.ks[block]
+        fh.write(table[cells][columns < lengths[cells][:, None]].tobytes())
 
 
 def read_record(path, family: MubFamily | None = None) -> MeasurementRecord:
@@ -273,24 +310,68 @@ def _read_binary(data: bytes, path) -> MeasurementRecord:
         raise RecordFormatError(f"{path}: body holds {len(body)} bytes, header says n={n}")
     pairs = np.frombuffer(body, dtype="<u2").reshape(n, 2)
     return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             ms=pairs[:, 0].copy(), ks=pairs[:, 1].copy())
+                             ms=pairs[:, 0], ks=pairs[:, 1])
 
 
 def _read_text(data: bytes, path) -> MeasurementRecord:
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError(f"{path}: not an ASCII record file") from exc
-    d, mode, seed, n, fp = _parse_header(lines[0] if lines else "")
-    body = lines[1:]
-    if len(body) != n:
-        raise RecordFormatError(f"{path}: {len(body)} outcome lines, header says n={n}")
-    ms = np.zeros(n, dtype=np.uint16)
-    ks = np.zeros(n, dtype=np.uint16)
-    for idx, line in enumerate(body):
-        try:
-            m_str, k_str = line.split(",")
-            ms[idx], ks[idx] = int(m_str), int(k_str)
-        except (ValueError, OverflowError) as exc:  # OverflowError: label outside uint16
-            raise RecordFormatError(f"{path}: bad outcome line {idx + 2}: {line!r}") from exc
-    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp, ms=ms, ks=ks)
+    if not data.isascii():
+        raise RecordFormatError(f"{path}: not an ASCII record file")
+    body = data.find(b"\n") + 1 or len(data)
+    d, mode, seed, n, fp = _parse_header(data[:body].decode("ascii"))
+    lines = data.count(b"\n", body) + (body < len(data) and not data.endswith(b"\n"))
+    if lines != n:
+        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={n}")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ms = np.empty(n, dtype=np.uint16)
+    ks = np.empty(n, dtype=np.uint16)
+    start, line = body, 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _TEXT_BLOCK_BYTES) + 1
+        if stop == 0 or start + _TEXT_BLOCK_BYTES >= len(data):  # an overlong line, or the tail
+            stop = data.find(b"\n", start + _TEXT_BLOCK_BYTES) + 1 or len(data)
+        m, k = _parse_text_block(buf[start:stop], path, line + 2)
+        ms[line:line + m.size], ks[line:line + m.size] = m, k
+        start, line = stop, line + m.size
+    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
+                             ms=_readonly(ms), ks=_readonly(ks))
+
+
+def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
+    """Labels (m, k) of the whole ``m,k`` lines in seg, whose first is file line first_line.
+
+    Raises RecordFormatError naming the first line that breaks the grammar.
+    """
+    is_newline, is_comma = seg == ord("\n"), seg == ord(",")
+    digits = seg - np.uint8(ord("0"))  # wraps every non-digit byte above 9
+    newlines = np.flatnonzero(is_newline)
+    ends = newlines if newlines.size and newlines[-1] == seg.size - 1 else np.append(newlines, seg.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    crlf = (ends > starts) & (ends < seg.size) & (seg[ends - 1] == ord("\r"))
+    stops = ends - crlf  # a line's content ends before the CR of its CRLF
+    allowed = (digits <= 9) | is_comma | is_newline
+    allowed[stops[crlf]] = True
+    commas = np.flatnonzero(is_comma)
+    comma_line = np.searchsorted(ends, commas)
+    comma = np.zeros(ends.size, dtype=np.int64)
+    comma[comma_line] = commas  # meaningful only on lines with exactly one comma
+    m_len, k_len = comma - starts, stops - comma - 1
+    m, k = _digit_values(digits, starts, m_len), _digit_values(digits, comma + 1, k_len)
+    bad = np.bincount(comma_line, minlength=ends.size) != 1
+    bad |= (m_len < 1) | (m_len > _MAX_DIGITS) | (k_len < 1) | (k_len > _MAX_DIGITS)
+    bad |= (m > 0xFFFF) | (k > 0xFFFF)
+    bad[np.searchsorted(ends, np.flatnonzero(~allowed))] = True
+    if bad.any():
+        i = int(bad.argmax())
+        text = seg[starts[i]:stops[i]].tobytes().decode("ascii")
+        raise RecordFormatError(f"{path}: bad outcome line {first_line + i}: {text!r}")
+    return m, k
+
+
+def _digit_values(digits: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Decimal values of digit runs of up to _MAX_DIGITS digits, one pass per digit place."""
+    value = np.zeros(starts.size, dtype=np.int64)
+    last = digits.size - 1
+    for place in range(min(_MAX_DIGITS, int(lengths.max(initial=0)))):
+        more = place < lengths
+        value = np.where(more, value * 10 + digits[np.minimum(starts + place, last)], value)
+    return value

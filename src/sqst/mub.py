@@ -32,19 +32,30 @@ class MubFamily:
 
     vectors[m-1, k, l] is the l-th computational coefficient of vector k of
     basis m (all indices stored 0-based; the basis label m is 1-based in
-    records because m=1 is special).  Immutable; safe to share.
+    records because m=1 is special).  Immutable, vectors included (a
+    writeable array is copied), so the fingerprint is hashed once per family;
+    safe to share.
     """
 
     d: int
     vectors: np.ndarray = field(repr=False)
     convention: str = "m1-computational"
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.vectors.flags.writeable:
+            vectors = self.vectors.copy()
+            vectors.setflags(write=False)
+            object.__setattr__(self, "vectors", vectors)
 
     def fingerprint(self) -> str:
         """64-bit hash of the coefficients rounded to 12 decimals, as 16 hex chars."""
-        re = np.round(self.vectors.real, 12) + 0.0
-        im = np.round(self.vectors.imag, 12) + 0.0
-        data = np.ascontiguousarray(np.stack([re, im]), dtype="<f8").tobytes()
-        return hashlib.sha256(data).digest()[:8].hex()
+        if self._fingerprint is None:
+            re = np.round(self.vectors.real, 12) + 0.0
+            im = np.round(self.vectors.imag, 12) + 0.0
+            data = np.ascontiguousarray(np.stack([re, im]), dtype="<f8").tobytes()
+            object.__setattr__(self, "_fingerprint", hashlib.sha256(data).digest()[:8].hex())
+        return self._fingerprint
 
     def _check_index(self, i: int, name: str) -> None:
         if not 0 <= i < self.d:
@@ -160,9 +171,7 @@ def mub_from_json(obj: dict) -> MubFamily:
     arr = np.asarray(obj["bases"], dtype=np.float64)
     if arr.shape != (d + 1, d, d, 2):
         raise ValueError(f"malformed MUB JSON: expected shape {(d + 1, d, d, 2)}, got {arr.shape}")
-    vectors = arr[..., 0] + 1j * arr[..., 1]
-    vectors.setflags(write=False)
-    return MubFamily(d=d, vectors=vectors)
+    return MubFamily(d=d, vectors=arr[..., 0] + 1j * arr[..., 1])
 
 
 def save_mub(family: MubFamily, path) -> None:

@@ -7,6 +7,7 @@ scans instead of the shipped algorithms.
 
 import numpy as np
 
+from sqst.fields import GaloisRing4
 from sqst.states import philox_rng, random_density, random_hermitian, max_norm
 from sqst.tomography import project_psd_clip
 
@@ -82,3 +83,45 @@ def random_nonpsd_matrix(d: int, seed: int, perturbation: float = 0.1) -> np.nda
         if np.linalg.eigvalsh(cand).min() < -1e-3:
             return cand
     raise RuntimeError(f"no non-PSD perturbation found for d={d}, seed={seed}")
+
+
+class GaloisRingTrace:
+    """The GR(4, n) trace as the sum of the n Frobenius conjugates of any ring element.
+
+    Frobenius is computed on general elements from their 2-adic form a + 2b
+    (a, b Teichmueller) as a^2 + 2 b^2, using only the ring's tuple
+    arithmetic, not the closed-form table of `GaloisRing4.phase_exponents`.
+    """
+
+    def __init__(self, ring: GaloisRing4):
+        self.ring = ring
+        t = ring.teichmuller
+        self._two_adic = {ring.add(a, ring._scale(b, 2)): (a, b) for a in t for b in t}
+        self._cache = {}
+
+    def frobenius(self, e):
+        a, b = self._two_adic[e]
+        r = self.ring
+        return r.add(r.mul(a, a), r._scale(r.mul(b, b), 2))
+
+    def __call__(self, e) -> int:
+        if e not in self._cache:
+            acc, cur = self.ring.zero, e
+            for _ in range(self.ring.n):
+                acc = self.ring.add(acc, cur)
+                cur = self.frobenius(cur)
+            assert not any(acc[1:]), f"trace of {e} not in Z4"
+            self._cache[e] = acc[0]
+        return self._cache[e]
+
+    def phase_exponents(self) -> np.ndarray:
+        """E[a, b, x] = trace((T[a] + 2 T[b]) * T[x]), element by element."""
+        r = self.ring
+        t = r.teichmuller
+        out = np.zeros((r.d, r.d, r.d), dtype=np.uint8)
+        for ai, a in enumerate(t):
+            for bi, b in enumerate(t):
+                c = r.add(a, r._scale(b, 2))
+                for xi, x in enumerate(t):
+                    out[ai, bi, xi] = self(r.mul(c, x))
+        return out

@@ -321,6 +321,18 @@ def test_operator_estimate_extreme_manifold(full_record, capsys):
     assert payload["abs_error"] <= 0.2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_estimate_rejects_non_finite_operator(full_record, tmp_path, capsys, bad):
+    op = np.eye(3, dtype=complex)
+    op[0, 1] = bad
+    op_path = tmp_path / "op.json"
+    save_matrix(op, op_path)
+    assert run("operator-estimate", "--record", full_record,
+               "--operator", f"file:{op_path}", "--quiet") == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err and captured.out == ""
+
+
 def test_operator_estimate_needs_exactly_one_source(full_record):
     assert run("operator-estimate", "--record", full_record) == 1
 

@@ -420,3 +420,11 @@ def test_guarantee_states_what_hoeffding_proves(fam2):
     est = estimate_element(record, fam2, 0, 1, epsilon=0.01)
     assert est.guarantee == ("Pr[max(|Re error|, |Im error|) >= 0.01] <= 0.00999965 "
                              "(Hoeffding, n=119830)")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_operator_rejects_non_finite_entries(fam2, bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        decompose_operator(a, fam2)

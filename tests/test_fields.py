@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import GaloisRingTrace
 from sqst.fields import GaloisRing4, build_field, factor_prime_power
 
 
@@ -94,21 +95,36 @@ def test_build_field_rejects_bad_input():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_galois_ring_teichmuller(n):
     ring = GaloisRing4(n)
+    trace = GaloisRingTrace(ring)
     d = 2**n
     t = ring.teichmuller
     assert len(t) == d
     assert t[0] == ring.zero and t[1] == ring.one
     # the nonzero part is the cyclic group of order d-1
     assert len(set(t)) == d
-    for e in t:
-        assert ring.trace(e) in (0, 1, 2, 3)
+    table = ring.phase_exponents()
+    for x, e in enumerate(t):
+        assert trace(e) in (0, 1, 2, 3)
+        assert table[1, 0, x] == trace(e)  # (T[1] + 2 T[0]) * T[x] = T[x]
 
 
 def test_galois_ring_trace_additive_small():
     ring = GaloisRing4(3)
+    trace = GaloisRingTrace(ring)
     t = ring.teichmuller
     for a in t[:4]:
         for b in t[:4]:
-            lhs = ring.trace(ring.add(a, b))
-            rhs = (ring.trace(a) + ring.trace(b)) % 4
+            lhs = trace(ring.add(a, b))
+            rhs = (trace(a) + trace(b)) % 4
             assert lhs == rhs
+    # the table form of Z4-linearity: tr((a + 2b) x) = tr(a x) + 2 tr(b x)
+    table = ring.phase_exponents().astype(int)
+    assert np.array_equal(table, (table[:, :1, :] + 2 * table[None, :, 0, :]) % 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_galois_ring_phase_table_matches_frobenius_trace(n):
+    ring = GaloisRing4(n)
+    table = ring.phase_exponents()
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, GaloisRingTrace(ring).phase_exponents())

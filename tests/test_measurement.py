@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqst import measurement
+from sqst.estimator import outcome_counts
 from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
                               PovmMode, RecordFormatError, outcome_distribution,
                               read_record, sample_record, write_record)
@@ -297,3 +299,103 @@ def test_header_integer_too_long_for_int_is_format_error(tmp_path):
     path.write_text(_header("9" * 5000, "offdiag", 1) + "\n2,0\n")
     with pytest.raises(RecordFormatError, match="header"):
         read_record(path)
+
+
+# ---------------------------------------------------------------------------
+# the text grammar across parse blocks
+
+_MANY = 3 * 65_536 + 5
+
+
+@pytest.fixture(scope="module")
+def many_path(tmp_path_factory):
+    family = build_mub(8)
+    dist = outcome_distribution(random_density(8, 3, 4), family, PovmMode.FULL)
+    record = sample_record(dist, _MANY, seed=5)
+    path = tmp_path_factory.mktemp("many") / "r.txt"
+    write_record(record, path)
+    return record, path
+
+
+def test_multi_block_text_round_trip_is_byte_identical(many_path, tmp_path):
+    record, path = many_path
+    data = path.read_bytes()
+    lines = "".join(f"{m},{k}\n" for m, k in zip(record.ms.tolist(), record.ks.tolist()))
+    assert data == (measurement._header_line(record) + "\n" + lines).encode("ascii")
+    again = read_record(path)
+    assert again == record
+    write_record(again, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == data
+
+
+def _corrupt_line(data: bytes, body_index: int) -> bytes:
+    """Replace the first character of outcome line body_index by 'x', keeping every offset."""
+    at = 0
+    for _ in range(body_index + 1):  # skip the header and body_index outcome lines
+        at = data.index(b"\n", at) + 1
+    return data[:at] + b"x" + data[at + 1:]
+
+
+def test_bad_line_in_a_later_block_is_named(many_path, tmp_path):
+    _, path = many_path
+    data = path.read_bytes()
+    # the line holding the first byte of the second parse block, and the last line
+    boundary = len(measurement._header_line(many_path[0])) + 1 + measurement._TEXT_BLOCK_BYTES
+    at_boundary = data.count(b"\n", 0, boundary) - 1
+    for body_index in (at_boundary, 2 * 65_536 + 7, _MANY - 1):
+        bad = tmp_path / f"bad{body_index}.txt"
+        bad.write_bytes(_corrupt_line(data, body_index))
+        with pytest.raises(RecordFormatError, match=rf"bad outcome line {body_index + 2}: 'x"):
+            read_record(bad)
+
+
+def test_crlf_and_missing_final_newline_read_like_lf(many_path, tmp_path):
+    record, path = many_path
+    data = path.read_bytes()
+    variants = {"crlf": data.replace(b"\n", b"\r\n"), "no_final": data[:-1],
+                "crlf_no_final": data.replace(b"\n", b"\r\n")[:-2]}
+    for name, body in variants.items():
+        (tmp_path / name).write_bytes(body)
+        assert read_record(tmp_path / name) == record, name
+
+
+@pytest.mark.parametrize("line", ["+1,0", " 1,0", "1_0,0", "1,", ",0", "1,2,3", "", "1,0 ",
+                                  "1;0", "000002,0", "1,0\r\r"])
+def test_lines_outside_the_grammar_rejected(tmp_path, line):
+    path = tmp_path / "r.txt"
+    path.write_bytes((_header(2, "offdiag", 2) + "\n2,0\n" + line + "\n").encode("ascii"))
+    with pytest.raises(RecordFormatError, match="line 3"):
+        read_record(path)
+
+
+def test_lone_carriage_return_is_not_a_line_end(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_bytes((_header(2, "offdiag", 2) + "\n2,0\r3,1\n").encode("ascii"))
+    with pytest.raises(RecordFormatError, match="1 outcome lines"):
+        read_record(path)
+
+
+# ---------------------------------------------------------------------------
+# records are immutable, so their cached count table stays right
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_record_labels_and_count_table_are_read_only(fam3, binary, tmp_path):
+    dist = outcome_distribution(random_density(3, 2, 2), fam3, PovmMode.OFFDIAG)
+    path = tmp_path / "r"
+    write_record(sample_record(dist, 50, seed=3), path, binary=binary)
+    for record in (sample_record(dist, 50, seed=3), read_record(path)):
+        counts = outcome_counts(record)
+        assert outcome_counts(record) is counts
+        for array in (record.ms, record.ks, counts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+def test_record_copies_writeable_labels():
+    ms = np.array([2, 3], dtype=np.uint16)
+    record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=2,
+                               mub_fingerprint="0" * 16, ms=ms,
+                               ks=np.array([0, 1], dtype=np.uint16))
+    ms[0] = 3
+    assert record.ms.tolist() == [2, 3]

@@ -1,12 +1,27 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from sqst.fields import factor_prime_power
 from sqst.mub import (MubFamily, build_mub, eta_table, load_mub, mub_from_json, mub_to_json,
                       save_mub, verify_mub)
 
 SMALL_DIMS = [2, 3, 4, 5, 7, 8, 9]
+
+# The fixed families every record refers to; a change here invalidates every record file.
+PINNED_FINGERPRINTS = {
+    2: "565f4dc054caa451", 3: "114b8efb86fa04fd", 4: "d23ea5a25042c255",
+    5: "f2c382710c671f80", 7: "4eaca1ba18bc1bc3", 8: "9b0d98b364e2d79d",
+    9: "4e81290c26e356c1", 11: "c918c210f3ba9b7b", 13: "46850245fd418763",
+    16: "a464ec6d89d4d2a6", 17: "d1ce15b30c4fd210", 19: "c5406b82b3b02e2f",
+    23: "86f4e210be13d0a2", 25: "8d0b20e8dbc6afed", 27: "e85e87500a8abaf9",
+    29: "10f33475ecc37751", 31: "a286fa9a3bb58ddd", 32: "395d85f0a3f1e604",
+    37: "6b982b320abbe867", 41: "0d55a62f5344d30f", 43: "0ea1b79d92f45712",
+    47: "d4eb5c9a5ea3fdf8", 49: "a2d0ded1e7eb1602", 53: "bd3e0a3076f1a4f6",
+    59: "97e1959e7e42e5f4", 61: "432896c970fb637f", 64: "4a377500b4231ea8",
+}
 
 
 def _projector(family, k, m):
@@ -54,6 +69,37 @@ def test_non_prime_power_dimension_rejected():
 @pytest.mark.parametrize("d", SMALL_DIMS)
 def test_verify_mub_passes(d):
     assert verify_mub(build_mub(d), 1e-10).passed
+
+
+def test_every_supported_family_is_pinned():
+    supported = [d for d in range(2, 65) if factor_prime_power(d)]
+    assert supported == sorted(PINNED_FINGERPRINTS)
+    assert {d: build_mub(d).fingerprint() for d in supported} == PINNED_FINGERPRINTS
+
+
+def test_fingerprint_hashes_once_per_family(monkeypatch):
+    calls = []
+    real = hashlib.sha256
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    family = build_mub(4)
+    assert family.fingerprint() == family.fingerprint() == PINNED_FINGERPRINTS[4]
+    assert len(calls) == 1
+
+
+def test_family_vectors_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        build_mub(3).vectors[1, 0, 0] = 1.0
+    vectors = build_mub(2).vectors.copy()
+    family = MubFamily(d=2, vectors=vectors)
+    vectors[1, 0, 0] = 5.0  # the family holds its own copy
+    assert family.fingerprint() == PINNED_FINGERPRINTS[2]
+    with pytest.raises(ValueError, match="read-only"):
+        family.vectors[1, 0, 0] = 5.0
 
 
 def test_computational_basis_is_exact():
