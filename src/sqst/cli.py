@@ -261,21 +261,18 @@ def cmd_tomography(args) -> int:
     payload = {"d": linear.d}
     if args.project == "none":
         rho = linear.matrix
-        psd = float(np.linalg.eigvalsh(rho).min()) >= -1e-10
+        psd = tomography.is_valid_density(rho, enforce_trace=False)
         payload.update({"method": "none", "t_star": None, "converged": True, "psd": psd})
         if not psd:
             _say(args, "linear estimate is not positive semidefinite (expected; use --project)")
-    elif args.project == "clip":
-        result = tomography.project_psd_clip(linear)
-        rho = result.rho
-        payload.update({"method": result.method, "t_star": result.t_star,
-                        "converged": result.converged, "iterations": result.iterations})
     else:
-        result = tomography.project_psd_maxnorm(linear, tol=args.tol,
-                                                enforce_trace=not args.no_trace_constraint)
+        result = (tomography.project_psd_clip(linear) if args.project == "clip" else
+                  tomography.project_psd_maxnorm(linear, tol=args.tol,
+                                                 enforce_trace=not args.no_trace_constraint))
         rho = result.rho
         payload.update({"method": result.method, "t_star": result.t_star,
-                        "converged": result.converged, "iterations": result.iterations})
+                        "converged": result.converged, "iterations": result.iterations,
+                        "gap": result.gap})
     payload["rho"] = states.matrix_to_json(rho)
     if args.truth:
         truth = parse_state(args.truth, linear.d)

@@ -8,11 +8,12 @@ under the max norm:
     minimize t  subject to  |rho_L - Y|_ij <= t for all (i, j),  Y PSD
     (and tr Y = 1 by default; pass enforce_trace=False for the cone only).
 
-The solver bisects on t and decides feasibility of each level set by
-alternating projections between the elementwise box and the spectral set
-(eigenvalues onto the probability simplex).  Both sets are convex, so the
-alternation converges whenever the intersection is nonempty.  The eigen-clip
-projector provides the always-feasible starting point and upper bound.
+The optimum is the saddle point min_Y max_{sum|Z_ij| <= 1} Re<Z, rho_L - Y>.
+The solver takes Chambolle-Pock primal-dual steps between the state set
+(eigenvalues onto the probability simplex) and the entrywise l1 ball (moduli
+onto the simplex, phases kept).  Every primal iterate is a valid state, every
+dual iterate certifies a lower bound on t, and the solver stops on a duality
+gap <= tol.  It starts from the eigen-clip repair, which is also the baseline.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .states import (NormChainReport, check_norm_chain, max_norm, require_hermit
 
 EIGEN_FLOOR = 1e-10
 TRACE_SLACK = 1e-12
+# Chambolle-Pock step sizes for K = -I (convergent as sigma * tau < 1), not tuned per input
+STEP_DUAL = 1.0
+STEP_PRIMAL = 0.99
+CHECK_EVERY = 10
+MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,7 @@ class ProjectionResult:
     iterations: int
     converged: bool
     method: str
+    gap: float | None = None  # t_star minus a certified lower bound; None: uncertified
 
 
 def _hermitian_input(x) -> np.ndarray:
@@ -91,8 +98,8 @@ def _hermitian_input(x) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _simplex_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a spectrum onto {x >= 0, sum x = 1}."""
+def _simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a vector onto {x >= 0, sum x = 1} (sort-based)."""
     u = np.sort(w)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, len(u) + 1)
@@ -103,19 +110,21 @@ def _simplex_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 def _project_density(y: np.ndarray, enforce_trace: bool) -> np.ndarray:
     w, v = np.linalg.eigh(y)
-    w = _simplex_eigenvalues(w) if enforce_trace else np.clip(w, 0.0, None)
+    w = _simplex(w) if enforce_trace else np.clip(w, 0.0, None)
     return (v * w) @ v.conj().T
 
 
-def _project_box(y: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    delta = y - x
-    mags = np.abs(delta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mags > t, t / mags, 1.0)
-    return x + delta * np.nan_to_num(scale, nan=1.0)
+def _project_l1_ball(z: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {sum |z_ij| <= 1}: shrink the moduli, keep the phases."""
+    mags = np.abs(z)
+    if mags.sum() <= 1.0:
+        return z
+    shrunk = _simplex(mags.ravel()).reshape(mags.shape)
+    return z * np.divide(shrunk, mags, out=np.zeros_like(mags), where=mags > 0)
 
 
-def _is_valid_density(m: np.ndarray, enforce_trace: bool = True) -> bool:
+def is_valid_density(m: np.ndarray, enforce_trace: bool = True) -> bool:
+    """No eigenvalue below -EIGEN_FLOOR and, with enforce_trace, trace 1 to TRACE_SLACK."""
     if enforce_trace and (abs(np.trace(m).real - 1.0) > TRACE_SLACK
                           or abs(np.trace(m).imag) > TRACE_SLACK):
         return False
@@ -136,65 +145,52 @@ def project_psd_clip(rho_l) -> ProjectionResult:
                             converged=True, method="eigen-clip")
 
 
-def project_psd_maxnorm(rho_l, tol: float = 1e-6, enforce_trace: bool = True,
-                        max_sweeps: int = 2000, residual_tol: float = 1e-9) -> ProjectionResult:
-    """Closest valid state to rho_L in the max norm, via bisection on t.
+def _dual_bound(z: np.ndarray, x: np.ndarray, enforce_trace: bool) -> float:
+    """Lower bound min_Y Re<Z, X - Y> on the optimal distance, for Hermitian Z in the ball."""
+    if enforce_trace:
+        return float(np.vdot(z, x).real - np.linalg.eigvalsh(z)[-1])
+    w, v = np.linalg.eigh(z)
+    z_neg = (v * np.minimum(w, 0.0)) @ v.conj().T
+    return float(np.vdot(z_neg, x).real / max(1.0, np.abs(z_neg).sum()))
 
-    Each level set is probed by alternating projections.  The density-side
-    iterate y is a valid state at every sweep, so level t is accepted as soon
-    as the achieved distance max|y - rho_L| reaches t (up to a slack tied to
-    the current bisection window), and rejected when that distance stalls
-    above it.  The returned matrix is the best valid iterate ever seen; its
-    achieved distance is the reported t_star.  The optimum is generally
-    non-unique; this fixed sweep order keeps the output deterministic.
+
+def project_psd_maxnorm(rho_l, tol: float = 1e-6, enforce_trace: bool = True) -> ProjectionResult:
+    """Closest valid state to rho_L in the max norm, certified to within tol.
+
+    Chambolle-Pock steps (sigma = STEP_DUAL, tau = STEP_PRIMAL, K = -I) on the
+    saddle point of the module docstring.  The best primal iterate is returned
+    with its distance t_star; every CHECK_EVERY steps the dual iterate may raise
+    the lower bound, and the solver stops once gap = t_star - bound <= tol, or
+    after MAX_ITERATIONS steps with converged=False.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     x = _hermitian_input(rho_l)
-    d = x.shape[0]
-    if _is_valid_density(x, enforce_trace):
-        return ProjectionResult(rho=x, t_star=0.0, iterations=0,
-                                converged=True, method="maxnorm-sdp")
-
-    sweeps = 0
-
-    def descend(t: float, start: np.ndarray, slack: float):
-        """Best valid iterate found at level t, and whether it reached t + slack."""
-        nonlocal sweeps
-        y = start
-        best_y, best_f = start, max_norm(start - x)
-        checkpoint = best_f
-        for s in range(1, max_sweeps + 1):
-            sweeps += 1
-            b = _project_box(y, x, t)
-            y = _project_density(b, enforce_trace)
-            f = max_norm(y - x)
-            if f < best_f:
-                best_y, best_f = y, f
-            if f <= t + slack:
-                return y, f, True
-            if s % 100 == 0:
-                if checkpoint - f < 1e-3 * (checkpoint - t):
-                    break  # excess over t is no longer shrinking: level infeasible
-                checkpoint = f
-        return best_y, best_f, False
+    if is_valid_density(x, enforce_trace):
+        return ProjectionResult(rho=x, t_star=0.0, iterations=0, converged=True,
+                                method="maxnorm-sdp", gap=0.0)
 
     # start from the eigen-clip repair (cone-only mode: plain clip, no renormalize)
-    start = project_psd_clip(x).rho if enforce_trace else _project_density(x, False)
-    best, best_f = start, max_norm(start - x)
-    t_hi = best_f
-    t_lo = abs(np.trace(x).real - 1.0) / d if enforce_trace else 0.0
-    while t_hi - t_lo > tol:
-        window = t_hi - t_lo
-        t_mid = (t_hi + t_lo) / 2
-        y, f, reached = descend(t_mid, best, max(residual_tol, 0.01 * window))
+    y = project_psd_clip(x).rho if enforce_trace else _project_density(x, False)
+    y_bar, z = y, np.zeros_like(x)
+    best, best_f = y, max_norm(y - x)
+    # a unit-trace state misses some diagonal entry by at least |tr X - 1| / d
+    lower = float(abs(np.trace(x).real - 1.0)) / x.shape[0] if enforce_trace else 0.0
+    for it in range(1, MAX_ITERATIONS + 1):
+        z = _project_l1_ball(z + STEP_DUAL * (x - y_bar))
+        z = (z + z.conj().T) / 2
+        y_new = _project_density(y + STEP_PRIMAL * z, enforce_trace)
+        y_bar, y = 2 * y_new - y, y_new
+        f = max_norm(y - x)
         if f < best_f:
             best, best_f = y, f
-        if reached:
-            t_hi = min(t_hi, best_f)
-        else:
-            t_lo = t_mid
-            t_hi = min(t_hi, best_f)
-    return ProjectionResult(rho=best, t_star=best_f, iterations=sweeps,
-                            converged=True, method="maxnorm-sdp")
+        if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
+            lower = max(lower, _dual_bound(z, x, enforce_trace))
+            if best_f - lower <= tol:
+                break
+    gap = best_f - lower
+    return ProjectionResult(rho=best, t_star=best_f, iterations=it, converged=gap <= tol,
+                            method="maxnorm-sdp", gap=gap)
 
 
 def trace_norm_budget(epsilon: float, d: int) -> float:

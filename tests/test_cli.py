@@ -221,11 +221,21 @@ def test_tomography_maxnorm_beats_clip(record_pair, tmp_path):
                    "--out", str(out), "--quiet") == 0
         results[method] = json.loads(out.read_text())
     assert results["maxnorm"]["t_star"] <= results["clip"]["t_star"] + 1e-6
+    assert results["maxnorm"]["converged"] and results["maxnorm"]["gap"] <= 1e-6
+    assert results["clip"]["gap"] is None
     for method, payload in results.items():
         rho = np.asarray(payload["rho"]["rows"])
         m = rho[..., 0] + 1j * rho[..., 1]
         assert np.linalg.eigvalsh(m).min() >= -1e-8
         assert payload["error_report"]["chain_passed"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_tomography_rejects_bad_tol(record_pair, tol, capsys):
+    off, diag = record_pair
+    assert run("tomography", "--record", off, "--diag-record", diag,
+               "--tol", tol, "--quiet") == 1
+    assert "tol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import pytest
 
 from oracles import (maxnorm_projection_grid_d2, maxnorm_projection_grid_d3,
                      random_nonpsd_matrix)
+import sqst.tomography as tomography
 from sqst.estimator import fold_diagonal, fold_element
 from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub
 from sqst.states import max_norm, random_density
-from sqst.tomography import (assemble_linear_estimate, error_report,
+from sqst.tomography import (assemble_linear_estimate, error_report, is_valid_density,
                              max_error_for_trace_target, project_psd_clip,
                              project_psd_maxnorm, trace_norm_budget)
 
@@ -93,6 +94,7 @@ def test_clip_hand_example():
     result = project_psd_clip(np.diag([1.2, -0.2]).astype(complex))
     assert np.allclose(result.rho, np.diag([1.0, 0.0]), atol=1e-12)
     assert result.t_star == pytest.approx(0.2, abs=1e-12)
+    assert result.gap is None
 
 
 def test_clip_leaves_valid_state_unchanged():
@@ -116,6 +118,7 @@ def test_maxnorm_feasible_input_returned_unchanged():
     assert result.t_star <= 1e-8
     assert max_norm(result.rho - rho) <= 1e-8
     assert result.converged
+    assert result.gap == 0.0
 
 
 def test_maxnorm_hand_example_diagonal():
@@ -162,6 +165,36 @@ def test_maxnorm_without_trace_constraint():
     full = project_psd_maxnorm(x, enforce_trace=True)
     assert full.t_star == pytest.approx(0.2, abs=1e-3)
     assert np.trace(full.rho).real == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("enforce_trace", [True, False])
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_maxnorm_certifies_its_gap(d, enforce_trace):
+    tol = 1e-6
+    for seed in range(500, 503):
+        x = random_nonpsd_matrix(d, seed)
+        result = project_psd_maxnorm(x, tol=tol, enforce_trace=enforce_trace)
+        assert result.converged and result.iterations >= 1
+        assert result.gap <= tol
+        assert is_valid_density(result.rho, enforce_trace)
+        if enforce_trace:
+            assert result.t_star <= project_psd_clip(x).t_star + tol
+
+
+def test_maxnorm_iteration_cap_reports_unconverged(monkeypatch):
+    monkeypatch.setattr(tomography, "MAX_ITERATIONS", 1)
+    x = random_nonpsd_matrix(8, 501)
+    result = project_psd_maxnorm(x)
+    assert result.iterations == 1
+    assert result.converged is False
+    assert result.gap > 1e-6
+    assert is_valid_density(result.rho)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_maxnorm_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        project_psd_maxnorm(np.diag([1.2, -0.2]).astype(complex), tol=tol)
 
 
 def test_maxnorm_rejects_non_hermitian():
