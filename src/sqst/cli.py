@@ -253,6 +253,9 @@ def _csv_cell(value) -> str:
 
 
 def cmd_tomography(args) -> int:
+    if args.project != "maxnorm" and (args.tol is not None or args.no_trace_constraint):
+        raise ValueError(f"--tol and --no-trace-constraint apply only to --project maxnorm, "
+                         f"not {args.project}")
     offdiag = measurement.read_record(args.record)
     diag = measurement.read_record(args.diag_record)
     family = _family(offdiag.d)
@@ -266,9 +269,10 @@ def cmd_tomography(args) -> int:
         if not psd:
             _say(args, "linear estimate is not positive semidefinite (expected; use --project)")
     else:
+        tol = {} if args.tol is None else {"tol": args.tol}
         result = (tomography.project_psd_clip(linear) if args.project == "clip" else
-                  tomography.project_psd_maxnorm(linear, tol=args.tol,
-                                                 enforce_trace=not args.no_trace_constraint))
+                  tomography.project_psd_maxnorm(linear, enforce_trace=not args.no_trace_constraint,
+                                                 **tol))
         rho = result.rho
         payload.update({"method": result.method, "t_star": result.t_star,
                         "converged": result.converged, "iterations": result.iterations,
@@ -446,8 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", help="write primary output to this path")
-    common.add_argument("--format", choices=["csv", "json"], default=None,
-                        help="machine-readable output format")
     common.add_argument("--quiet", action="store_true", help="suppress summary lines")
 
     parser = argparse.ArgumentParser(
@@ -464,11 +466,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bounded-operator planner (needs --k-bound and --dim)")
     p.add_argument("--k-bound", type=float, default=None)
     p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("mub", parents=[common], help="build and verify a basis family")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_mub)
 
     p = sub.add_parser("simulate", parents=[common], help="sample measurement records")
@@ -492,13 +496,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="known state for error columns")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--format", choices=["csv", "json"], default="json",
+                   help="output format (default json)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("tomography", parents=[common], help="assemble and project a full state")
     p.add_argument("--record", required=True, help="off-diagonal record file")
     p.add_argument("--diag-record", required=True, help="computational record file")
     p.add_argument("--project", choices=["maxnorm", "clip", "none"], default="maxnorm")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None,
+                   help="certified max-norm gap (maxnorm only; default 1e-6)")
     p.add_argument("--no-trace-constraint", action="store_true",
                    help="project onto the PSD cone only (drop tr=1)")
     p.add_argument("--truth", help="known state for the error report")
@@ -519,6 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fuzz the norm inequality chain on random Hermitian matrices")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_bounds_check)
 
     p = sub.add_parser("operator-estimate", parents=[common],

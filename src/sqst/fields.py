@@ -1,18 +1,16 @@
-"""Finite-field and Galois-ring arithmetic for the basis constructions.
+"""Finite-field and Galois-ring tables for the basis constructions, built from powers of x.
 
-Field elements are integers ``0 .. q-1`` whose base-``p`` digits are the
-coefficients of a polynomial over GF(p), constant term first.  Arithmetic
-is table-driven: the orders involved (q <= 64 by default) are small enough
-that exhaustive q x q tables are cheaper and safer than clever arithmetic.
+Both structures are a polynomial ring modulo a monic f over Z_r whose root x
+generates the nonzero elements (GF(p^n): f is the Conway polynomial, r = p)
+or the Teichmueller units (GR(4, n): f is its basic primitive Hensel lift,
+r = 4).  One shift-and-reduce loop lists the coefficient rows of x^0, x^1,
+..., and one routine sums Frobenius orbits of those rows into the traces
+tr(x^e) = sum_{j<n} x^(e p^j).  Everything else is integer-array indexing on
+exponents: products are exponent sums, sums are base-p digit sums.
 
-Extension fields use a fixed Conway polynomial per (p, n), so the tables
-are identical across builds and platforms.
-
-The Galois ring GR(4, n) for even dimensions needs only its trace on
-products of Teichmueller elements.  That table is closed-form: the
-Teichmueller set is closed under multiplication, the trace is Z4-linear and
-Frobenius squares Teichmueller elements, so all d^3 phase exponents follow
-from the d - 1 traces tr(xi^e) by integer-array indexing.
+Field elements are integers 0 .. q-1 whose base-p digits are the polynomial
+coefficients, constant term first; the fixed Conway moduli make every table
+identical across builds and platforms.
 """
 
 from __future__ import annotations
@@ -64,19 +62,30 @@ def factor_prime_power(d: int):
     return None
 
 
-def _digits(e: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(e % p)
-        e //= p
-    return out
+def _x_powers(modulus, r: int, count: int) -> np.ndarray:
+    """Coefficient rows of x^0 .. x^(count-1) modulo the monic ascending `modulus` over Z_r."""
+    low = np.asarray(modulus[:-1], dtype=np.int64)
+    rows = np.zeros((count, len(low)), dtype=np.int64)
+    rows[0, 0] = 1
+    for k in range(1, count):
+        prev = rows[k - 1]
+        rows[k, 1:] = prev[:-1]
+        rows[k] = (rows[k] - prev[-1] * low) % r  # x^n = -(low part of the modulus)
+    return rows
 
 
-def _encode(digits, p: int) -> int:
-    e = 0
-    for c in reversed(digits):
-        e = e * p + int(c)
-    return e
+def _power_traces(rows: np.ndarray, p: int, r: int) -> np.ndarray:
+    """tr(x^e) = sum_{j<n} x^(e p^j) for e < len(rows), where x has order len(rows).
+
+    Frobenius raises the powers of x to the p-th power, so the conjugates of
+    x^e are read off the same rows; every trace must land in Z_r.
+    """
+    order, n = rows.shape
+    e = np.arange(order)
+    traces = rows[(e[:, None] * p ** np.arange(n)) % order].sum(axis=1) % r
+    if traces[:, 1:].any():
+        raise AssertionError(f"a trace over Z_{r} has a non-constant term")
+    return traces[:, 0]
 
 
 @dataclass(frozen=True)
@@ -94,29 +103,8 @@ class FiniteField:
     trace_table: np.ndarray = field(repr=False)  # field trace down to GF(p), in 0 .. p-1
 
 
-def _poly_mul_mod(da, db, modulus, p):
-    """Multiply two coefficient lists mod (modulus, p); modulus is monic, ascending."""
-    n = len(modulus) - 1
-    prod = [0] * (len(da) + len(db) - 1)
-    for i, a in enumerate(da):
-        if a == 0:
-            continue
-        for j, b in enumerate(db):
-            prod[i + j] = (prod[i + j] + a * b) % p
-    # reduce x^k for k >= n using x^n = -(lower-degree part)
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for i in range(n):
-            prod[k - n + i] = (prod[k - n + i] - c * modulus[i]) % p
-    out = prod[:n] + [0] * (n - len(prod))
-    return out[:n] if n > 0 else [0]
-
-
-def build_field(p: int, n: int, max_order: int = MAX_FIELD_ORDER) -> FiniteField:
-    """Construct GF(p^n), p prime, p^n <= max_order.
+def build_field(p: int, n: int) -> FiniteField:
+    """Construct GF(p^n), p prime, p^n <= MAX_FIELD_ORDER.
 
     Deterministic for fixed (p, n): extension fields always use the Conway
     polynomial from the built-in table.
@@ -126,36 +114,28 @@ def build_field(p: int, n: int, max_order: int = MAX_FIELD_ORDER) -> FiniteField
     if n < 1:
         raise ValueError(f"extension degree must be >= 1, got {n}")
     q = p**n
-    if q > max_order:
-        raise ValueError(f"field order {q} exceeds maximum {max_order}")
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds maximum {MAX_FIELD_ORDER}")
 
+    idx = np.arange(q)
     if n == 1:
-        idx = np.arange(q)
         add = (idx[:, None] + idx[None, :]) % p
         mul = (idx[:, None] * idx[None, :]) % p
         trace = idx.copy()
     else:
-        modulus = _CONWAY[(p, n)]
-        digs = [_digits(e, p, n) for e in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                s = _encode([(x + y) % p for x, y in zip(digs[a], digs[b])], p)
-                m = _encode(_poly_mul_mod(digs[a], digs[b], modulus, p), p)
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
-        # trace(a) = sum_{k<n} a^(p^k); lands in the prime subfield
+        place = p ** np.arange(n)
+        digits = (idx[:, None] // place) % p
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ place
+        powers = _x_powers(_CONWAY[(p, n)], p, q - 1)
+        antilog = powers @ place  # antilog[e] is the label of x^e
+        if not np.array_equal(np.sort(antilog), idx[1:]):
+            raise AssertionError(f"Conway root does not generate GF({p}^{n})*")
+        log = np.zeros(q, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        mul = antilog[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
         trace = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            term = a
-            acc = a
-            for _ in range(n - 1):
-                term = _pow(mul, term, p)
-                acc = int(add[acc, term])
-            if acc >= p:
-                raise AssertionError(f"trace of element {a} not in prime subfield")
-            trace[a] = acc
+        trace[antilog] = _power_traces(powers, p, p)
 
     for a in range(1, q):
         if np.count_nonzero(mul[a] == 1) != 1:
@@ -166,95 +146,40 @@ def build_field(p: int, n: int, max_order: int = MAX_FIELD_ORDER) -> FiniteField
     return FiniteField(p=p, n=n, q=q, add_table=add, mul_table=mul, trace_table=trace)
 
 
-def _pow(mul_table: np.ndarray, a: int, e: int) -> int:
-    acc = 1
-    base = a
-    while e:
-        if e & 1:
-            acc = int(mul_table[acc, base])
-        base = int(mul_table[base, base])
-        e >>= 1
-    return acc
-
-
 class GaloisRing4:
     """GR(4, n): the Galois ring Z4[x]/(f) behind the even-dimension bases.
 
     f is the basic primitive Hensel lift of the degree-n Conway polynomial
-    over GF(2): the unique monic lift (searched in increasing mask order)
-    whose root xi has multiplicative order 2^n - 1.  Elements are length-n
-    tuples of Z4 coefficients, constant term first.
+    over GF(2): the first monic lift (in increasing mask order) whose root
+    xi has multiplicative order 2^n - 1.
 
-    Exposes the Teichmueller set T = {0, 1, xi, ..., xi^(2^n - 2)} and the
-    table of ring traces over T + 2T, which is all the basis construction
-    needs.
+    `teichmuller` is the read-only (d, n) array of coefficient rows of
+    T = {0, 1, xi, ..., xi^(2^n - 2)}, constant term first; the phase table
+    over T + 2T is all the basis construction needs.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        self.d = 2**n
+        self.d = d = 2**n
         base = (1, 1) if n == 1 else _CONWAY[(2, n)]
-        self.modulus = self._lift_modulus(base)
-        self.teichmuller = self._build_teichmuller()
-        self._check_two_adic()
-
-    # -- ring arithmetic on coefficient tuples -------------------------------
-
-    def mul(self, a, b):
-        return tuple(_poly_mul_mod(list(a), list(b), self.modulus, 4))
-
-    def add(self, a, b):
-        return tuple((x + y) % 4 for x, y in zip(a, b))
-
-    def _scale(self, a, c):
-        return tuple((x * c) % 4 for x in a)
-
-    @property
-    def zero(self):
-        return (0,) * self.n
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.n - 1)
-
-    def _lift_modulus(self, base):
-        target = self.d - 1
-        for mask in range(self.d):
-            cand = [
-                (base[i] + 2 * ((mask >> i) & 1)) % 4 for i in range(self.n)
-            ] + [1]
-            order = self._order_of_x(cand)
-            if order == target:
-                return cand
-        raise AssertionError(f"no basic primitive lift found for n={self.n}")
-
-    def _order_of_x(self, modulus):
-        one = self.one
-        x = tuple(int(i == 1) for i in range(self.n)) if self.n > 1 else ((-modulus[0]) % 4,)
-        acc = x
-        cap = self.d * (self.d - 1) + 1
-        for k in range(1, cap):
-            if acc == one:
-                return k
-            acc = tuple(_poly_mul_mod(list(acc), list(x), modulus, 4))
-        return 0
-
-    def _build_teichmuller(self):
-        xi = tuple(int(i == 1) for i in range(self.n)) if self.n > 1 else ((-self.modulus[0]) % 4,)
-        t = [self.zero, self.one]
-        for _ in range(self.d - 2):
-            t.append(self.mul(t[-1], xi))
-        return t
-
-    def _check_two_adic(self):
-        """Every ring element is a + 2b for exactly one pair (a, b) in T x T."""
-        sums = {self.add(a, self._scale(b, 2)) for a in self.teichmuller for b in self.teichmuller}
-        if len(sums) != 4**self.n:
+        for mask in range(d):
+            cand = [(base[i] + 2 * ((mask >> i) & 1)) % 4 for i in range(n)] + [1]
+            powers = _x_powers(cand, 4, d)
+            is_one = (powers == powers[0]).all(axis=1)
+            if is_one[d - 1] and not is_one[1 : d - 1].any():
+                break
+        else:
+            raise AssertionError(f"no basic primitive lift found for n={n}")
+        self.modulus = cand
+        t = np.vstack([np.zeros((1, n), dtype=np.int64), powers[: d - 1]])
+        t.setflags(write=False)
+        self.teichmuller = t
+        # every ring element is a + 2b for exactly one pair (a, b) in T x T
+        sums = ((t[:, None, :] + 2 * t[None, :, :]) % 4) @ 4 ** np.arange(n)
+        if not np.array_equal(np.sort(sums, axis=None), np.arange(4**n)):
             raise AssertionError("2-adic decomposition is not a bijection")
-
-    # -- trace ----------------------------------------------------------------
 
     def phase_exponents(self) -> np.ndarray:
         """uint8 array E[a, b, x] = trace((T[a] + 2 T[b]) * T[x]) in Z4.
@@ -263,17 +188,12 @@ class GaloisRing4:
         of the d unbiased bases in dimension d = 2^n.  T is closed under
         multiplication, the trace is Z4-linear and Frobenius acts on T as
         squaring, so E[a, b, x] = S[a, x] + 2 S[b, x] mod 4 with
-        S[a, x] = tr(T[a] T[x]), and the d - 1 traces
-        tr(xi^e) = sum_{j<n} xi^(e 2^j) fill S through exponent addition.
+        S[a, x] = tr(T[a] T[x]), and the d - 1 traces tr(xi^e) fill S
+        through exponent addition.
         """
-        d, n = self.d, self.n
-        order = d - 1
-        t = np.array(self.teichmuller, dtype=np.int64)  # (d, n) coefficient rows
-        e = np.arange(order)
-        conj = (e[:, None] * (2 ** np.arange(n))[None, :]) % order  # exponents of xi^(e 2^j)
-        traces = t[1 + conj].sum(axis=1) % 4  # (d - 1, n)
-        if traces[:, 1:].any():
-            raise AssertionError("a trace of a Teichmueller element is not in Z4")
+        d = self.d
+        traces = _power_traces(self.teichmuller[1:], 2, 4)
+        e = np.arange(d - 1)
         s = np.zeros((d, d), dtype=np.int64)
-        s[1:, 1:] = traces[(e[:, None] + e[None, :]) % order, 0]
+        s[1:, 1:] = traces[(e[:, None] + e[None, :]) % (d - 1)]
         return ((s[:, None, :] + 2 * s[None, :, :]) % 4).astype(np.uint8)

@@ -39,7 +39,6 @@ class MubFamily:
 
     d: int
     vectors: np.ndarray = field(repr=False)
-    convention: str = "m1-computational"
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,7 +61,7 @@ class MubFamily:
             raise ValueError(f"index {name}={i} outside 0..{self.d - 1}")
 
 
-def build_mub(d: int, max_dim: int = MAX_FIELD_ORDER) -> MubFamily:
+def build_mub(d: int) -> MubFamily:
     """Build the maximal MUB family in prime-power dimension d.
 
     Deterministic for fixed d.  Raises ValueError for dimensions that are
@@ -71,8 +70,8 @@ def build_mub(d: int, max_dim: int = MAX_FIELD_ORDER) -> MubFamily:
     pn = factor_prime_power(d)
     if pn is None:
         raise ValueError(f"dimension {d} is not a prime power; maximal MUB unsupported")
-    if d > max_dim:
-        raise ValueError(f"dimension {d} exceeds maximum {max_dim}")
+    if d > MAX_FIELD_ORDER:
+        raise ValueError(f"dimension {d} exceeds maximum {MAX_FIELD_ORDER}")
     p, n = pn
 
     vectors = np.zeros((d + 1, d, d), dtype=np.complex128)

@@ -7,7 +7,6 @@ scans instead of the shipped algorithms.
 
 import numpy as np
 
-from sqst.fields import GaloisRing4
 from sqst.states import philox_rng, random_density, random_hermitian, max_norm
 from sqst.tomography import project_psd_clip
 
@@ -85,30 +84,52 @@ def random_nonpsd_matrix(d: int, seed: int, perturbation: float = 0.1) -> np.nda
     raise RuntimeError(f"no non-PSD perturbation found for d={d}, seed={seed}")
 
 
+def poly_mul_mod(a, b, modulus, r: int) -> tuple:
+    """Schoolbook product of coefficient sequences a, b modulo a monic ascending modulus over Z_r."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += int(x) * int(y)
+    for k in range(len(prod) - 1, n - 1, -1):  # x^k = x^(k-n) * -(low part of the modulus)
+        for i in range(n):
+            prod[k - n + i] -= prod[k] * modulus[i]
+    return tuple(c % r for c in prod[:n])
+
+
 class GaloisRingTrace:
     """The GR(4, n) trace as the sum of the n Frobenius conjugates of any ring element.
 
     Frobenius is computed on general elements from their 2-adic form a + 2b
-    (a, b Teichmueller) as a^2 + 2 b^2, using only the ring's tuple
-    arithmetic, not the closed-form table of `GaloisRing4.phase_exponents`.
+    (a, b Teichmueller) as a^2 + 2 b^2 with the schoolbook `poly_mul_mod`.
+    Only the ring's modulus and Teichmueller rows are read from `ring`, not
+    its power table or the closed form of `GaloisRing4.phase_exponents`.
     """
 
-    def __init__(self, ring: GaloisRing4):
-        self.ring = ring
-        t = ring.teichmuller
-        self._two_adic = {ring.add(a, ring._scale(b, 2)): (a, b) for a in t for b in t}
+    def __init__(self, ring):
+        self.n, self.d, self.modulus = ring.n, ring.d, ring.modulus
+        self.teichmuller = t = [tuple(int(c) for c in row) for row in ring.teichmuller]
+        self._two_adic = {self.add(a, b, 2): (a, b) for a in t for b in t}
         self._cache = {}
+
+    @staticmethod
+    def add(a, b, c: int = 1) -> tuple:
+        """a + c b over Z4, coefficient by coefficient."""
+        return tuple((x + c * y) % 4 for x, y in zip(a, b))
+
+    def mul(self, a, b) -> tuple:
+        return poly_mul_mod(a, b, self.modulus, 4)
 
     def frobenius(self, e):
         a, b = self._two_adic[e]
-        r = self.ring
-        return r.add(r.mul(a, a), r._scale(r.mul(b, b), 2))
+        return self.add(self.mul(a, a), self.mul(b, b), 2)
 
     def __call__(self, e) -> int:
+        e = tuple(int(c) for c in e)
         if e not in self._cache:
-            acc, cur = self.ring.zero, e
-            for _ in range(self.ring.n):
-                acc = self.ring.add(acc, cur)
+            acc, cur = (0,) * self.n, e
+            for _ in range(self.n):
+                acc = self.add(acc, cur)
                 cur = self.frobenius(cur)
             assert not any(acc[1:]), f"trace of {e} not in Z4"
             self._cache[e] = acc[0]
@@ -116,12 +137,11 @@ class GaloisRingTrace:
 
     def phase_exponents(self) -> np.ndarray:
         """E[a, b, x] = trace((T[a] + 2 T[b]) * T[x]), element by element."""
-        r = self.ring
-        t = r.teichmuller
-        out = np.zeros((r.d, r.d, r.d), dtype=np.uint8)
+        t = self.teichmuller
+        out = np.zeros((self.d, self.d, self.d), dtype=np.uint8)
         for ai, a in enumerate(t):
             for bi, b in enumerate(t):
-                c = r.add(a, r._scale(b, 2))
+                c = self.add(a, b, 2)
                 for xi, x in enumerate(t):
-                    out[ai, bi, xi] = self(r.mul(c, x))
+                    out[ai, bi, xi] = self(self.mul(c, x))
         return out

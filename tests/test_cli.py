@@ -238,6 +238,15 @@ def test_tomography_rejects_bad_tol(record_pair, tol, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("project", ["clip", "none"])
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--no-trace-constraint"]])
+def test_tomography_rejects_solver_flags_without_maxnorm(record_pair, project, flag, capsys):
+    off, diag = record_pair
+    assert run("tomography", "--record", off, "--diag-record", diag,
+               "--project", project, *flag, "--quiet") == 1
+    assert "maxnorm" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reproduce-fig2
 
@@ -394,3 +403,18 @@ def test_parse_state_rejects_unknown():
         parse_state("bogus:1", 2)
     with pytest.raises(ValueError, match="dimension"):
         parse_state("mixed")
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--epsilon", "0.1", "--delta", "0.1", "--format", "csv"],
+    ["simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--format", "json"],
+])
+def test_format_only_where_it_is_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
