@@ -5,14 +5,16 @@ Every estimate is the same linear fold of a (basis, outcome) table:
     fold(table, total, weights) = (table * weights).sum() / total
 
 where the table is a record's outcome counts with total n, or an exact
-distribution's probabilities with total 1.  `count_table` is the one way to
-get that table, and it checks mode, dimension and MUB fingerprint on the way.
-Only the weights differ: eta_ij for an off-diagonal element, a unit vector for
-a diagonal, (d+1)-scaled projector coefficients for an operator mean.  So any
-element, or any operator in the bounded manifold, can be re-estimated from the
-same record without new measurements, and the exact value is the same fold of
-the distribution.  The sum runs over (m, k) cells in row-major order, so the
-result is permutation-invariant and bit-stable per seed.
+distribution's probabilities with total 1.  A record keeps each outcome as
+its flat cell index into that table, so its counts are one `bincount`.
+`count_table` is the one way to get the table, and it checks mode, dimension
+and MUB fingerprint on the way.  Only the weights differ: eta_ij for an
+off-diagonal element, a unit vector for a diagonal, (d+1)-scaled projector
+coefficients for an operator mean.  So any element, or any operator in the
+bounded manifold, can be re-estimated from the same record without new
+measurements, and the exact value is the same fold of the distribution.  The
+sum runs over the cells in (basis, outcome) row-major order, so the result is
+permutation-invariant and bit-stable per seed.
 """
 
 from __future__ import annotations
@@ -95,11 +97,8 @@ def outcome_counts(record: MeasurementRecord) -> np.ndarray:
     estimated from the record folds the same table.
     """
     if record._counts is None:
-        d = record.d
-        nb = record.mode.basis_count(d)
-        first = record.mode.first_basis
-        flat = (record.ms.astype(np.int64) - first) * d + record.ks
-        counts = np.bincount(flat, minlength=nb * d).reshape(nb, d)
+        nb = record.mode.basis_count(record.d)
+        counts = np.bincount(record.cells, minlength=nb * record.d).reshape(nb, record.d)
         counts.setflags(write=False)
         object.__setattr__(record, "_counts", counts)
     return record._counts

@@ -4,6 +4,12 @@ This is the experimental phase of the protocol: pick the POVM mode, compute
 the exact Born distribution over (basis m, outcome k) pairs, draw N
 independent outcomes, and keep them as the universal measurement record.
 
+In memory an outcome is one cell index (m - first_basis) * d + k into the
+(basis, outcome) count table, from the sampler through the record to
+`estimator.outcome_counts`.  The labels (m, k) exist only in record files:
+the writers decode cells into labels, and `_check_ranges` is the one place
+that turns file labels back into cells.
+
 Record files exist in two formats sharing one header line
 
     #SQST v1 d=<d> mode=<mode> seed=<seed> n=<n> mub=<16 hex chars>
@@ -92,16 +98,15 @@ class AliasTable:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Exact (k, m) outcome probabilities of a state under one POVM mode.
+    """Exact (basis, outcome) probabilities of a state under one POVM mode.
 
-    probs is stored flat in (basis, outcome) row-major order; ms/ks give the
-    basis label and outcome label of each flat cell.
+    probs is stored flat in (basis, outcome) row-major order, so entry
+    (m - mode.first_basis) * d + k is the weight of outcome k of basis m;
+    sample_cells draws these flat cell indices.
     """
 
     mode: PovmMode
     d: int
-    ms: np.ndarray = field(repr=False)
-    ks: np.ndarray = field(repr=False)
     probs: np.ndarray = field(repr=False)
     mub_fingerprint: str = ""
     _alias: AliasTable = field(repr=False, default=None)
@@ -111,7 +116,11 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> OutcomeDistribution:
-    """Born probabilities p_km = <k,m|rho|k,m> / B over the mode's bases."""
+    """Born probabilities p_km = <k,m|rho|k,m> / B over the mode's bases.
+
+    require_density bounds every eigenvalue below by -EIGEN_TOL, and so every
+    Born weight <k,m|rho|k,m> of a unit vector; the clip removes that rounding.
+    """
     rho = require_density(rho)
     d = family.d
     if rho.shape[0] != d:
@@ -119,24 +128,21 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
     first = mode.first_basis
     vecs = family.vectors[first - 1 : first - 1 + mode.basis_count(d)]
     born = np.einsum("mkl,lx,mkx->mk", vecs.conj(), rho, vecs).real
-    if born.min() < -1e-12:
-        raise ValueError(f"negative Born weight {born.min():.3e}")
     probs = np.clip(born, 0.0, None).reshape(-1) / mode.basis_count(d)
-    nb, _ = born.shape
-    ms = np.repeat(np.arange(first, first + nb, dtype=np.uint16), d)
-    ks = np.tile(np.arange(d, dtype=np.uint16), nb)
-    return OutcomeDistribution(
-        mode=mode, d=d, ms=ms, ks=ks, probs=probs,
-        mub_fingerprint=family.fingerprint(), _alias=AliasTable(probs),
-    )
+    return OutcomeDistribution(mode=mode, d=d, probs=probs,
+                               mub_fingerprint=family.fingerprint(), _alias=AliasTable(probs))
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Ordered (m, k) outcome sequence plus its provenance header.
+    """Ordered outcome sequence plus its provenance header.
 
-    Immutable, outcome arrays included (writeable arrays are copied), so the
-    count table that `estimator.outcome_counts` caches on it cannot go stale.
+    cells[i] = (m_i - mode.first_basis) * d + k_i is outcome i as a flat index
+    into the (basis, outcome) count table, a uint16 array (at
+    MAX_FIELD_ORDER = 64 there are at most 65 * 64 cells); the labels (m, k)
+    appear only in record files.  Immutable, cells included (a writeable array
+    is copied), so the count table that `estimator.outcome_counts` caches on it
+    cannot go stale.
     """
 
     d: int
@@ -144,22 +150,19 @@ class MeasurementRecord:
     seed: int
     n: int
     mub_fingerprint: str
-    ms: np.ndarray = field(repr=False)
-    ks: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
     _counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
-        if self.n != len(self.ms) or self.n != len(self.ks):
+        if self.n != len(self.cells):
             raise ValueError("header count does not match outcome sequence length")
-        _check_ranges(self.ms, self.ks, self.d, self.mode)
-        for name in ("ms", "ks"):
-            labels = getattr(self, name)
-            if labels.flags.writeable:
-                labels = labels.copy()
-                labels.setflags(write=False)
-                object.__setattr__(self, name, labels)
+        size = self.mode.basis_count(self.d) * self.d
+        if self.cells.max() >= size:
+            raise ValueError(f"cell index outside 0..{size - 1}")
+        if self.cells.flags.writeable:
+            object.__setattr__(self, "cells", _readonly(self.cells.copy()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementRecord):
@@ -167,8 +170,7 @@ class MeasurementRecord:
         return (
             (self.d, self.mode, self.seed, self.n, self.mub_fingerprint)
             == (other.d, other.mode, other.seed, other.n, other.mub_fingerprint)
-            and np.array_equal(self.ms, other.ms)
-            and np.array_equal(self.ks, other.ks)
+            and np.array_equal(self.cells, other.cells)
         )
 
 
@@ -191,13 +193,21 @@ def check_family(source, family: MubFamily, mode: PovmMode | None = None) -> Non
         raise FingerprintMismatch(f"fingerprint {source.mub_fingerprint} does not match family {fp}")
 
 
-def _check_ranges(ms: np.ndarray, ks: np.ndarray, d: int, mode: PovmMode) -> None:
-    first = mode.first_basis
-    last = first + mode.basis_count(d) - 1
-    if ms.min() < first or ms.max() > last:
-        raise RecordFormatError(f"basis label outside {first}..{last} for mode {mode.value}")
-    if ks.min() < 0 or ks.max() >= d:
+def _check_ranges(ms: np.ndarray, ks: np.ndarray, d: int, mode: PovmMode) -> np.ndarray:
+    """Read-only uint16 cells (m - first_basis) * d + k of file labels checked for range."""
+    if not ms.size:  # n=0: nothing to decode, and MeasurementRecord refuses the header
+        return ms
+    first, count = mode.first_basis, mode.basis_count(d)
+    if ms.min() < first or ms.max() >= first + count:
+        raise RecordFormatError(f"basis label outside {first}..{first + count - 1} for mode {mode.value}")
+    if ks.max() >= d:
         raise RecordFormatError(f"outcome label outside 0..{d - 1}")
+    if count * d > 0xFFFF:
+        raise RecordFormatError(f"d={d} {mode.value} record has {count * d} cells, over 65535")
+    cells = ms - np.uint16(first)  # exact in uint16 after the checks above
+    cells *= np.uint16(d)
+    cells += ks
+    return _readonly(cells)
 
 
 def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> MeasurementRecord:
@@ -214,11 +224,9 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
     base, extra = divmod(n, shards)
     sizes = [base + (1 if s < extra else 0) for s in range(shards)]
     cells = [dist.sample_cells(philox_rng(seed, s), size) for s, size in enumerate(sizes) if size]
-    flat = np.concatenate(cells)
     return MeasurementRecord(
-        d=dist.d, mode=dist.mode, seed=seed, n=n,
-        mub_fingerprint=dist.mub_fingerprint,
-        ms=_readonly(dist.ms[flat]), ks=_readonly(dist.ks[flat]),
+        d=dist.d, mode=dist.mode, seed=seed, n=n, mub_fingerprint=dist.mub_fingerprint,
+        cells=_readonly(np.concatenate(cells, dtype=np.uint16, casting="unsafe")),
     )
 
 
@@ -257,7 +265,9 @@ def write_record(record: MeasurementRecord, path, binary: bool = False) -> None:
         head = header.encode("ascii") + b"\n"
         if len(head) > _HEADER_BLOCK:
             raise ValueError("header too long for the fixed binary layout")
-        body = np.column_stack([record.ms, record.ks]).astype("<u2").tobytes()
+        m, k = divmod(np.arange(record.mode.basis_count(record.d) * record.d), record.d)
+        pairs = np.column_stack([m + record.mode.first_basis, k]).astype("<u2").view("<u4")
+        body = pairs.ravel()[record.cells]  # each cell's (m, k) pair as one 4-byte item
         with open(path, "wb") as fh:
             fh.write(head.ljust(_HEADER_BLOCK, b"\x00"))
             fh.write(body)
@@ -277,8 +287,7 @@ def _write_text_body(record: MeasurementRecord, fh) -> None:
     lengths = np.array([len(line) for line in lines])
     columns = np.arange(width)
     for start in range(0, record.n, _TEXT_BLOCK):
-        block = slice(start, start + _TEXT_BLOCK)
-        cells = (record.ms[block].astype(np.int64) - first) * d + record.ks[block]
+        cells = record.cells[start:start + _TEXT_BLOCK]
         fh.write(table[cells][columns < lengths[cells][:, None]].tobytes())
 
 
@@ -310,7 +319,7 @@ def _read_binary(data: bytes, path) -> MeasurementRecord:
         raise RecordFormatError(f"{path}: body holds {len(body)} bytes, header says n={n}")
     pairs = np.frombuffer(body, dtype="<u2").reshape(n, 2)
     return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             ms=pairs[:, 0], ks=pairs[:, 1])
+                             cells=_check_ranges(pairs[:, 0], pairs[:, 1], d, mode))
 
 
 def _read_text(data: bytes, path) -> MeasurementRecord:
@@ -333,7 +342,7 @@ def _read_text(data: bytes, path) -> MeasurementRecord:
         ms[line:line + m.size], ks[line:line + m.size] = m, k
         start, line = stop, line + m.size
     return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             ms=_readonly(ms), ks=_readonly(ks))
+                             cells=_check_ranges(ms, ks, d, mode))
 
 
 def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:

@@ -115,27 +115,28 @@ class MubReport:
 def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubReport:
     """Check orthonormality of each basis and 1/d cross-basis overlaps.
 
-    Passes iff both worst-case deviations are <= tol.
+    Passes iff both worst-case deviations are <= tol.  The Gram matrix of all
+    (d+1)*d vectors is formed one basis row-block at a time; the first entry,
+    in (m, k, n, l) order, of the larger deviation kind is the worst pair.
     """
     d = family.d
     w = family.vectors.reshape((d + 1) * d, d)
-    gram = w @ w.conj().T
-    gram = gram.reshape(d + 1, d, d + 1, d)
-
     eye = np.eye(d)
-    ortho_dev = np.zeros((d + 1, d, d + 1, d))
-    unbias_dev = np.zeros_like(ortho_dev)
+    worst = [0.0, 0.0]  # orthonormality, unbiasedness
+    where = [(0, 0, 0, 0), (0, 0, 0, 0)]
     for m in range(d + 1):
-        ortho_dev[m, :, m, :] = np.abs(gram[m, :, m, :] - eye)
-    cross = np.ones((d + 1, d + 1), dtype=bool)
-    np.fill_diagonal(cross, False)
-    mm, nn = np.nonzero(cross)
-    unbias_dev[mm, :, nn, :] = np.abs(np.abs(gram[mm, :, nn, :]) ** 2 - 1.0 / d)
-
-    max_ortho = float(ortho_dev.max())
-    max_unbias = float(unbias_dev.max())
-    worst_arr = ortho_dev if max_ortho >= max_unbias else unbias_dev
-    m, k, n, l = np.unravel_index(int(worst_arr.argmax()), worst_arr.shape)
+        gram = (w[m * d:(m + 1) * d] @ w.conj().T).reshape(d, d + 1, d)  # [k, n, l]
+        dev = np.zeros((2, d, d + 1, d))
+        dev[0, :, m] = np.abs(gram[:, m] - eye)
+        dev[1] = np.abs(np.abs(gram) ** 2 - 1.0 / d)
+        dev[1, :, m] = 0.0
+        for kind in (0, 1):
+            peak = float(dev[kind].max())
+            if peak > worst[kind]:
+                worst[kind] = peak
+                where[kind] = (m, *np.unravel_index(int(dev[kind].argmax()), dev[kind].shape))
+    max_ortho, max_unbias = worst
+    m, k, n, l = where[0] if max_ortho >= max_unbias else where[1]
     return MubReport(
         d=d,
         max_orthonormality_dev=max_ortho,
@@ -165,19 +166,6 @@ def mub_to_json(family: MubFamily) -> dict:
     return {"d": family.d, "bases": bases}
 
 
-def mub_from_json(obj: dict) -> MubFamily:
-    d = int(obj["d"])
-    arr = np.asarray(obj["bases"], dtype=np.float64)
-    if arr.shape != (d + 1, d, d, 2):
-        raise ValueError(f"malformed MUB JSON: expected shape {(d + 1, d, d, 2)}, got {arr.shape}")
-    return MubFamily(d=d, vectors=arr[..., 0] + 1j * arr[..., 1])
-
-
 def save_mub(family: MubFamily, path) -> None:
     with open(path, "w") as fh:
         json.dump(mub_to_json(family), fh)
-
-
-def load_mub(path) -> MubFamily:
-    with open(path) as fh:
-        return mub_from_json(json.load(fh))

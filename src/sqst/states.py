@@ -120,38 +120,28 @@ def max_norm(m: np.ndarray) -> float:
 class NormChainReport:
     """The five norm inequalities tying the max norm to Frobenius and trace.
 
-    Each slack is (rhs - lhs); an inequality holds when its slack is above
-    -1e-12*d.  For Hermitian input all five are theorems, so a failure
-    indicates a numerical bug, not an unlucky matrix.
+    slacks holds (rhs - lhs) of, in order: max <= Frobenius, Frobenius <= d*max,
+    trace <= sqrt(d)*Frobenius, Frobenius <= trace, and
+    trace/sqrt(d^3) <= max <= trace.  An inequality holds when its slack is
+    at least -1e-12*d.  For Hermitian input all five are theorems, so a
+    failure indicates a numerical bug, not an unlucky matrix.
     """
 
     d: int
     max_norm: float
     frobenius_norm: float
     trace_norm: float
-    max_le_frobenius: bool
-    frobenius_le_d_max: bool
-    trace_le_sqrtd_frobenius: bool
-    frobenius_le_trace: bool
-    max_between_scaled_trace: bool
     slacks: tuple
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_le_frobenius
-            and self.frobenius_le_d_max
-            and self.trace_le_sqrtd_frobenius
-            and self.frobenius_le_trace
-            and self.max_between_scaled_trace
-        )
+        return all(s >= -1e-12 * max(self.d, 1) for s in self.slacks)
 
 
 def check_norm_chain(e: np.ndarray) -> NormChainReport:
     """Evaluate the max/Frobenius/trace norm chain for a Hermitian error matrix."""
     e = require_hermitian(e)
     d = e.shape[0]
-    tol = 1e-12 * max(d, 1)
     mx = max_norm(e)
     fro = schatten_norm(e, 2)
     tr = schatten_norm(e, 1)
@@ -162,19 +152,7 @@ def check_norm_chain(e: np.ndarray) -> NormChainReport:
         tr - fro,
         min(mx - tr / math.sqrt(d**3), tr - mx),
     )
-    flags = tuple(s >= -tol for s in slacks)
-    return NormChainReport(
-        d=d,
-        max_norm=mx,
-        frobenius_norm=fro,
-        trace_norm=tr,
-        max_le_frobenius=flags[0],
-        frobenius_le_d_max=flags[1],
-        trace_le_sqrtd_frobenius=flags[2],
-        frobenius_le_trace=flags[3],
-        max_between_scaled_trace=flags[4],
-        slacks=slacks,
-    )
+    return NormChainReport(d=d, max_norm=mx, frobenius_norm=fro, trace_norm=tr, slacks=slacks)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -26,11 +26,9 @@ import numpy as np
 from .estimator import count_table, outcome_counts  # noqa: F401  perfbench traces this name
 from .measurement import MeasurementRecord, PovmMode
 from .mub import MubFamily
-from .states import (NormChainReport, check_norm_chain, max_norm, require_hermitian,
-                     schatten_norm)
+from .states import (EIGEN_TOL, TRACE_TOL, NormChainReport, check_norm_chain, max_norm,
+                     require_hermitian, schatten_norm)
 
-EIGEN_FLOOR = 1e-10
-TRACE_SLACK = 1e-12
 # Chambolle-Pock step sizes for K = -I (convergent as sigma * tau < 1), not tuned per input
 STEP_DUAL = 1.0
 STEP_PRIMAL = 0.99
@@ -124,11 +122,11 @@ def _project_l1_ball(z: np.ndarray) -> np.ndarray:
 
 
 def is_valid_density(m: np.ndarray, enforce_trace: bool = True) -> bool:
-    """No eigenvalue below -EIGEN_FLOOR and, with enforce_trace, trace 1 to TRACE_SLACK."""
-    if enforce_trace and (abs(np.trace(m).real - 1.0) > TRACE_SLACK
-                          or abs(np.trace(m).imag) > TRACE_SLACK):
+    """No eigenvalue below -EIGEN_TOL and, with enforce_trace, trace 1 to TRACE_TOL."""
+    if enforce_trace and (abs(np.trace(m).real - 1.0) > TRACE_TOL
+                          or abs(np.trace(m).imag) > TRACE_TOL):
         return False
-    return float(np.linalg.eigvalsh(m).min()) >= -EIGEN_FLOOR
+    return float(np.linalg.eigvalsh(m).min()) >= -EIGEN_TOL
 
 
 def project_psd_clip(rho_l) -> ProjectionResult:
@@ -198,13 +196,6 @@ def trace_norm_budget(epsilon: float, d: int) -> float:
     if epsilon <= 0 or d < 1:
         raise ValueError("epsilon and d must be positive")
     return math.sqrt(d**3) * epsilon
-
-
-def max_error_for_trace_target(nu: float, d: int) -> float:
-    """Inverse budget: the max-norm error that guarantees trace-norm error nu."""
-    if nu <= 0 or d < 1:
-        raise ValueError("nu and d must be positive")
-    return nu / math.sqrt(d**3)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 
 from sqst.cli import main, parse_state, reproduce_fig2
 from sqst.measurement import PovmMode, read_record
-from sqst.mub import build_mub, load_mub, verify_mub
+from sqst.mub import MubFamily, build_mub, verify_mub
 from sqst.states import make_pure_superposition, random_density, save_matrix
 
 
@@ -52,7 +52,9 @@ def test_plan_general_needs_dim(capsys):
 def test_mub_pass_and_export(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert run("mub", "--dim", "5", "--out", str(out)) == 0
-    family = load_mub(out)
+    obj = json.loads(out.read_text())
+    bases = np.asarray(obj["bases"], dtype=np.float64)
+    family = MubFamily(d=obj["d"], vectors=bases[..., 0] + 1j * bases[..., 1])
     assert verify_mub(family, 1e-10).passed
     assert "pass" in capsys.readouterr().out
 
@@ -74,7 +76,7 @@ def test_simulate_writes_record(tmp_path):
     record = read_record(out, build_mub(2))
     assert record.n == 1000
     assert record.mode is PovmMode.OFFDIAG
-    assert set(np.unique(record.ms)) <= {2, 3}
+    assert set(np.unique(record.cells)) <= {0, 1, 2, 3}  # the cells of bases 2 and 3
 
 
 def test_simulate_povm_both(tmp_path):
@@ -396,6 +398,18 @@ def test_non_finite_state_file_fails_cleanly(tmp_path, capsys, bad):
                "--out", str(tmp_path / "r.txt")) == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_simulate_takes_every_state_require_density_takes(tmp_path, capsys):
+    # a Born weight of a unit vector is at least the smallest eigenvalue, which
+    # require_density lets dip to -EIGEN_TOL = -1e-10
+    for lowest, code in ((-5e-11, 0), (-2e-10, 1)):
+        path = tmp_path / f"state{code}.json"
+        save_matrix(np.diag([1 - lowest, lowest]).astype(complex), path)
+        assert run("simulate", "--dim", "2", "--state", f"file:{path}", "--copies", "10",
+                   "--povm", "both", "--out", str(tmp_path / f"r{code}")) == code
+    assert "eigenvalue -2.000e-10 below" in capsys.readouterr().err
+    assert (tmp_path / "r0.diag.txt").exists() and not (tmp_path / "r1.diag.txt").exists()
 
 
 def test_parse_state_rejects_unknown():

@@ -33,8 +33,7 @@ def test_constant_record_estimates_one(fam2):
     n = 50
     record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
                                mub_fingerprint=fam2.fingerprint(),
-                               ms=np.full(n, 2, dtype=np.uint16),
-                               ks=np.zeros(n, dtype=np.uint16))
+                               cells=np.zeros(n, dtype=np.uint16))
     est = estimate_element(record, fam2, 0, 1)
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
@@ -106,7 +105,7 @@ def test_estimate_is_pure_fold_reorder_invariant(fam4):
     perm = philox_rng(3).permutation(record.n)
     shuffled = MeasurementRecord(d=4, mode=PovmMode.OFFDIAG, seed=record.seed,
                                  n=record.n, mub_fingerprint=record.mub_fingerprint,
-                                 ms=record.ms[perm], ks=record.ks[perm])
+                                 cells=record.cells[perm])
     for (i, j) in [(0, 1), (2, 3), (1, 0)]:
         a = estimate_element(record, fam4, i, j).value
         b = estimate_element(shuffled, fam4, i, j).value
@@ -388,17 +387,16 @@ def test_mean_fold_extreme_operator_matches_trace(fam4):
 
 def test_mean_and_diagonal_folds_check_the_fingerprint(fam2):
     # same dimension and mode, but taken against another family
-    def foreign(mode, ms):
-        return MeasurementRecord(d=2, mode=mode, seed=0, n=len(ms),
+    def foreign(mode, cells):
+        return MeasurementRecord(d=2, mode=mode, seed=0, n=len(cells),
                                  mub_fingerprint="0123456789abcdef",
-                                 ms=np.array(ms, dtype=np.uint16),
-                                 ks=np.zeros(len(ms), dtype=np.uint16))
+                                 cells=np.array(cells, dtype=np.uint16))
 
     coeffs = decompose_operator(np.eye(2, dtype=complex), fam2)
     with pytest.raises(FingerprintMismatch):
-        fold_mean(foreign(PovmMode.FULL, [1, 2, 3]), fam2, coeffs)
+        fold_mean(foreign(PovmMode.FULL, [0, 2, 4]), fam2, coeffs)  # outcome 0 of bases 1, 2, 3
     with pytest.raises(FingerprintMismatch):
-        estimate_diagonal(foreign(PovmMode.COMPUTATIONAL, [1, 1]), fam2, 0)
+        estimate_diagonal(foreign(PovmMode.COMPUTATIONAL, [0, 0]), fam2, 0)
 
 
 def test_folds_check_distributions_like_records(fam2):
@@ -415,8 +413,7 @@ def test_guarantee_states_what_hoeffding_proves(fam2):
     n = 119_830
     record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
                                mub_fingerprint=fam2.fingerprint(),
-                               ms=np.full(n, 2, dtype=np.uint16),
-                               ks=np.zeros(n, dtype=np.uint16))
+                               cells=np.zeros(n, dtype=np.uint16))
     est = estimate_element(record, fam2, 0, 1, epsilon=0.01)
     assert est.guarantee == ("Pr[max(|Re error|, |Im error|) >= 0.01] <= 0.00999965 "
                              "(Hoeffding, n=119830)")

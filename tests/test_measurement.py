@@ -94,8 +94,7 @@ def test_point_mass_record(fam2):
     rho = make_pure_superposition(0, 1, 0, 1, 2)  # |1><1|
     dist = outcome_distribution(rho, fam2, PovmMode.COMPUTATIONAL)
     record = sample_record(dist, 500, seed=1)
-    assert np.all(record.ks == 1)
-    assert np.all(record.ms == 1)
+    assert np.all(record.cells == 1)  # basis 1, outcome 1
 
 
 def test_sampling_is_deterministic(fam2):
@@ -111,8 +110,7 @@ def test_sampling_unbiased_at_1e6(fam2):
     dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
     n = 1_000_000
     record = sample_record(dist, n, seed=12)
-    flat = (record.ms.astype(int) - 2) * 2 + record.ks
-    freq = np.bincount(flat, minlength=4) / n
+    freq = np.bincount(record.cells, minlength=4) / n
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert np.all(np.abs(freq - 0.25) < 4 * sigma)
 
@@ -125,8 +123,7 @@ def test_shard_concatenation_contract(fam3):
     for s, size in enumerate(sizes):
         cells.append(dist.sample_cells(philox_rng(9, s), size))
     flat = np.concatenate(cells)
-    assert np.array_equal(whole.ms, dist.ms[flat])
-    assert np.array_equal(whole.ks, dist.ks[flat])
+    assert np.array_equal(whole.cells, flat)
 
 
 def test_sample_record_rejects_zero_copies(fam2):
@@ -212,12 +209,53 @@ def test_out_of_range_outcome_rejected(fam2, tmp_path):
         read_record(path)
 
 
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("d, mode, m, k, message", [
+    (2, "offdiag", 1, 0, "basis label outside 2..3"),
+    (2, "full", 4, 0, "basis label outside 1..3"),
+    (2, "offdiag", 2, 2, "outcome label outside 0..1"),
+    (3, "computational", 1, 3, "outcome label outside 0..2"),
+    (300, "offdiag", 2, 0, "90000 cells"),  # labels in range, but past a uint16 cell index
+], ids=["offdiag-basis", "full-basis", "offdiag-outcome", "computational-outcome", "uint16-cells"])
+def test_file_labels_outside_their_ranges_rejected(tmp_path, binary, d, mode, m, k, message):
+    path = tmp_path / "r"
+    if binary:
+        path.write_bytes((_header(d, mode, 1) + "\n").encode("ascii").ljust(128, b"\x00")
+                         + np.array([m, k], dtype="<u2").tobytes())
+    else:
+        path.write_text(f"{_header(d, mode, 1)}\n{m},{k}\n")
+    with pytest.raises(RecordFormatError, match=message):
+        read_record(path)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_file_labels_decode_to_cells(tmp_path, binary):
+    # full mode, d=3: cell (m - 1) * 3 + k
+    labels = [(1, 0), (4, 2), (2, 1), (3, 0)]
+    path = tmp_path / "r"
+    if binary:
+        path.write_bytes((_header(3, "full", 4) + "\n").encode("ascii").ljust(128, b"\x00")
+                         + np.array(labels, dtype="<u2").tobytes())
+    else:
+        path.write_text(_header(3, "full", 4) + "\n" + "".join(f"{m},{k}\n" for m, k in labels))
+    record = read_record(path)
+    assert record.cells.tolist() == [0, 11, 4, 6]
+    assert record.cells.dtype == np.uint16
+    write_record(record, tmp_path / "again", binary=binary)
+    assert (tmp_path / "again").read_bytes() == path.read_bytes()
+
+
+def test_record_cells_outside_the_table_rejected():
+    with pytest.raises(ValueError, match="cell index outside 0..3"):
+        MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=2,
+                          mub_fingerprint="0" * 16, cells=np.array([0, 4], dtype=np.uint16))
+
+
 def test_record_header_count_must_match():
     with pytest.raises(ValueError, match="count"):
         MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=3,
                           mub_fingerprint="0" * 16,
-                          ms=np.array([2, 2], dtype=np.uint16),
-                          ks=np.array([0, 1], dtype=np.uint16))
+                          cells=np.array([0, 1], dtype=np.uint16))
 
 
 def _header(d, mode, n, fp="0123456789abcdef", seed=0):
@@ -254,12 +292,11 @@ def test_read_with_matching_dimension_but_foreign_fingerprint(fam2, tmp_path):
 
 
 def _record_invariants_hold(record):
-    first = record.mode.first_basis
-    last = first + record.mode.basis_count(record.d) - 1
-    return (record.n >= 1 and len(record.ms) == len(record.ks) == record.n
-            and record.ms.dtype == record.ks.dtype == np.uint16
-            and first <= int(record.ms.min()) and int(record.ms.max()) <= last
-            and int(record.ks.max()) < record.d)
+    # cell c holds basis first + c // d in first..last and outcome c % d in 0..d-1
+    cells = record.mode.basis_count(record.d) * record.d
+    return (record.n >= 1 and len(record.cells) == record.n
+            and record.cells.dtype == np.uint16
+            and int(record.cells.max()) < cells)
 
 
 _labels = st.integers(min_value=-3, max_value=70_000)
@@ -320,7 +357,7 @@ def many_path(tmp_path_factory):
 def test_multi_block_text_round_trip_is_byte_identical(many_path, tmp_path):
     record, path = many_path
     data = path.read_bytes()
-    lines = "".join(f"{m},{k}\n" for m, k in zip(record.ms.tolist(), record.ks.tolist()))
+    lines = "".join(f"{1 + c // 8},{c % 8}\n" for c in record.cells.tolist())  # full mode, d=8
     assert data == (measurement._header_line(record) + "\n" + lines).encode("ascii")
     again = read_record(path)
     assert again == record
@@ -387,15 +424,14 @@ def test_record_labels_and_count_table_are_read_only(fam3, binary, tmp_path):
     for record in (sample_record(dist, 50, seed=3), read_record(path)):
         counts = outcome_counts(record)
         assert outcome_counts(record) is counts
-        for array in (record.ms, record.ks, counts):
+        for array in (record.cells, counts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
 
 def test_record_copies_writeable_labels():
-    ms = np.array([2, 3], dtype=np.uint16)
+    cells = np.array([0, 3], dtype=np.uint16)
     record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=2,
-                               mub_fingerprint="0" * 16, ms=ms,
-                               ks=np.array([0, 1], dtype=np.uint16))
-    ms[0] = 3
-    assert record.ms.tolist() == [2, 3]
+                               mub_fingerprint="0" * 16, cells=cells)
+    cells[0] = 3
+    assert record.cells.tolist() == [0, 3]

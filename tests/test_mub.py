@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from sqst.fields import factor_prime_power
-from sqst.mub import (MubFamily, build_mub, eta_table, load_mub, mub_from_json, mub_to_json,
-                      save_mub, verify_mub)
+from sqst.mub import MubFamily, build_mub, eta_table, save_mub, verify_mub
 
 SMALL_DIMS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -118,6 +117,33 @@ def test_verify_reports_broken_family():
     assert 2 in (m, n) or 1 in (m, n)  # the damaged basis shows up in the worst pair
 
 
+def _full_gram_report(family: MubFamily) -> tuple:
+    """Deviations and worst pair from the whole ((d+1)d)^2 Gram matrix at once."""
+    d = family.d
+    w = family.vectors.reshape((d + 1) * d, d)
+    gram = (w @ w.conj().T).reshape(d + 1, d, d + 1, d)
+    same = np.eye(d + 1, dtype=bool)[:, None, :, None]
+    ortho = np.where(same, np.abs(gram - np.eye(d)[None, :, None, :]), 0.0)
+    unbias = np.where(same, 0.0, np.abs(np.abs(gram) ** 2 - 1.0 / d))
+    worst = ortho if ortho.max() >= unbias.max() else unbias
+    m, k, n, l = (int(x) for x in np.unravel_index(worst.argmax(), worst.shape))
+    return ortho.max(), unbias.max(), ((m + 1, k), (n + 1, l))
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 9])
+def test_blockwise_verify_matches_full_gram(d):
+    rng = np.random.default_rng(d)
+    intact = build_mub(d).vectors
+    broken = intact.copy()
+    broken[rng.integers(d + 1), rng.integers(d)] = np.eye(d)[rng.integers(d)]
+    for vectors in (intact, broken, intact * (1 + 1e-9), intact + 1e-9 * rng.standard_normal(intact.shape)):
+        report = verify_mub(MubFamily(d=d, vectors=vectors), 1e-10)
+        ortho, unbias, pair = _full_gram_report(MubFamily(d=d, vectors=vectors))
+        assert report.max_orthonormality_dev == pytest.approx(ortho, rel=0, abs=1e-15)
+        assert report.max_unbiasedness_dev == pytest.approx(unbias, rel=0, abs=1e-15)
+        assert report.worst_pair == pair
+
+
 def test_alpha_is_unit_modulus():
     # the phases alpha_l of |k,m> are sqrt(d) times its coefficients, m >= 2
     for d in (3, 4, 8):
@@ -191,18 +217,12 @@ def test_json_round_trip(tmp_path):
     family = build_mub(4)
     path = tmp_path / "mub4.json"
     save_mub(family, path)
-    loaded = load_mub(path)
+    obj = json.loads(path.read_text())
+    bases = np.asarray(obj["bases"], dtype=np.float64)
+    loaded = MubFamily(d=obj["d"], vectors=bases[..., 0] + 1j * bases[..., 1])
     assert loaded.d == 4
     assert np.array_equal(loaded.vectors, family.vectors)
     assert loaded.fingerprint() == family.fingerprint()
-
-
-def test_json_shape_validation():
-    family = build_mub(2)
-    obj = mub_to_json(family)
-    obj["bases"] = obj["bases"][:2]
-    with pytest.raises(ValueError, match="malformed"):
-        mub_from_json(obj)
 
 
 def test_fingerprint_stability_and_discrimination():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,15 @@ def test_norm_chain_fuzz():
     for seed in range(60):
         d = 2 + seed % 31
         assert check_norm_chain(random_hermitian(d, seed)).passed
+
+
+def test_norm_chain_fails_on_any_slack_below_tolerance():
+    report = check_norm_chain(np.eye(2, dtype=complex))  # d=2: tolerance 2e-12
+    for i in range(5):
+        for bad, passed in ((-1e-12, True), (-1e-9, False), (math.nan, False)):
+            slacks = [0.0] * 5
+            slacks[i] = bad
+            assert dataclasses.replace(report, slacks=tuple(slacks)).passed is passed
 
 
 def test_norm_chain_d1():

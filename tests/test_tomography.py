@@ -11,8 +11,7 @@ from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub
 from sqst.states import max_norm, random_density
 from sqst.tomography import (assemble_linear_estimate, error_report, is_valid_density,
-                             max_error_for_trace_target, project_psd_clip,
-                             project_psd_maxnorm, trace_norm_budget)
+                             project_psd_clip, project_psd_maxnorm, trace_norm_budget)
 
 
 @pytest.fixture(scope="module")
@@ -237,22 +236,14 @@ def test_projection_does_not_worsen_failure_rate():
 
 def test_trace_norm_budget_values():
     assert trace_norm_budget(0.01, 4) == pytest.approx(0.08)
-    assert max_error_for_trace_target(0.08, 4) == pytest.approx(0.01)
     assert trace_norm_budget(0.3, 1) == pytest.approx(0.3)
-
-
-def test_budget_round_trip_identity():
-    for d in (1, 2, 5, 16):
-        for eps in (1e-4, 0.02, 0.7):
-            nu = trace_norm_budget(eps, d)
-            assert max_error_for_trace_target(nu, d) == pytest.approx(eps, rel=1e-15)
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
         trace_norm_budget(0.0, 4)
     with pytest.raises(ValueError):
-        max_error_for_trace_target(-1.0, 4)
+        trace_norm_budget(0.1, 0)
 
 
 def test_error_report_zero_for_equal_states():
