@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -154,22 +153,18 @@ def _planned_copies(args) -> int:
     return estimator.plan_samples(args.epsilon, args.delta, args.elements)
 
 
-def _record_ext(binary: bool) -> str:
-    return "bin" if binary else "txt"
-
-
 def cmd_simulate(args) -> int:
     family = _family(args.dim)
     rho = parse_state(args.state, args.dim)
     n = _planned_copies(args)
     binary = args.record_format == "binary"
+    ext = "bin" if binary else "txt"
     if args.povm == "both":
         if not args.out:
             raise ValueError("--povm both needs --out as a path prefix")
         jobs = [
-            (PovmMode.OFFDIAG, args.seed, f"{args.out}.offdiag.{_record_ext(binary)}"),
-            (PovmMode.COMPUTATIONAL, args.seed + _DIAG_STREAM_OFFSET,
-             f"{args.out}.diag.{_record_ext(binary)}"),
+            (PovmMode.OFFDIAG, args.seed, f"{args.out}.offdiag.{ext}"),
+            (PovmMode.COMPUTATIONAL, args.seed + _DIAG_STREAM_OFFSET, f"{args.out}.diag.{ext}"),
         ]
     else:
         if not args.out:
@@ -323,6 +318,8 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
     n = estimator.plan_samples(epsilon, delta, 1)
     tasks = [(d, t, seed, n) for d in dims for t in range(trials)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only here: ~25 ms of start-up
+
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_fig2_trial, tasks, chunksize=chunk))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import MeasurementRecord, OutcomeDistribution, PovmMode, check_family
-from .mub import MubFamily, eta_table
+from .mub import MubFamily, born_weights, eta_table, projector_sum
 
 
 def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
@@ -183,9 +183,7 @@ class OperatorCoefficients:
     def reconstruct(self, family: MubFamily) -> np.ndarray:
         if family.d != self.d:
             raise ValueError(f"family dimension {family.d} != coefficient dimension {self.d}")
-        v = family.vectors
-        out = np.einsum("mk,mki,mkj->ij", self.coeffs, v, v.conj())
-        return out + self.identity_coeff * np.eye(self.d)
+        return projector_sum(self.coeffs, family.vectors) + self.identity_coeff * np.eye(self.d)
 
 
 def decompose_operator(a: np.ndarray, family: MubFamily) -> OperatorCoefficients:
@@ -196,8 +194,7 @@ def decompose_operator(a: np.ndarray, family: MubFamily) -> OperatorCoefficients
         raise ValueError(f"operator shape {a.shape} != {(d, d)}")
     if not np.isfinite(a).all():
         raise ValueError("operator has non-finite (NaN or inf) entries")
-    v = family.vectors
-    coeffs = np.einsum("mkl,lx,mkx->mk", v.conj(), a, v)
+    coeffs = born_weights(family.vectors, a)
     tr = complex(np.trace(a))
     k_bound = float(np.abs(coeffs - tr / d).max())
     return OperatorCoefficients(d=d, trace=tr, coeffs=coeffs,

@@ -37,29 +37,15 @@ _CONWAY = {
 }
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for f in range(2, int(p**0.5) + 1):
-        if p % f == 0:
-            return False
-    return True
-
-
 def factor_prime_power(d: int):
     """Return (p, n) with d = p^n and p prime, or None if d is not a prime power."""
     if d < 2:
         return None
-    for p in range(2, d + 1):
-        if d % p:
-            continue
-        n = 0
-        m = d
-        while m % p == 0:
-            m //= p
-            n += 1
-        return (p, n) if m == 1 and is_prime(p) else None
-    return None
+    p = next(f for f in range(2, d + 1) if d % f == 0)  # the least factor above 1 is prime
+    n, m = 0, d
+    while m % p == 0:
+        m, n = m // p, n + 1
+    return (p, n) if m == 1 else None
 
 
 def _x_powers(modulus, r: int, count: int) -> np.ndarray:
@@ -109,7 +95,7 @@ def build_field(p: int, n: int) -> FiniteField:
     Deterministic for fixed (p, n): extension fields always use the Conway
     polynomial from the built-in table.
     """
-    if not is_prime(p):
+    if factor_prime_power(p) != (p, 1):
         raise ValueError(f"p={p} is not prime")
     if n < 1:
         raise ValueError(f"extension degree must be >= 1, got {n}")

@@ -7,7 +7,7 @@ independent outcomes, and keep them as the universal measurement record.
 In memory an outcome is one cell index (m - first_basis) * d + k into the
 (basis, outcome) count table, from the sampler through the record to
 `estimator.outcome_counts`.  The labels (m, k) exist only in record files:
-the writers decode cells into labels, and `_check_ranges` is the one place
+the writers decode cells into labels, and `_label_cells` is the one place
 that turns file labels back into cells.
 
 Record files exist in two formats sharing one header line
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mub import MubFamily
+from .mub import MubFamily, born_weights
 from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128
@@ -92,8 +92,9 @@ class AliasTable:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         cells = rng.integers(0, self.prob.size, size=size)
-        keep = rng.random(size) < self.prob[cells]
-        return np.where(keep, cells, self.alias[cells])
+        swap = np.flatnonzero(rng.random(size) >= self.prob[cells])
+        cells[swap] = self.alias[cells[swap]]  # in place: no full-size alias gather or select
+        return cells
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
         raise ValueError(f"state dimension {rho.shape[0]} != family dimension {d}")
     first = mode.first_basis
     vecs = family.vectors[first - 1 : first - 1 + mode.basis_count(d)]
-    born = np.einsum("mkl,lx,mkx->mk", vecs.conj(), rho, vecs).real
+    born = born_weights(vecs, rho).real
     probs = np.clip(born, 0.0, None).reshape(-1) / mode.basis_count(d)
     return OutcomeDistribution(mode=mode, d=d, probs=probs,
                                mub_fingerprint=family.fingerprint(), _alias=AliasTable(probs))
@@ -193,20 +194,32 @@ def check_family(source, family: MubFamily, mode: PovmMode | None = None) -> Non
         raise FingerprintMismatch(f"fingerprint {source.mub_fingerprint} does not match family {fp}")
 
 
-def _check_ranges(ms: np.ndarray, ks: np.ndarray, d: int, mode: PovmMode) -> np.ndarray:
-    """Read-only uint16 cells (m - first_basis) * d + k of file labels checked for range."""
-    if not ms.size:  # n=0: nothing to decode, and MeasurementRecord refuses the header
-        return ms
+def _label_cells(blocks, d: int, mode: PovmMode, n: int) -> np.ndarray:
+    """Read-only uint16 cells (m - first_basis) * d + k of n file labels given as (ms, ks) blocks.
+
+    Blocks are decoded as they arrive, in uint16 arithmetic exact for labels in
+    range; the ranges are checked on the label extrema after the last block, so
+    a grammar fault in a later block wins over a range fault in an earlier one.
+    """
+    cells = np.empty(n, dtype=np.uint16)
+    if not n:  # MeasurementRecord refuses the header
+        return cells
     first, count = mode.first_basis, mode.basis_count(d)
-    if ms.min() < first or ms.max() >= first + count:
+    at, m_lo, m_hi, k_hi = 0, first, first, 0
+    for ms, ks in blocks:
+        if count * d <= 0xFFFF:  # else refused below, once the labels are checked
+            out = cells[at:at + ms.size]
+            np.subtract(ms, first, out=out, casting="unsafe")
+            out *= np.uint16(d)
+            np.add(out, ks, out=out, casting="unsafe")
+        m_lo, m_hi, k_hi = min(m_lo, ms.min()), max(m_hi, ms.max()), max(k_hi, ks.max())
+        at += ms.size
+    if m_lo < first or m_hi >= first + count:
         raise RecordFormatError(f"basis label outside {first}..{first + count - 1} for mode {mode.value}")
-    if ks.max() >= d:
+    if k_hi >= d:
         raise RecordFormatError(f"outcome label outside 0..{d - 1}")
     if count * d > 0xFFFF:
         raise RecordFormatError(f"d={d} {mode.value} record has {count * d} cells, over 65535")
-    cells = ms - np.uint16(first)  # exact in uint16 after the checks above
-    cells *= np.uint16(d)
-    cells += ks
     return _readonly(cells)
 
 
@@ -319,7 +332,7 @@ def _read_binary(data: bytes, path) -> MeasurementRecord:
         raise RecordFormatError(f"{path}: body holds {len(body)} bytes, header says n={n}")
     pairs = np.frombuffer(body, dtype="<u2").reshape(n, 2)
     return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             cells=_check_ranges(pairs[:, 0], pairs[:, 1], d, mode))
+                             cells=_label_cells([(pairs[:, 0], pairs[:, 1])], d, mode, n))
 
 
 def _read_text(data: bytes, path) -> MeasurementRecord:
@@ -330,57 +343,59 @@ def _read_text(data: bytes, path) -> MeasurementRecord:
     lines = data.count(b"\n", body) + (body < len(data) and not data.endswith(b"\n"))
     if lines != n:
         raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={n}")
+    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
+                             cells=_label_cells(_text_blocks(data, body, path), d, mode, n))
+
+
+def _text_blocks(data: bytes, body: int, path):
+    """Labels (m, k) of the text body from offset body on, one parse block at a time."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    ms = np.empty(n, dtype=np.uint16)
-    ks = np.empty(n, dtype=np.uint16)
     start, line = body, 0
     while start < len(data):
         stop = data.rfind(b"\n", start, start + _TEXT_BLOCK_BYTES) + 1
         if stop == 0 or start + _TEXT_BLOCK_BYTES >= len(data):  # an overlong line, or the tail
             stop = data.find(b"\n", start + _TEXT_BLOCK_BYTES) + 1 or len(data)
         m, k = _parse_text_block(buf[start:stop], path, line + 2)
-        ms[line:line + m.size], ks[line:line + m.size] = m, k
+        yield m, k
         start, line = stop, line + m.size
-    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             cells=_check_ranges(ms, ks, d, mode))
 
 
 def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
-    """Labels (m, k) of the whole ``m,k`` lines in seg, whose first is file line first_line.
+    """int32 labels (m, k) of the whole ``m,k`` lines in seg, whose first is file line first_line.
 
-    Raises RecordFormatError naming the first line that breaks the grammar.
+    Offsets are int32 and local to the block.  Only a block that breaks the
+    grammar maps its commas and stray bytes to lines, to name its first bad line.
     """
-    is_newline, is_comma = seg == ord("\n"), seg == ord(",")
-    digits = seg - np.uint8(ord("0"))  # wraps every non-digit byte above 9
-    newlines = np.flatnonzero(is_newline)
-    ends = newlines if newlines.size and newlines[-1] == seg.size - 1 else np.append(newlines, seg.size)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    crlf = (ends > starts) & (ends < seg.size) & (seg[ends - 1] == ord("\r"))
+    line_end = np.empty(seg.size + 1, dtype=bool)  # each LF, and the block's end if it has none
+    is_newline = np.equal(seg, ord("\n"), out=line_end[:-1])
+    line_end[-1] = not is_newline[-1]
+    ends = np.flatnonzero(line_end).astype(np.int32)
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    crlf = (ends > starts) & (ends < seg.size) & (seg.take(ends - 1) == ord("\r"))
     stops = ends - crlf  # a line's content ends before the CR of its CRLF
+    digits = seg - np.uint8(ord("0"))  # wraps every non-digit byte above 9
+    is_comma = seg == ord(",")
+    comma = commas = np.flatnonzero(is_comma).astype(np.int32)
+    one_each = commas.size == ends.size and bool(((commas >= starts) & (commas < ends)).all())
+    if not one_each:  # comma i is line i's only when the commas interleave the line ends
+        comma = np.zeros_like(ends)
+        comma[np.searchsorted(ends, commas)] = commas  # meaningful on lines with one comma
+    m_len, k_len = comma - starts, stops - comma - 1
+    m, k = digits.take(comma - 1).astype(np.int32), digits.take(stops - 1).astype(np.int32)
+    for place in range(1, min(_MAX_DIGITS, int(max(m_len.max(), k_len.max())))):
+        scale = np.int32(10**place)  # the values are right for runs of 1 to _MAX_DIGITS digits
+        m += np.where(place < m_len, digits.take(comma - 1 - place), np.uint8(0)) * scale
+        k += np.where(place < k_len, digits.take(stops - 1 - place), np.uint8(0)) * scale
+    bad = (m_len < 1) | (m_len > _MAX_DIGITS) | (k_len < 1) | (k_len > _MAX_DIGITS)
+    bad |= (m > 0xFFFF) | (k > 0xFFFF)
     allowed = (digits <= 9) | is_comma | is_newline
     allowed[stops[crlf]] = True
-    commas = np.flatnonzero(is_comma)
-    comma_line = np.searchsorted(ends, commas)
-    comma = np.zeros(ends.size, dtype=np.int64)
-    comma[comma_line] = commas  # meaningful only on lines with exactly one comma
-    m_len, k_len = comma - starts, stops - comma - 1
-    m, k = _digit_values(digits, starts, m_len), _digit_values(digits, comma + 1, k_len)
-    bad = np.bincount(comma_line, minlength=ends.size) != 1
-    bad |= (m_len < 1) | (m_len > _MAX_DIGITS) | (k_len < 1) | (k_len > _MAX_DIGITS)
-    bad |= (m > 0xFFFF) | (k > 0xFFFF)
-    bad[np.searchsorted(ends, np.flatnonzero(~allowed))] = True
-    if bad.any():
-        i = int(bad.argmax())
-        text = seg[starts[i]:stops[i]].tobytes().decode("ascii")
-        raise RecordFormatError(f"{path}: bad outcome line {first_line + i}: {text!r}")
-    return m, k
-
-
-def _digit_values(digits: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Decimal values of digit runs of up to _MAX_DIGITS digits, one pass per digit place."""
-    value = np.zeros(starts.size, dtype=np.int64)
-    last = digits.size - 1
-    for place in range(min(_MAX_DIGITS, int(lengths.max(initial=0)))):
-        more = place < lengths
-        value = np.where(more, value * 10 + digits[np.minimum(starts + place, last)], value)
-    return value
+    stray = np.flatnonzero(~allowed)
+    if one_each and not stray.size and not bad.any():
+        return m, k
+    bad |= np.bincount(np.searchsorted(ends, commas), minlength=ends.size) != 1
+    bad[np.searchsorted(ends, stray)] = True
+    i = int(bad.argmax())
+    text = seg[starts[i]:stops[i]].tobytes().decode("ascii")
+    raise RecordFormatError(f"{path}: bad outcome line {first_line + i}: {text!r}")

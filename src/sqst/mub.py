@@ -157,13 +157,22 @@ def eta_table(family: MubFamily, i: int, j: int) -> np.ndarray:
     return family.d * v[:, :, i] * v[:, :, j].conj()
 
 
+def born_weights(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<k,m|A|k,m> for every vector vecs[m, k] of a stack of bases, as one matmul."""
+    d = vecs.shape[-1]
+    return ((vecs.conj().reshape(-1, d) @ a).reshape(vecs.shape) * vecs).sum(-1)
+
+
+def projector_sum(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sum_{m,k} coeffs[m, k] |k,m><k,m| over a stack of bases, as one matmul."""
+    d = vecs.shape[-1]
+    return (coeffs[..., None] * vecs).reshape(-1, d).T @ vecs.conj().reshape(-1, d)
+
+
 def mub_to_json(family: MubFamily) -> dict:
     """JSON-ready dict: {d, bases: [[[ [re, im] per coeff ] per vector ] per basis]}."""
-    bases = [
-        [[[float(c.real), float(c.imag)] for c in vec] for vec in basis]
-        for basis in family.vectors
-    ]
-    return {"d": family.d, "bases": bases}
+    v = family.vectors
+    return {"d": family.d, "bases": np.stack([v.real, v.imag], axis=-1).tolist()}
 
 
 def save_mub(family: MubFamily, path) -> None:

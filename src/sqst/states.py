@@ -29,10 +29,6 @@ def philox_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, stream)])))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -102,7 +98,7 @@ def schatten_norm(h: np.ndarray, p) -> float:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     if p != np.inf and p < 1:
         raise ValueError(f"Schatten norm needs p >= 1, got {p}")
-    if is_hermitian(h):
+    if np.abs(h - h.conj().T).max() <= HERMITIAN_TOL:
         s = np.abs(np.linalg.eigvalsh(h))
     else:
         s = np.linalg.svd(h, compute_uv=False)
@@ -157,8 +153,7 @@ def check_norm_chain(e: np.ndarray) -> NormChainReport:
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    rows = [[[float(c.real), float(c.imag)] for c in row] for row in m]
-    return {"d": m.shape[0], "rows": rows}
+    return {"d": m.shape[0], "rows": np.stack([m.real, m.imag], axis=-1).tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import count_table, outcome_counts  # noqa: F401  perfbench traces this name
 from .measurement import MeasurementRecord, PovmMode
-from .mub import MubFamily
+from .mub import MubFamily, projector_sum
 from .states import (EIGEN_TOL, TRACE_TOL, NormChainReport, check_norm_chain, max_norm,
                      require_hermitian, schatten_norm)
 
@@ -44,8 +44,6 @@ class LinearEstimate:
     matrix: np.ndarray = field(repr=False)
     epsilon: float | None
     delta: float | None
-    offdiag_fingerprint: str
-    diag_fingerprint: str
     n_offdiag: int
     n_diag: int
 
@@ -63,17 +61,14 @@ def assemble_linear_estimate(offdiag_record: MeasurementRecord,
     d = family.d
     counts, n = count_table(offdiag_record, family, PovmMode.OFFDIAG)
     diag_counts, n_diag = count_table(diag_record, family, PovmMode.COMPUTATIONAL)
-    v = family.vectors[1:]
     # folded[i, j] = estimator.fold_element(offdiag_record, family, i, j) for all
     # pairs at once: the eta_ij weights are d * v[m, k, i] * conj(v[m, k, j])
-    folded = d * np.einsum("mk,mki,mkj->ij", counts, v, v.conj()) / n
+    folded = d * projector_sum(counts, family.vectors[1:]) / n
     upper = np.triu(folded, 1)
     matrix = upper + upper.conj().T
     matrix[np.diag_indices(d)] = diag_counts[0] / n_diag
     matrix.setflags(write=False)
     return LinearEstimate(d=d, matrix=matrix, epsilon=epsilon, delta=delta,
-                          offdiag_fingerprint=offdiag_record.mub_fingerprint,
-                          diag_fingerprint=diag_record.mub_fingerprint,
                           n_offdiag=offdiag_record.n, n_diag=diag_record.n)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqst
 from sqst.cli import main, parse_state, reproduce_fig2
 from sqst.measurement import PovmMode, read_record
 from sqst.mub import MubFamily, build_mub, verify_mub
@@ -272,6 +277,17 @@ def test_fig2_parallel_matches_serial(tmp_path):
     assert main(common + ["--workers", "1", "--out", str(serial)]) == 0
     assert main(common + ["--workers", "2", "--out", str(par)]) == 0
     assert serial.read_bytes() == par.read_bytes()
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # the pool is imported by reproduce_fig2 only when workers > 1
+    probe = ("import sys, sqst.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqst.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fig2_rejects_bad_dimension():

@@ -276,11 +276,18 @@ def test_zero_copy_binary_record_rejected(tmp_path):
         read_record(path)
 
 
-@pytest.mark.parametrize("line", ["70000,0", "-1,0", "2,65536", "2,-3"])
+@pytest.mark.parametrize("line", ["70000,0", "-1,0", "2,65536", "2,-3", "99999,0"])
 def test_text_label_outside_uint16_rejected(tmp_path, line):
     path = tmp_path / "r.txt"
     path.write_text(_header(2, "offdiag", 1) + "\n" + line + "\n")
     with pytest.raises(RecordFormatError, match="line 2"):
+        read_record(path)
+
+
+def test_largest_uint16_label_is_a_range_fault(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_text(_header(2, "offdiag", 1) + "\n65535,0\n")
+    with pytest.raises(RecordFormatError, match="basis label outside 2..3"):
         read_record(path)
 
 
@@ -384,6 +391,20 @@ def test_bad_line_in_a_later_block_is_named(many_path, tmp_path):
         bad.write_bytes(_corrupt_line(data, body_index))
         with pytest.raises(RecordFormatError, match=rf"bad outcome line {body_index + 2}: 'x"):
             read_record(bad)
+
+
+def test_grammar_fault_in_a_later_block_wins_over_an_earlier_range_fault(many_path, tmp_path):
+    _, path = many_path
+    data = path.read_bytes()
+    late = 2 * 65_536 + 7  # in the third parse block
+    at = len(measurement._header_line(many_path[0])) + 1
+    data = data[:at] + b"0" + data[at + 1:]  # line 2 names basis 0 of d=8 full mode: a range fault
+    (tmp_path / "range.txt").write_bytes(data)
+    with pytest.raises(RecordFormatError, match="basis label outside 1..9"):
+        read_record(tmp_path / "range.txt")
+    (tmp_path / "both.txt").write_bytes(_corrupt_line(data, late))
+    with pytest.raises(RecordFormatError, match=rf"bad outcome line {late + 2}: 'x"):
+        read_record(tmp_path / "both.txt")
 
 
 def test_crlf_and_missing_final_newline_read_like_lf(many_path, tmp_path):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sqst.fields import factor_prime_power
-from sqst.mub import MubFamily, build_mub, eta_table, save_mub, verify_mub
+from sqst.measurement import PovmMode
+from sqst.mub import (MubFamily, born_weights, build_mub, eta_table, projector_sum, save_mub,
+                      verify_mub)
 
 SMALL_DIMS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -234,3 +236,18 @@ def test_fingerprint_stability_and_discrimination():
 
 def test_build_is_deterministic():
     assert np.array_equal(build_mub(8).vectors, build_mub(8).vectors)
+
+
+@pytest.mark.parametrize("d", SMALL_DIMS + [16])
+@pytest.mark.parametrize("mode", list(PovmMode))
+def test_contractions_match_their_einsum_definitions(d, mode):
+    # the mode's bases, a non-Hermitian operator and complex coefficients
+    first = mode.first_basis
+    vecs = build_mub(d).vectors[first - 1:first - 1 + mode.basis_count(d)]
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    coeffs = rng.standard_normal(vecs.shape[:2]) + 1j * rng.standard_normal(vecs.shape[:2])
+    born = np.einsum("mkl,lx,mkx->mk", vecs.conj(), a, vecs)
+    projectors = np.einsum("mk,mki,mkj->ij", coeffs, vecs, vecs.conj())
+    assert np.abs(born_weights(vecs, a) - born).max() <= 1e-12
+    assert np.abs(projector_sum(coeffs, vecs) - projectors).max() <= 1e-12

@@ -73,6 +73,18 @@ def test_assembly_matches_elementwise_estimators(fam4):
                 estimate_element(off, fam4, i, j).value, abs=1e-12)
 
 
+def test_assembly_matches_per_pair_folds_at_d64():
+    family = build_mub(64)
+    off, diag = _records_for(random_density(64, 4, seed=31), family, 20_000, seed=110)
+    matrix = assemble_linear_estimate(off, diag, family).matrix
+    folded = np.array([[fold_diagonal(diag, family, i) if i == j
+                         else fold_element(off, family, i, j) for j in range(64)] for i in range(64)])
+    upper = np.triu_indices(64, 1)
+    assert np.abs(matrix[upper] - folded[upper]).max() <= 1e-12
+    assert np.abs(matrix.T[upper] - folded[upper].conj()).max() <= 1e-12
+    assert np.abs(np.diag(matrix) - np.diag(folded)).max() <= 1e-12
+
+
 def test_assembly_mode_and_fingerprint_checks(fam4):
     rho = random_density(4, 4, seed=4)
     off, diag = _records_for(rho, fam4, 100, seed=90)
