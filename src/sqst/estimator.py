@@ -27,6 +27,8 @@ import numpy as np
 from .measurement import MeasurementRecord, OutcomeDistribution, PovmMode, check_family
 from .mub import MubFamily, born_weights, eta_table, projector_sum
 
+_COUNT_SLICE = 65_536  # cells per bincount
+
 
 def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
     """Copies needed so that M element estimates all land within epsilon.
@@ -63,10 +65,11 @@ def plan_samples_general(epsilon: float, delta: float, k_bound: float, d: int,
     return max(1, math.floor(x))
 
 
-def _check_plan_args(epsilon: float, delta: float, m: int) -> None:
-    if epsilon <= 0:
+def _check_plan_args(epsilon: float | None, delta: float | None, m: int = 1) -> None:
+    """Refuse epsilon <= 0, delta outside (0, 1) and m < 1; None stands for not given."""
+    if epsilon is not None and not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
+    if delta is not None and not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if m < 1:
         raise ValueError(f"element count must be >= 1, got {m}")
@@ -94,11 +97,15 @@ def outcome_counts(record: MeasurementRecord) -> np.ndarray:
     """Multiplicity of each (basis, outcome) cell, shaped (bases, d).
 
     Counted once per record and cached on it, read-only: every element
-    estimated from the record folds the same table.
+    estimated from the record folds the same table.  The cells are counted
+    _COUNT_SLICE at a time, so the intp copy bincount makes stays small.
     """
     if record._counts is None:
-        nb = record.mode.basis_count(record.d)
-        counts = np.bincount(record.cells, minlength=nb * record.d).reshape(nb, record.d)
+        size = record.mode.basis_count(record.d) * record.d
+        counts = np.zeros(size, dtype=np.intp)
+        for start in range(0, record.n, _COUNT_SLICE):  # bincount casts each slice to intp
+            counts += np.bincount(record.cells[start:start + _COUNT_SLICE], minlength=size)
+        counts = counts.reshape(-1, record.d)
         counts.setflags(write=False)
         object.__setattr__(record, "_counts", counts)
     return record._counts
@@ -141,6 +148,7 @@ def _estimate(record: MeasurementRecord, i: int, j: int, value, epsilon, delta) 
     Hoeffding on Re and Im, joined by a union bound, bounds the chance that
     either part is off by epsilon; it says nothing sharper about the modulus.
     """
+    _check_plan_args(epsilon, delta)
     n = record.n
     if epsilon is None:
         eff_delta = 0.01 if delta is None else delta

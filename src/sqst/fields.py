@@ -49,14 +49,17 @@ def factor_prime_power(d: int):
 
 
 def _x_powers(modulus, r: int, count: int) -> np.ndarray:
-    """Coefficient rows of x^0 .. x^(count-1) modulo the monic ascending `modulus` over Z_r."""
-    low = np.asarray(modulus[:-1], dtype=np.int64)
-    rows = np.zeros((count, len(low)), dtype=np.int64)
-    rows[0, 0] = 1
+    """Coefficient rows of x^0 .. x^(count-1) modulo the monic ascending `modulus` over Z_r.
+
+    A stack of moduli (..., n + 1) gives the rows of each, shaped (count, ..., n).
+    """
+    low = np.asarray(modulus, dtype=np.int64)[..., :-1]
+    rows = np.zeros((count, *low.shape), dtype=np.int64)
+    rows[0, ..., 0] = 1
     for k in range(1, count):
         prev = rows[k - 1]
-        rows[k, 1:] = prev[:-1]
-        rows[k] = (rows[k] - prev[-1] * low) % r  # x^n = -(low part of the modulus)
+        rows[k, ..., 1:] = prev[..., :-1]
+        rows[k] = (rows[k] - prev[..., -1:] * low) % r  # x^n = -(low part of the modulus)
     return rows
 
 
@@ -150,16 +153,17 @@ class GaloisRing4:
         self.n = n
         self.d = d = 2**n
         base = (1, 1) if n == 1 else _CONWAY[(2, n)]
-        for mask in range(d):
-            cand = [(base[i] + 2 * ((mask >> i) & 1)) % 4 for i in range(n)] + [1]
-            powers = _x_powers(cand, 4, d)
-            is_one = (powers == powers[0]).all(axis=1)
-            if is_one[d - 1] and not is_one[1 : d - 1].any():
-                break
-        else:
+        masks = (np.arange(d)[:, None] >> np.arange(n)) & 1  # candidate lift `mask`, bit i
+        cands = np.ones((d, n + 1), dtype=np.int64)
+        cands[:, :n] = (np.asarray(base[:n]) + 2 * masks) % 4
+        powers = _x_powers(cands, 4, d)  # [e, mask, coefficient]
+        is_one = (powers == powers[0]).all(axis=2)
+        primitive = is_one[d - 1] & ~is_one[1 : d - 1].any(axis=0)
+        if not primitive.any():
             raise AssertionError(f"no basic primitive lift found for n={n}")
-        self.modulus = cand
-        t = np.vstack([np.zeros((1, n), dtype=np.int64), powers[: d - 1]])
+        first = int(primitive.argmax())
+        self.modulus = cands[first].tolist()
+        t = np.vstack([np.zeros((1, n), dtype=np.int64), powers[: d - 1, first]])
         t.setflags(write=False)
         self.teichmuller = t
         # every ring element is a + 2b for exactly one pair (a, b) in T x T
@@ -180,6 +184,6 @@ class GaloisRing4:
         d = self.d
         traces = _power_traces(self.teichmuller[1:], 2, 4)
         e = np.arange(d - 1)
-        s = np.zeros((d, d), dtype=np.int64)
+        s = np.zeros((d, d), dtype=np.uint8)
         s[1:, 1:] = traces[(e[:, None] + e[None, :]) % (d - 1)]
-        return ((s[:, None, :] + 2 * s[None, :, :]) % 4).astype(np.uint8)
+        return (s[:, None, :] + 2 * s[None, :, :]) % 4  # uint8 throughout: at most 3 + 2 * 3

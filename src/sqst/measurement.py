@@ -291,32 +291,31 @@ def write_record(record: MeasurementRecord, path, binary: bool = False) -> None:
 
 
 def _write_text_body(record: MeasurementRecord, fh) -> None:
-    """Write the ``m,k`` lines block by block from a table of every cell's line."""
+    """Write the ``m,k`` lines block by block from a table of every cell's line.
+
+    Each line is held NUL-padded in whole 8-byte words (one word while both
+    labels have at most three digits), so a block is one gather of words, and
+    dropping its NUL bytes leaves the lines.
+    """
     d, first = record.d, record.mode.first_basis
     lines = [f"{first + c // d},{c % d}\n".encode("ascii")
              for c in range(record.mode.basis_count(d) * d)]
-    width = max(map(len, lines))
-    table = np.array(lines, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    lengths = np.array([len(line) for line in lines])
-    columns = np.arange(width)
+    width = -(-max(map(len, lines)) // 8) * 8
+    words = np.array(lines, dtype=f"S{width}").view(np.uint64).reshape(len(lines), -1)
     for start in range(0, record.n, _TEXT_BLOCK):
-        cells = record.cells[start:start + _TEXT_BLOCK]
-        fh.write(table[cells][columns < lengths[cells][:, None]].tobytes())
+        body = words[record.cells[start:start + _TEXT_BLOCK]].view(np.uint8)
+        fh.write(body[body != 0])
 
 
-def read_record(path, family: MubFamily | None = None) -> MeasurementRecord:
-    """Load a record from either format; verify the family fingerprint if given."""
+def read_record(path) -> MeasurementRecord:
+    """Load a record from either format; `check_family` ties it to a family."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
         raise RecordFormatError(f"{path}: empty record file")
     if b"\x00" in data[:_HEADER_BLOCK]:
-        record = _read_binary(data, path)
-    else:
-        record = _read_text(data, path)
-    if family is not None:
-        check_family(record, family)
-    return record
+        return _read_binary(data, path)
+    return _read_text(data, path)
 
 
 def _read_binary(data: bytes, path) -> MeasurementRecord:
@@ -363,19 +362,25 @@ def _text_blocks(data: bytes, body: int, path):
 def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
     """int32 labels (m, k) of the whole ``m,k`` lines in seg, whose first is file line first_line.
 
-    Offsets are int32 and local to the block.  Only a block that breaks the
+    Offsets are int32 and local to the block.  A block of only digits, commas
+    and LFs has no CR to strip, and one whose digit runs are all 1 to 4 long
+    has no label too long or over 0xFFFF.  Only a block that breaks the
     grammar maps its commas and stray bytes to lines, to name its first bad line.
     """
     line_end = np.empty(seg.size + 1, dtype=bool)  # each LF, and the block's end if it has none
     is_newline = np.equal(seg, ord("\n"), out=line_end[:-1])
     line_end[-1] = not is_newline[-1]
+    digits = seg - np.uint8(ord("0"))  # wraps every non-digit byte above 9
+    is_comma = seg == ord(",")
+    allowed = (digits <= 9) | is_comma | is_newline
+    clean = bool(allowed.all())
     ends = np.flatnonzero(line_end).astype(np.int32)
     starts = np.empty_like(ends)
     starts[0], starts[1:] = 0, ends[:-1] + 1
-    crlf = (ends > starts) & (ends < seg.size) & (seg.take(ends - 1) == ord("\r"))
-    stops = ends - crlf  # a line's content ends before the CR of its CRLF
-    digits = seg - np.uint8(ord("0"))  # wraps every non-digit byte above 9
-    is_comma = seg == ord(",")
+    stops = ends
+    if not clean:
+        crlf = (ends > starts) & (ends < seg.size) & (seg.take(ends - 1) == ord("\r"))
+        stops = ends - crlf  # a line's content ends before the CR of its CRLF
     comma = commas = np.flatnonzero(is_comma).astype(np.int32)
     one_each = commas.size == ends.size and bool(((commas >= starts) & (commas < ends)).all())
     if not one_each:  # comma i is line i's only when the commas interleave the line ends
@@ -383,14 +388,17 @@ def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
         comma[np.searchsorted(ends, commas)] = commas  # meaningful on lines with one comma
     m_len, k_len = comma - starts, stops - comma - 1
     m, k = digits.take(comma - 1).astype(np.int32), digits.take(stops - 1).astype(np.int32)
-    for place in range(1, min(_MAX_DIGITS, int(max(m_len.max(), k_len.max())))):
+    longest = int(max(m_len.max(), k_len.max()))
+    for place in range(1, min(_MAX_DIGITS, longest)):
         scale = np.int32(10**place)  # the values are right for runs of 1 to _MAX_DIGITS digits
         m += np.where(place < m_len, digits.take(comma - 1 - place), np.uint8(0)) * scale
         k += np.where(place < k_len, digits.take(stops - 1 - place), np.uint8(0)) * scale
+    if clean and one_each and longest < _MAX_DIGITS and m_len.min() > 0 and k_len.min() > 0:
+        return m, k
     bad = (m_len < 1) | (m_len > _MAX_DIGITS) | (k_len < 1) | (k_len > _MAX_DIGITS)
     bad |= (m > 0xFFFF) | (k > 0xFFFF)
-    allowed = (digits <= 9) | is_comma | is_newline
-    allowed[stops[crlf]] = True
+    if not clean:
+        allowed[stops[crlf]] = True
     stray = np.flatnonzero(~allowed)
     if one_each and not stray.size and not bad.any():
         return m, k

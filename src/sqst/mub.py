@@ -50,10 +50,11 @@ class MubFamily:
     def fingerprint(self) -> str:
         """64-bit hash of the coefficients rounded to 12 decimals, as 16 hex chars."""
         if self._fingerprint is None:
-            re = np.round(self.vectors.real, 12) + 0.0
-            im = np.round(self.vectors.imag, 12) + 0.0
-            data = np.ascontiguousarray(np.stack([re, im]), dtype="<f8").tobytes()
-            object.__setattr__(self, "_fingerprint", hashlib.sha256(data).digest()[:8].hex())
+            parts = np.empty((2, *self.vectors.shape), dtype="<f8")
+            np.round(self.vectors.real, 12, out=parts[0])
+            np.round(self.vectors.imag, 12, out=parts[1])
+            parts += 0.0  # -0.0 hashes as 0.0
+            object.__setattr__(self, "_fingerprint", hashlib.sha256(parts).digest()[:8].hex())
         return self._fingerprint
 
     def _check_index(self, i: int, name: str) -> None:
@@ -78,7 +79,7 @@ def build_mub(d: int) -> MubFamily:
     vectors[0] = np.eye(d)
     if p == 2:
         exps = GaloisRing4(n).phase_exponents()  # values in Z4
-        vectors[1:] = 1j ** exps.astype(np.float64) / np.sqrt(d)
+        vectors[1:] = (np.power(1j, np.arange(4.0)) / np.sqrt(d))[exps]
     else:
         f = build_field(p, n)
         idx = np.arange(d)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import count_table, outcome_counts  # noqa: F401  perfbench traces this name
+from .estimator import _check_plan_args, count_table
+from .estimator import outcome_counts  # noqa: F401  perfbench traces this name
 from .measurement import MeasurementRecord, PovmMode
 from .mub import MubFamily, projector_sum
 from .states import (EIGEN_TOL, TRACE_TOL, NormChainReport, check_norm_chain, max_norm,
@@ -58,6 +59,7 @@ def assemble_linear_estimate(offdiag_record: MeasurementRecord,
     Entry (i, j) with i < j is the off-diagonal fold, (j, i) its conjugate
     (structurally, not numerically), and (i, i) the computational frequency.
     """
+    _check_plan_args(epsilon, delta)
     d = family.d
     counts, n = count_table(offdiag_record, family, PovmMode.OFFDIAG)
     diag_counts, n_diag = count_table(diag_record, family, PovmMode.COMPUTATIONAL)

@@ -7,6 +7,7 @@ scans instead of the shipped algorithms.
 
 import numpy as np
 
+from sqst.fields import _CONWAY
 from sqst.states import philox_rng, random_density, random_hermitian, max_norm
 from sqst.tomography import project_psd_clip
 
@@ -95,6 +96,26 @@ def poly_mul_mod(a, b, modulus, r: int) -> tuple:
         for i in range(n):
             prod[k - n + i] -= prod[k] * modulus[i]
     return tuple(c % r for c in prod[:n])
+
+
+def first_basic_primitive_lift(n: int) -> list:
+    """The first monic lift to Z4 of the degree-n Conway polynomial whose root has order 2^n - 1.
+
+    Lifts are tried in increasing mask order (bit i adds 2 to coefficient i),
+    and each root's order is found by multiplying up its powers one at a time
+    with the schoolbook `poly_mul_mod`.
+    """
+    base = (1, 1) if n == 1 else _CONWAY[(2, n)]
+    one = (1,) + (0,) * (n - 1)
+    for mask in range(2**n):
+        modulus = [(base[i] + 2 * ((mask >> i) & 1)) % 4 for i in range(n)] + [1]
+        x = ((-modulus[0]) % 4,) if n == 1 else (0, 1) + (0,) * (n - 2)
+        power, order = x, 1
+        while power != one and order <= 4**n:  # the constant term is odd, so x is a unit
+            power, order = poly_mul_mod(power, x, modulus, 4), order + 1
+        if order == 2**n - 1:
+            return modulus
+    raise AssertionError(f"no basic primitive lift for n={n}")
 
 
 class GaloisRingTrace:

@@ -9,7 +9,7 @@ import pytest
 
 import sqst
 from sqst.cli import main, parse_state, reproduce_fig2
-from sqst.measurement import PovmMode, read_record
+from sqst.measurement import PovmMode, check_family, read_record
 from sqst.mub import MubFamily, build_mub, verify_mub
 from sqst.states import make_pure_superposition, random_density, save_matrix
 
@@ -78,7 +78,8 @@ def test_simulate_writes_record(tmp_path):
     assert run("simulate", "--dim", "2", "--state", "superposition:0,1,1,1",
                "--copies", "1000", "--povm", "offdiag", "--seed", "7",
                "--out", str(out)) == 0
-    record = read_record(out, build_mub(2))
+    record = read_record(out)
+    check_family(record, build_mub(2))
     assert record.n == 1000
     assert record.mode is PovmMode.OFFDIAG
     assert set(np.unique(record.cells)) <= {0, 1, 2, 3}  # the cells of bases 2 and 3
@@ -176,6 +177,23 @@ def test_estimate_diagonal_needs_diag_record(record_pair, capsys):
 def test_estimate_requires_elements(record_pair):
     off, diag = record_pair
     assert run("estimate", "--record", off, "--diag-record", diag) == 1
+
+
+@pytest.mark.parametrize("command", ["estimate", "tomography"])
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "-3", "--delta", "7"], "epsilon must be positive, got -3.0"),
+    (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
+    (["--delta", "7"], "delta must lie in (0, 1), got 7.0"),
+    (["--delta", "1"], "delta must lie in (0, 1), got 1.0"),
+    (["--epsilon", "0.1", "--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+])
+def test_epsilon_and_delta_outside_their_ranges_fail_cleanly(record_pair, capsys, command,
+                                                             flags, message):
+    off, diag = record_pair
+    args = ["--element", "0,1"] if command == "estimate" else ["--quiet"]
+    assert run(command, "--record", off, "--diag-record", diag, *args, *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
 
 
 def _header(mode, n, d=2):

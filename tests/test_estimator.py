@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import smallest_n_satisfying
+from sqst import estimator
 from sqst.estimator import (decompose_operator, estimate_diagonal, estimate_element,
                             extreme_operator, fold_diagonal, fold_element, fold_mean,
-                            plan_samples, plan_samples_general)
+                            outcome_counts, plan_samples, plan_samples_general)
 from sqst.measurement import (FingerprintMismatch, MeasurementRecord, PovmMode,
                               outcome_distribution, sample_record)
 from sqst.mub import build_mub, eta_table
@@ -406,6 +407,16 @@ def test_folds_check_distributions_like_records(fam2):
         fold_element(dist, fam2, 0, 1)
     with pytest.raises(ValueError, match="computational"):
         fold_diagonal(dist, fam3, 0)
+
+
+def test_counts_over_several_slices_equal_one_bincount(fam4):
+    n = 3 * estimator._COUNT_SLICE + 123  # a partial last slice
+    cells = philox_rng(11).integers(0, 16, n).astype(np.uint16)
+    record = MeasurementRecord(d=4, mode=PovmMode.OFFDIAG, seed=0, n=n,
+                               mub_fingerprint=fam4.fingerprint(), cells=cells)
+    counts = outcome_counts(record)
+    assert counts.shape == (4, 4) and counts.dtype == np.intp
+    assert np.array_equal(counts.ravel(), np.bincount(cells.astype(np.int64), minlength=16))
 
 
 def test_guarantee_states_what_hoeffding_proves(fam2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import GaloisRingTrace, poly_mul_mod
+from oracles import GaloisRingTrace, first_basic_primitive_lift, poly_mul_mod
 from sqst.fields import _CONWAY, GaloisRing4, build_field, factor_prime_power
 
 
@@ -126,6 +126,11 @@ def test_galois_ring_teichmuller(n):
     for x, e in enumerate(t):
         assert trace(e) in (0, 1, 2, 3)
         assert table[1, 0, x] == trace(e)  # (T[1] + 2 T[0]) * T[x] = T[x]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_galois_ring_modulus_is_the_first_basic_primitive_lift(n):
+    assert GaloisRing4(n).modulus == first_basic_primitive_lift(n)
 
 
 def test_galois_ring_trace_additive_small():

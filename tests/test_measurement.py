@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from sqst import measurement
 from sqst.estimator import outcome_counts
 from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
-                              PovmMode, RecordFormatError, outcome_distribution,
-                              read_record, sample_record, write_record)
+                              PovmMode, RecordFormatError, check_family,
+                              outcome_distribution, read_record, sample_record, write_record)
 from sqst.mub import build_mub
 from sqst.states import make_pure_superposition, philox_rng, random_density
 
@@ -160,9 +160,11 @@ def test_read_with_wrong_family_fails(fam2, fam3, tmp_path):
     record = sample_record(dist, 10, seed=0)
     path = tmp_path / "r.txt"
     write_record(record, path)
-    assert read_record(path, fam2) == record
+    again = read_record(path)
+    assert again == record
+    check_family(again, fam2)
     with pytest.raises(FingerprintMismatch):
-        read_record(path, fam3)
+        check_family(again, fam3)
 
 
 def test_empty_file_is_corrupt(tmp_path):
@@ -295,7 +297,7 @@ def test_read_with_matching_dimension_but_foreign_fingerprint(fam2, tmp_path):
     path = tmp_path / "r.txt"
     path.write_text(_header(2, "offdiag", 1) + "\n2,0\n")
     with pytest.raises(FingerprintMismatch, match="fingerprint"):
-        read_record(path, fam2)
+        check_family(read_record(path), fam2)
 
 
 def _record_invariants_hold(record):
@@ -370,6 +372,22 @@ def test_multi_block_text_round_trip_is_byte_identical(many_path, tmp_path):
     assert again == record
     write_record(again, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == data
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 27, 64])
+@pytest.mark.parametrize("mode", list(PovmMode))
+@pytest.mark.parametrize("n", [1, 2 * measurement._TEXT_BLOCK + 1])
+def test_text_body_matches_a_line_by_line_writer(tmp_path, d, mode, n):
+    size = mode.basis_count(d) * d
+    cells = philox_rng(d, n).integers(0, size, n)
+    cells[-1] = size - 1  # the longest line, last in the final partial block
+    record = MeasurementRecord(d=d, mode=mode, seed=0, n=n, mub_fingerprint="0" * 16,
+                               cells=cells.astype(np.uint16))
+    path = tmp_path / "r.txt"
+    write_record(record, path)
+    first = mode.first_basis
+    lines = "".join(f"{first + c // d},{c % d}\n" for c in cells.tolist())
+    assert path.read_bytes() == (measurement._header_line(record) + "\n" + lines).encode("ascii")
 
 
 def _corrupt_line(data: bytes, body_index: int) -> bytes:

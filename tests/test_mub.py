@@ -24,6 +24,20 @@ PINNED_FINGERPRINTS = {
     59: "97e1959e7e42e5f4", 61: "432896c970fb637f", 64: "4a377500b4231ea8",
 }
 
+# sha256 of build_mub(d).vectors.tobytes(), first 16 hex chars: every coefficient bit, which
+# the 12-decimal fingerprint does not see but every Born weight and record depends on.
+PINNED_VECTOR_BYTES = {
+    2: "675a8c97e36db38a", 3: "91ff24b2507ba025", 4: "3050334ec13d8b7f",
+    5: "b9d52ffe49c0c81f", 7: "25b8815accac538d", 8: "7fab25d39883fa1b",
+    9: "6ffb9fa66a2bc8ea", 11: "470f0b2d7f8587b5", 13: "2d6bbd26f2fac718",
+    16: "f48408dbbca3c0c5", 17: "98955e96f7828c25", 19: "18375837301a2ab1",
+    23: "857820f7ab45b56b", 25: "8c91fd8ff0c7b551", 27: "37eaad2307029eb8",
+    29: "58c7793c74f349c1", 31: "805dc4baabea0219", 32: "cdbf03eec9c8df3c",
+    37: "9d2d217c86e0d01e", 41: "a504a32c50b3cb1c", 43: "df99b113d5e35b70",
+    47: "10b9f4eedaef61a1", 49: "7007e985a2324c0d", 53: "0102bd9c83491e69",
+    59: "fee49731e345c256", 61: "890301c3868c93f6", 64: "416322aab2f4460e",
+}
+
 
 def _projector(family, k, m):
     v = family.vectors[m - 1, k]
@@ -76,6 +90,13 @@ def test_every_supported_family_is_pinned():
     supported = [d for d in range(2, 65) if factor_prime_power(d)]
     assert supported == sorted(PINNED_FINGERPRINTS)
     assert {d: build_mub(d).fingerprint() for d in supported} == PINNED_FINGERPRINTS
+
+
+def test_every_supported_family_has_pinned_coefficient_bytes():
+    supported = [d for d in range(2, 65) if factor_prime_power(d)]
+    assert supported == sorted(PINNED_VECTOR_BYTES)
+    assert {d: hashlib.sha256(build_mub(d).vectors.tobytes()).hexdigest()[:16]
+            for d in supported} == PINNED_VECTOR_BYTES
 
 
 def test_fingerprint_hashes_once_per_family(monkeypatch):
