@@ -98,9 +98,17 @@ def cmd_plan(args) -> int:
             raise ValueError("--general needs --k-bound and --dim")
         n = estimator.plan_samples_general(args.epsilon, args.delta, args.k_bound,
                                            args.dim, args.elements)
+        from decimal import ROUND_CEILING, Decimal  # imported only here: ~2 ms of start-up
+        # n is the paper's floor of the inverse, so its bound can sit just above delta:
+        # print that bound, rounded up to 6 significant digits
+        bound = Decimal(4 * args.elements * math.exp(
+            -n * args.epsilon**2 / (2 * args.k_bound**2 * (args.dim + 1)**2)))
+        bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 5), rounding=ROUND_CEILING)
         ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
-                f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {args.delta}")
+                f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound.normalize()}")
     else:
+        if args.k_bound is not None or args.dim is not None:
+            raise ValueError("--k-bound and --dim apply only with --general")
         n = estimator.plan_samples(args.epsilon, args.delta, args.elements)
         ineq = f"4*{args.elements}*exp(-n*{args.epsilon}^2/2) <= {args.delta}"
     if args.format == "json":
@@ -147,10 +155,14 @@ def _planned_copies(args) -> int:
     if have_copies == have_planner:
         raise ValueError("give exactly one of --copies or the planner pair --epsilon/--delta")
     if have_copies:
+        if args.elements is not None:
+            raise ValueError("--elements applies only to the planner pair --epsilon/--delta, "
+                             "not to --copies")
         return args.copies
     if args.epsilon is None or args.delta is None:
         raise ValueError("planner mode needs both --epsilon and --delta")
-    return estimator.plan_samples(args.epsilon, args.delta, args.elements)
+    return estimator.plan_samples(args.epsilon, args.delta,
+                                  1 if args.elements is None else args.elements)
 
 
 def cmd_simulate(args) -> int:
@@ -194,6 +206,7 @@ def cmd_estimate(args) -> int:
     if not args.element:
         raise ValueError("give at least one --element i,j")
     elements = [_parse_element(e) for e in args.element]
+    estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     offdiag = diag = None
     if args.record:
         offdiag = measurement.read_record(args.record)
@@ -251,6 +264,7 @@ def cmd_tomography(args) -> int:
     if args.project != "maxnorm" and (args.tol is not None or args.no_trace_constraint):
         raise ValueError(f"--tol and --no-trace-constraint apply only to --project maxnorm, "
                          f"not {args.project}")
+    estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     offdiag = measurement.read_record(args.record)
     diag = measurement.read_record(args.diag_record)
     family = _family(offdiag.d)
@@ -259,7 +273,7 @@ def cmd_tomography(args) -> int:
     payload = {"d": linear.d}
     if args.project == "none":
         rho = linear.matrix
-        psd = tomography.is_valid_density(rho, enforce_trace=False)
+        psd = states.density_fault(rho, enforce_trace=False) is None
         payload.update({"method": "none", "t_star": None, "converged": True, "psd": psd})
         if not psd:
             _say(args, "linear estimate is not positive semidefinite (expected; use --project)")
@@ -275,7 +289,11 @@ def cmd_tomography(args) -> int:
     payload["rho"] = states.matrix_to_json(rho)
     if args.truth:
         truth = parse_state(args.truth, linear.d)
-        payload["error_report"] = tomography.error_report(truth, rho).to_json_dict()
+        report = tomography.error_report(truth, rho)
+        payload["error_report"] = {"max_norm": report.max_norm,
+                                   "frobenius_norm": report.frobenius_norm,
+                                   "trace_norm": report.trace_norm,
+                                   "chain_passed": report.passed}
     _emit(json.dumps(payload) + "\n", args.out)
     if args.project != "none":
         _say(args, f"projected d={linear.d} method={payload['method']} "
@@ -416,14 +434,17 @@ def cmd_operator_estimate(args) -> int:
     family = _family(record.d)
     if (args.operator is None) == (args.extreme is None):
         raise ValueError("give exactly one of --operator or --extreme")
-    if args.operator:
+    if args.operator is not None:
+        if args.phases is not None:
+            raise ValueError("--phases applies only to --extreme, not to --operator")
         kind, _, rest = args.operator.partition(":")
         if kind != "file":
             raise ValueError("--operator takes file:PATH")
         matrix = states.load_matrix(rest)
         coeffs = estimator.decompose_operator(matrix, family)
     else:
-        phases = _load_phases(args.phases, record.d, args.seed)
+        phases = _load_phases("random" if args.phases is None else args.phases, record.d,
+                              args.seed)
         coeffs = estimator.extreme_operator(phases, args.extreme, family)
         matrix = coeffs.reconstruct(family)
     value = estimator.fold_mean(record, family, coeffs)
@@ -444,10 +465,11 @@ def cmd_operator_estimate(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--out", help="write primary output to this path")
-    common.add_argument("--quiet", action="store_true", help="suppress summary lines")
+    # shared flags; each subcommand takes only those its handler reads
+    seed, out, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    out.add_argument("--out", help="write primary output to this path")
+    quiet.add_argument("--quiet", action="store_true", help="suppress summary lines")
 
     parser = argparse.ArgumentParser(
         prog="sqst",
@@ -455,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", parents=[common], help="sample-size planner")
+    p = sub.add_parser("plan", parents=[out], help="sample-size planner")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--elements", type=int, default=1)
@@ -466,27 +488,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("mub", parents=[common], help="build and verify a basis family")
+    p = sub.add_parser("mub", parents=[out, quiet], help="build and verify a basis family")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_mub)
 
-    p = sub.add_parser("simulate", parents=[common], help="sample measurement records")
+    p = sub.add_parser("simulate", parents=[seed, out, quiet], help="sample measurement records")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--state", required=True,
                    help="mixed | basis:i | superposition:i,j,a,b | random:rank[,seed] | file:PATH")
     p.add_argument("--copies", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--elements", type=int, default=1)
+    p.add_argument("--elements", type=int, default=None, help="planner only (default 1)")
     p.add_argument("--povm", choices=["offdiag", "full", "computational", "both"],
                    default="offdiag")
     p.add_argument("--record-format", choices=["text", "binary"], default="text")
     p.add_argument("--shards", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", parents=[common], help="estimate elements from records")
+    # --quiet is read by no estimate output; scripts pass it, so it stays accepted
+    p = sub.add_parser("estimate", parents=[out, quiet], help="estimate elements from records")
     p.add_argument("--record", help="off-diagonal (offdiag-mode) record file")
     p.add_argument("--diag-record", help="computational-mode record file")
     p.add_argument("--element", action="append", default=[], help="i,j (repeatable)")
@@ -497,7 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output format (default json)")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("tomography", parents=[common], help="assemble and project a full state")
+    p = sub.add_parser("tomography", parents=[out, quiet],
+                       help="assemble and project a full state")
     p.add_argument("--record", required=True, help="off-diagonal record file")
     p.add_argument("--diag-record", required=True, help="computational record file")
     p.add_argument("--project", choices=["maxnorm", "clip", "none"], default="maxnorm")
@@ -510,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_tomography)
 
-    p = sub.add_parser("reproduce-fig2", parents=[common],
+    p = sub.add_parser("reproduce-fig2", parents=[seed, out, quiet],
                        help="error histograms for random superposition states")
     p.add_argument("--dims", default="2,4,8,16", help="comma-separated prime powers")
     p.add_argument("--trials", type=int, default=1000)
@@ -519,21 +543,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_reproduce_fig2)
 
-    p = sub.add_parser("bounds-check", parents=[common],
+    p = sub.add_parser("bounds-check", parents=[seed, quiet],
                        help="fuzz the norm inequality chain on random Hermitian matrices")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_bounds_check)
 
-    p = sub.add_parser("operator-estimate", parents=[common],
+    p = sub.add_parser("operator-estimate", parents=[seed, out, quiet],
                        help="mean value of an operator from a full-mode record")
     p.add_argument("--record", required=True, help="full-mode record file")
     p.add_argument("--operator", help="file:PATH with the operator matrix")
     p.add_argument("--extreme", type=float, default=None,
                    help="coefficient bound K of an extreme-manifold operator")
-    p.add_argument("--phases", default="random",
-                   help="file:PATH | random[:seed] (with --extreme)")
+    p.add_argument("--phases", default=None,
+                   help="file:PATH | random[:seed] (with --extreme; default random)")
     p.add_argument("--truth", help="known state for the exact mean")
     p.set_defaults(func=cmd_operator_estimate)
 

@@ -185,8 +185,8 @@ class OperatorCoefficients:
     d: int
     trace: complex
     coeffs: np.ndarray = field(repr=False)  # shape (d+1, d)
-    identity_coeff: complex = 0.0
-    k_bound: float = 0.0
+    identity_coeff: complex
+    k_bound: float
 
     def reconstruct(self, family: MubFamily) -> np.ndarray:
         if family.d != self.d:

@@ -6,7 +6,8 @@ or the Teichmueller units (GR(4, n): f is its basic primitive Hensel lift,
 r = 4).  One shift-and-reduce loop lists the coefficient rows of x^0, x^1,
 ..., and one routine sums Frobenius orbits of those rows into the traces
 tr(x^e) = sum_{j<n} x^(e p^j).  Everything else is integer-array indexing on
-exponents: products are exponent sums, sums are base-p digit sums.
+exponents: products are exponent sums.  The bases need no field addition
+(the trace is additive), so no addition table is built.
 
 Field elements are integers 0 .. q-1 whose base-p digits are the polynomial
 coefficients, constant term first; the fixed Conway moduli make every table
@@ -79,7 +80,7 @@ def _power_traces(rows: np.ndarray, p: int, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^n) with exhaustive addition/multiplication/trace tables.
+    """GF(p^n) with exhaustive multiplication and trace tables.
 
     Immutable after construction; safe to share between threads.
     """
@@ -87,7 +88,6 @@ class FiniteField:
     p: int
     n: int
     q: int
-    add_table: np.ndarray = field(repr=False)
     mul_table: np.ndarray = field(repr=False)
     trace_table: np.ndarray = field(repr=False)  # field trace down to GF(p), in 0 .. p-1
 
@@ -108,13 +108,10 @@ def build_field(p: int, n: int) -> FiniteField:
 
     idx = np.arange(q)
     if n == 1:
-        add = (idx[:, None] + idx[None, :]) % p
         mul = (idx[:, None] * idx[None, :]) % p
         trace = idx.copy()
     else:
         place = p ** np.arange(n)
-        digits = (idx[:, None] // place) % p
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ place
         powers = _x_powers(_CONWAY[(p, n)], p, q - 1)
         antilog = powers @ place  # antilog[e] is the label of x^e
         if not np.array_equal(np.sort(antilog), idx[1:]):
@@ -130,9 +127,9 @@ def build_field(p: int, n: int) -> FiniteField:
         if np.count_nonzero(mul[a] == 1) != 1:
             raise AssertionError(f"element {a} has no unique inverse; bad modulus?")
 
-    for arr in (add, mul, trace):
+    for arr in (mul, trace):
         arr.setflags(write=False)
-    return FiniteField(p=p, n=n, q=q, add_table=add, mul_table=mul, trace_table=trace)
+    return FiniteField(p=p, n=n, q=q, mul_table=mul, trace_table=trace)
 
 
 class GaloisRing4:

@@ -109,8 +109,8 @@ class OutcomeDistribution:
     mode: PovmMode
     d: int
     probs: np.ndarray = field(repr=False)
-    mub_fingerprint: str = ""
-    _alias: AliasTable = field(repr=False, default=None)
+    mub_fingerprint: str
+    _alias: AliasTable = field(repr=False)
 
     def sample_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._alias.draw(rng, size)
@@ -183,9 +183,9 @@ class FingerprintMismatch(RecordFormatError):
     """Record or distribution was produced by another basis family than the one supplied."""
 
 
-def check_family(source, family: MubFamily, mode: PovmMode | None = None) -> None:
-    """The one check that a record or distribution belongs to family (and mode, if given)."""
-    if mode is not None and source.mode is not mode:
+def check_family(source, family: MubFamily, mode: PovmMode) -> None:
+    """The one check that a record or distribution has mode and belongs to family."""
+    if source.mode is not mode:
         raise ValueError(f"mode {source.mode.value} where {mode.value} is required")
     if source.d != family.d:
         raise FingerprintMismatch(f"dimension {source.d} != family dimension {family.d}")

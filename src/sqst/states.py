@@ -41,15 +41,26 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "ma
     return m
 
 
-def require_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
-    """Validate the density-matrix invariants; returns the array unchanged."""
-    rho = require_hermitian(rho, what=what)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{what} trace {tr} differs from 1 by more than {TRACE_TOL:.1e}")
-    lo = float(np.linalg.eigvalsh(rho).min())
+def density_fault(m: np.ndarray, enforce_trace: bool = True) -> str | None:
+    """Why Hermitian m is not a state, or None: the one valid-state rule.
+
+    No eigenvalue below -EIGEN_TOL and, with enforce_trace, |tr m - 1| <= TRACE_TOL.
+    """
+    tr = complex(np.trace(m))
+    if enforce_trace and abs(tr - 1.0) > TRACE_TOL:
+        return f"state trace {tr} differs from 1 by more than {TRACE_TOL:.1e}"
+    lo = float(np.linalg.eigvalsh(m).min())
     if lo < -EIGEN_TOL:
-        raise ValueError(f"{what} has eigenvalue {lo:.3e} below -{EIGEN_TOL:.1e}")
+        return f"state has eigenvalue {lo:.3e} below -{EIGEN_TOL:.1e}"
+    return None
+
+
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """Validate the density-matrix invariants; returns the array unchanged."""
+    rho = require_hermitian(rho, what="state")
+    fault = density_fault(rho)
+    if fault:
+        raise ValueError(fault)
     return rho
 
 
@@ -80,11 +91,11 @@ def random_density(d: int, rank: int, seed: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_hermitian(d: int, seed_or_rng, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(d: int, seed_or_rng) -> np.ndarray:
     """Gaussian Hermitian matrix, for fuzzing the norm inequalities."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else philox_rng(seed_or_rng)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 def schatten_norm(h: np.ndarray, p) -> float:

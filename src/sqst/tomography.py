@@ -27,8 +27,7 @@ from .estimator import _check_plan_args, count_table
 from .estimator import outcome_counts  # noqa: F401  perfbench traces this name
 from .measurement import MeasurementRecord, PovmMode
 from .mub import MubFamily, projector_sum
-from .states import (EIGEN_TOL, TRACE_TOL, NormChainReport, check_norm_chain, max_norm,
-                     require_hermitian, schatten_norm)
+from .states import NormChainReport, check_norm_chain, density_fault, max_norm, require_hermitian
 
 # Chambolle-Pock step sizes for K = -I (convergent as sigma * tau < 1), not tuned per input
 STEP_DUAL = 1.0
@@ -45,8 +44,6 @@ class LinearEstimate:
     matrix: np.ndarray = field(repr=False)
     epsilon: float | None
     delta: float | None
-    n_offdiag: int
-    n_diag: int
 
 
 def assemble_linear_estimate(offdiag_record: MeasurementRecord,
@@ -70,8 +67,7 @@ def assemble_linear_estimate(offdiag_record: MeasurementRecord,
     matrix = upper + upper.conj().T
     matrix[np.diag_indices(d)] = diag_counts[0] / n_diag
     matrix.setflags(write=False)
-    return LinearEstimate(d=d, matrix=matrix, epsilon=epsilon, delta=delta,
-                          n_offdiag=offdiag_record.n, n_diag=diag_record.n)
+    return LinearEstimate(d=d, matrix=matrix, epsilon=epsilon, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -118,14 +114,6 @@ def _project_l1_ball(z: np.ndarray) -> np.ndarray:
     return z * np.divide(shrunk, mags, out=np.zeros_like(mags), where=mags > 0)
 
 
-def is_valid_density(m: np.ndarray, enforce_trace: bool = True) -> bool:
-    """No eigenvalue below -EIGEN_TOL and, with enforce_trace, trace 1 to TRACE_TOL."""
-    if enforce_trace and (abs(np.trace(m).real - 1.0) > TRACE_TOL
-                          or abs(np.trace(m).imag) > TRACE_TOL):
-        return False
-    return float(np.linalg.eigvalsh(m).min()) >= -EIGEN_TOL
-
-
 def project_psd_clip(rho_l) -> ProjectionResult:
     """Baseline repair: clip negative eigenvalues, renormalize the trace."""
     x = _hermitian_input(rho_l)
@@ -161,7 +149,7 @@ def project_psd_maxnorm(rho_l, tol: float = 1e-6, enforce_trace: bool = True) ->
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     x = _hermitian_input(rho_l)
-    if is_valid_density(x, enforce_trace):
+    if density_fault(x, enforce_trace) is None:
         return ProjectionResult(rho=x, t_star=0.0, iterations=0, converged=True,
                                 method="maxnorm-sdp", gap=0.0)
 
@@ -195,33 +183,10 @@ def trace_norm_budget(epsilon: float, d: int) -> float:
     return math.sqrt(d**3) * epsilon
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Norms of the error matrix truth - estimate, plus the inequality chain."""
-
-    max_norm: float
-    frobenius_norm: float
-    trace_norm: float
-    chain: NormChainReport
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_norm": self.max_norm,
-            "frobenius_norm": self.frobenius_norm,
-            "trace_norm": self.trace_norm,
-            "chain_passed": self.chain.passed,
-        }
-
-
-def error_report(truth: np.ndarray, estimate) -> ErrorReport:
+def error_report(truth: np.ndarray, estimate) -> NormChainReport:
+    """Max, Frobenius and trace norms of truth - estimate, with their inequality chain."""
     t = np.asarray(truth, dtype=np.complex128)
     e = _hermitian_input(estimate)
     if t.shape != e.shape:
         raise ValueError(f"dimension mismatch: {t.shape} vs {e.shape}")
-    diff = t - e
-    return ErrorReport(
-        max_norm=max_norm(diff),
-        frobenius_norm=schatten_norm(diff, 2),
-        trace_norm=schatten_norm(diff, 1),
-        chain=check_norm_chain(diff),
-    )
+    return check_norm_chain(t - e)

@@ -85,6 +85,13 @@ def random_nonpsd_matrix(d: int, seed: int, perturbation: float = 0.1) -> np.nda
     raise RuntimeError(f"no non-PSD perturbation found for d={d}, seed={seed}")
 
 
+def field_add(a, b, p: int, n: int) -> np.ndarray:
+    """Sum of GF(p^n) labels a and b: their base-p digits added mod p, without carry."""
+    place = p ** np.arange(n)
+    digits = [(np.asarray(x)[..., None] // place) % p for x in (a, b)]
+    return ((digits[0] + digits[1]) % p) @ place
+
+
 def poly_mul_mod(a, b, modulus, r: int) -> tuple:
     """Schoolbook product of coefficient sequences a, b modulo a monic ascending modulus over Z_r."""
     n = len(modulus) - 1

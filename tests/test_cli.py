@@ -1,4 +1,7 @@
+import argparse
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import sqst
-from sqst.cli import main, parse_state, reproduce_fig2
+from sqst.cli import _build_parser, main, parse_state, reproduce_fig2
 from sqst.measurement import PovmMode, check_family, read_record
 from sqst.mub import MubFamily, build_mub, verify_mub
 from sqst.states import make_pure_superposition, random_density, save_matrix
@@ -39,6 +42,21 @@ def test_plan_general_json(capsys):
                "--k-bound", "0.2", "--dim", "4", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 4793
+
+
+def test_plan_general_prints_a_true_inequality(capsys):
+    # n floors the inverse (the paper's count), so the printed right-hand side is
+    # the bound n reaches, rounded up, not delta
+    for eps, delta, k, d in itertools.product([0.01, 0.05, 0.1], [0.01, 0.05],
+                                              [0.1, 0.2], [2, 4, 8, 16]):
+        assert run("plan", "--epsilon", str(eps), "--delta", str(delta), "--general",
+                   "--k-bound", str(k), "--dim", str(d), "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        lhs, rhs = payload["inequality"].split(" <= ")
+        value = eval(lhs.replace("^", "**"), {"__builtins__": {}, "exp": math.exp,
+                                              "n": payload["n"]})
+        assert value <= float(rhs) <= value * (1 + 1e-5)
+        assert payload["delta"] == delta
 
 
 def test_plan_invalid_epsilon_fails(capsys):
@@ -79,7 +97,7 @@ def test_simulate_writes_record(tmp_path):
                "--copies", "1000", "--povm", "offdiag", "--seed", "7",
                "--out", str(out)) == 0
     record = read_record(out)
-    check_family(record, build_mub(2))
+    check_family(record, build_mub(2), PovmMode.OFFDIAG)
     assert record.n == 1000
     assert record.mode is PovmMode.OFFDIAG
     assert set(np.unique(record.cells)) <= {0, 1, 2, 3}  # the cells of bases 2 and 3
@@ -196,6 +214,14 @@ def test_epsilon_and_delta_outside_their_ranges_fail_cleanly(record_pair, capsys
     assert captured.err == f"error: {message}\n" and not captured.out
 
 
+@pytest.mark.parametrize("command", ["estimate", "tomography"])
+def test_bad_delta_fails_before_any_record_is_read(tmp_path, capsys, command):
+    absent = str(tmp_path / "absent.txt")
+    args = ["--element", "0,1"] if command == "estimate" else []
+    assert run(command, "--record", absent, "--diag-record", absent, *args, "--delta", "7") == 1
+    assert capsys.readouterr().err == "error: delta must lie in (0, 1), got 7.0\n"
+
+
 def _header(mode, n, d=2):
     return f"#SQST v1 d={d} mode={mode} seed=0 n={n} mub={build_mub(d).fingerprint()}\n"
 
@@ -239,12 +265,21 @@ def test_tomography_project_none_flags_non_psd(record_pair, tmp_path, capsys):
 def test_tomography_maxnorm_beats_clip(record_pair, tmp_path):
     off, diag = record_pair
     results = {}
+    truth = parse_state("superposition:0,1,1,1", 2)
     for method in ("maxnorm", "clip"):
         out = tmp_path / f"{method}.json"
         assert run("tomography", "--record", off, "--diag-record", diag,
                    "--project", method, "--truth", "superposition:0,1,1,1",
                    "--out", str(out), "--quiet") == 0
         results[method] = json.loads(out.read_text())
+        rows = np.asarray(results[method]["rho"]["rows"])
+        error = truth - (rows[..., 0] + 1j * rows[..., 1])
+        report = results[method]["error_report"]
+        assert report["max_norm"] == pytest.approx(np.abs(error).max(), abs=1e-12)
+        assert report["frobenius_norm"] == pytest.approx(np.linalg.norm(error), abs=1e-12)
+        assert report["trace_norm"] == pytest.approx(
+            np.abs(np.linalg.eigvalsh(error)).sum(), abs=1e-12)
+        assert report["chain_passed"]
     assert results["maxnorm"]["t_star"] <= results["clip"]["t_star"] + 1e-6
     assert results["maxnorm"]["converged"] and results["maxnorm"]["gap"] <= 1e-6
     assert results["clip"]["gap"] is None
@@ -252,7 +287,6 @@ def test_tomography_maxnorm_beats_clip(record_pair, tmp_path):
         rho = np.asarray(payload["rho"]["rows"])
         m = rho[..., 0] + 1j * rho[..., 1]
         assert np.linalg.eigvalsh(m).min() >= -1e-8
-        assert payload["error_report"]["chain_passed"]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -466,3 +500,63 @@ def test_format_only_where_it_is_read(argv, capsys):
         run(*argv)
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+# every option each subcommand accepts: a new flag needs a deliberate edit here
+OPTIONS = {
+    "plan": "--out --epsilon --delta --elements --general --k-bound --dim --format",
+    "mub": "--out --quiet --dim --tol --format",
+    "simulate": "--seed --out --quiet --dim --state --copies --epsilon --delta --elements "
+                "--povm --record-format --shards",
+    "estimate": "--out --quiet --record --diag-record --element --truth --epsilon --delta "
+                "--format",
+    "tomography": "--out --quiet --record --diag-record --project --tol --no-trace-constraint "
+                  "--truth --epsilon --delta",
+    "reproduce-fig2": "--seed --out --quiet --dims --trials --epsilon --delta --workers",
+    "bounds-check": "--seed --quiet --dim --trials --format",
+    "operator-estimate": "--seed --out --quiet --record --operator --extreme --phases --truth",
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+             - {"--help"} for name, p in sub.choices.items()}
+    assert taken == {name: set(flags.split()) for name, flags in OPTIONS.items()}
+    assert sum(map(len, taken.values())) == 65
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["plan", "--epsilon", "0.1", "--delta", "0.1"], ["--seed", "1"]),
+    (["plan", "--epsilon", "0.1", "--delta", "0.1"], ["--quiet"]),
+    (["mub", "--dim", "2"], ["--seed", "1"]),
+    (["estimate", "--record", "r.txt", "--element", "0,1"], ["--seed", "1"]),
+    (["tomography", "--record", "r.txt", "--diag-record", "d.txt"], ["--seed", "1"]),
+    (["bounds-check", "--dim", "2", "--trials", "1"], ["--out", "f.json"]),
+])
+def test_flags_a_subcommand_never_reads_exit_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--k-bound", "0.2", "--dim", "4"],
+     ["--k-bound", "--general"]),
+    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--dim", "4"], ["--dim", "--general"]),
+    (["simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--elements", "3",
+      "--out", "{tmp}/r.txt"], ["--elements", "--copies"]),
+    (["operator-estimate", "--record", "{tmp}/full.txt", "--operator", "file:{tmp}/op.json",
+      "--phases", "random:1"], ["--phases", "--operator"]),
+])
+def test_flag_combinations_that_would_drop_a_flag_exit_1(argv, named, tmp_path, capsys):
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10",
+               "--povm", "full", "--out", str(tmp_path / "full.txt")) == 0
+    save_matrix(np.eye(2, dtype=complex), tmp_path / "op.json")
+    capsys.readouterr()
+    assert run(*[a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert all(flag in captured.err for flag in named) and not captured.out
+    assert not (tmp_path / "r.txt").exists()

@@ -162,9 +162,9 @@ def test_read_with_wrong_family_fails(fam2, fam3, tmp_path):
     write_record(record, path)
     again = read_record(path)
     assert again == record
-    check_family(again, fam2)
+    check_family(again, fam2, PovmMode.OFFDIAG)
     with pytest.raises(FingerprintMismatch):
-        check_family(again, fam3)
+        check_family(again, fam3, PovmMode.OFFDIAG)
 
 
 def test_empty_file_is_corrupt(tmp_path):
@@ -297,7 +297,7 @@ def test_read_with_matching_dimension_but_foreign_fingerprint(fam2, tmp_path):
     path = tmp_path / "r.txt"
     path.write_text(_header(2, "offdiag", 1) + "\n2,0\n")
     with pytest.raises(FingerprintMismatch, match="fingerprint"):
-        check_family(read_record(path), fam2)
+        check_family(read_record(path), fam2, PovmMode.OFFDIAG)
 
 
 def _record_invariants_hold(record):

@@ -9,9 +9,9 @@ import sqst.tomography as tomography
 from sqst.estimator import fold_diagonal, fold_element
 from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub
-from sqst.states import max_norm, random_density
-from sqst.tomography import (assemble_linear_estimate, error_report, is_valid_density,
-                             project_psd_clip, project_psd_maxnorm, trace_norm_budget)
+from sqst.states import density_fault, max_norm, random_density
+from sqst.tomography import (assemble_linear_estimate, error_report, project_psd_clip,
+                             project_psd_maxnorm, trace_norm_budget)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,6 @@ def test_sampled_assembly_is_structurally_hermitian(fam4):
     assert np.array_equal(m, m.conj().T)  # exact, not approximate
     assert np.all(np.diag(m).real >= 0) and np.all(np.diag(m).real <= 1)
     assert np.all(np.diag(m).imag == 0)
-    assert lin.n_offdiag == lin.n_diag == 2000
 
 
 def test_sampled_assembly_close_to_truth(fam4):
@@ -187,7 +186,7 @@ def test_maxnorm_certifies_its_gap(d, enforce_trace):
         result = project_psd_maxnorm(x, tol=tol, enforce_trace=enforce_trace)
         assert result.converged and result.iterations >= 1
         assert result.gap <= tol
-        assert is_valid_density(result.rho, enforce_trace)
+        assert density_fault(result.rho, enforce_trace) is None
         if enforce_trace:
             assert result.t_star <= project_psd_clip(x).t_star + tol
 
@@ -199,7 +198,7 @@ def test_maxnorm_iteration_cap_reports_unconverged(monkeypatch):
     assert result.iterations == 1
     assert result.converged is False
     assert result.gap > 1e-6
-    assert is_valid_density(result.rho)
+    assert density_fault(result.rho) is None
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -263,7 +262,7 @@ def test_error_report_zero_for_equal_states():
     report = error_report(rho, rho.copy())
     assert report.max_norm == 0.0
     assert report.trace_norm == pytest.approx(0.0, abs=1e-14)
-    assert report.chain.passed
+    assert report.passed
 
 
 def test_error_report_exact_assembly(fam4):
@@ -288,7 +287,7 @@ def test_error_report_uses_linear_estimate(fam4):
     lin = assemble_linear_estimate(off, diag, fam4)
     report = error_report(rho, lin)
     assert report.max_norm <= 0.05
-    assert report.chain.passed
+    assert report.passed
     assert report.trace_norm <= math.sqrt(4**3) * report.max_norm + 1e-12
 
 
