@@ -333,6 +333,8 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
         _family(d)  # validate prime powers before spawning workers
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n = estimator.plan_samples(epsilon, delta, 1)
     tasks = [(d, t, seed, n) for d in dims for t in range(trials)]
     if workers > 1:
@@ -377,6 +379,8 @@ def cmd_reproduce_fig2(args) -> int:
 
 
 def cmd_bounds_check(args) -> int:
+    if args.dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {args.dim}")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     worst_slack = math.inf

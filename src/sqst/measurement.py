@@ -40,7 +40,8 @@ from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128
 _TEXT_BLOCK = 65_536  # outcomes per written block of text
-_TEXT_BLOCK_BYTES = 1 << 19  # bytes per parsed block of text, cut after a newline
+_TEXT_BLOCK_BYTES = 1 << 16  # bytes per parsed block of text, cut after a newline
+_DRAW_BLOCK = 65_536  # copies per sampling block; the cells do not depend on it
 _MAX_DIGITS = 5  # digits of the largest uint16 label
 
 
@@ -64,12 +65,19 @@ class PovmMode(enum.Enum):
 
 
 class AliasTable:
-    """Vose alias method: O(n) setup, O(1) draws, deterministic construction."""
+    """Vose alias method: O(n) setup, O(1) draws, deterministic construction.
+
+    A draw takes one uniform u per copy (Walker's one-uniform form): the
+    integer part of u * K picks the column, the fractional part decides
+    between the column and its alias.  Cells are uint16, so K <= 65536.
+    """
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("need a nonempty 1-D probability vector")
+        if probs.size > 1 << 16:
+            raise ValueError(f"{probs.size} cells do not fit uint16 cell indices")
         if probs.min() < 0:
             raise ValueError("negative probability")
         total = probs.sum()
@@ -91,9 +99,22 @@ class AliasTable:
         # leftovers are all (numerically) 1
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cells = rng.integers(0, self.prob.size, size=size)
-        swap = np.flatnonzero(rng.random(size) >= self.prob[cells])
-        cells[swap] = self.alias[cells[swap]]  # in place: no full-size alias gather or select
+        """size uint16 cells, drawn _DRAW_BLOCK copies at a time.
+
+        Copy i uses the i-th double of rng, so the cells do not depend on the
+        block size, and the temporaries stay a block long whatever size is.
+        """
+        k = self.prob.size
+        cells = np.empty(size, dtype=np.uint16)
+        for start in range(0, size, _DRAW_BLOCK):
+            u = rng.random(min(_DRAW_BLOCK, size - start))
+            u *= k
+            col = u.astype(np.intp)
+            np.minimum(col, k - 1, out=col)  # a guard: u * K < K for every u < 1 and K <= 65536
+            u -= col  # the fractional part: the acceptance uniform
+            swap = np.flatnonzero(u >= self.prob[col])
+            col[swap] = self.alias[col[swap]]
+            cells[start:start + col.size] = col
         return cells
 
 
@@ -236,10 +257,11 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
         raise ValueError("shards must be >= 1")
     base, extra = divmod(n, shards)
     sizes = [base + (1 if s < extra else 0) for s in range(shards)]
-    cells = [dist.sample_cells(philox_rng(seed, s), size) for s, size in enumerate(sizes) if size]
+    parts = [dist.sample_cells(philox_rng(seed, s), size) for s, size in enumerate(sizes) if size]
+    cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return MeasurementRecord(
         d=dist.d, mode=dist.mode, seed=seed, n=n, mub_fingerprint=dist.mub_fingerprint,
-        cells=_readonly(np.concatenate(cells, dtype=np.uint16, casting="unsafe")),
+        cells=_readonly(cells),
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,8 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubReport:
     (d+1)*d vectors is formed one basis row-block at a time; the first entry,
     in (m, k, n, l) order, of the larger deviation kind is the worst pair.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     d = family.d
     w = family.vectors.reshape((d + 1) * d, d)
     eye = np.eye(d)

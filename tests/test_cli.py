@@ -87,6 +87,12 @@ def test_mub_rejects_non_prime_power(capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_mub_rejects_bad_tol(tol, capsys):
+    assert run("mub", "--dim", "2", "--tol", tol) == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -346,6 +352,13 @@ def test_fig2_rejects_bad_dimension():
     assert run("reproduce-fig2", "--dims", "6", "--trials", "1") == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_fig2_rejects_workers_below_one(workers, capsys):
+    assert run("reproduce-fig2", "--dims", "2", "--trials", "2", "--workers", workers,
+               "--quiet") == 1
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_fig2_summary_fields():
     n, rows, summaries = reproduce_fig2([2], 10, 0.1, 0.05, seed=3)
     assert n == 877  # ceil(2 * ln(4/0.05) / 0.1^2)
@@ -365,6 +378,12 @@ def test_bounds_check_passes(capsys):
 
 def test_bounds_check_d1(capsys):
     assert run("bounds-check", "--dim", "1", "--trials", "20", "--seed", "3") == 0
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_bounds_check_rejects_dimension_below_one(dim, capsys):
+    assert run("bounds-check", "--dim", dim, "--trials", "2") == 1
+    assert capsys.readouterr().err == f"error: dimension must be >= 1, got {dim}\n"
 
 
 def test_bounds_check_json(capsys):

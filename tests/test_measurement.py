@@ -1,3 +1,7 @@
+import math
+import statistics
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +91,74 @@ def test_alias_table_rejects_bad_weights():
         AliasTable(np.array([0.2, -0.1]))
     with pytest.raises(ValueError):
         AliasTable(np.array([0.0, 0.0]))
+    with pytest.raises(ValueError, match="uint16"):
+        AliasTable(np.ones(65_537))
+
+
+def _chi2_threshold(df: int, alpha: float = 1e-6) -> float:
+    """Upper alpha quantile of chi^2 with df degrees of freedom (Wilson-Hilferty)."""
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha)
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("d, mode, seed", [
+    (2, PovmMode.OFFDIAG, 31), (3, PovmMode.OFFDIAG, 32), (16, PovmMode.OFFDIAG, 33),
+    (64, PovmMode.OFFDIAG, 34), (4, PovmMode.FULL, 35),
+])
+def test_drawn_cells_fit_the_born_distribution(d, mode, seed):
+    # full mode uses |0><0|, whose computational-basis row has exact zeros
+    rho = (random_density(d, 2, seed) if mode is PovmMode.OFFDIAG
+           else make_pure_superposition(0, 1, 1, 0, d))
+    dist = outcome_distribution(rho, build_mub(d), mode)
+    n = 200_000
+    counts = np.bincount(sample_record(dist, n, seed).cells, minlength=dist.probs.size)
+    zero = dist.probs == 0
+    assert mode is PovmMode.OFFDIAG or zero.any()
+    assert counts[zero].sum() == 0
+    expected = n * dist.probs / dist.probs.sum()
+    alone = expected >= 5  # cells with fewer expected draws share one pooled bin
+    pooled = ~alone & ~zero
+    obs, exp = counts[alone], expected[alone]
+    if pooled.any():
+        obs, exp = np.append(obs, counts[pooled].sum()), np.append(exp, expected[pooled].sum())
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < _chi2_threshold(obs.size - 1)
+
+
+@pytest.mark.parametrize("block", [1000, None])  # None: one block of all n copies
+def test_cells_do_not_depend_on_the_draw_block(fam3, monkeypatch, block):
+    dist = outcome_distribution(random_density(3, 3, 2), fam3, PovmMode.FULL)
+    n = 2 * measurement._DRAW_BLOCK + 17
+    cells = sample_record(dist, n, seed=3).cells
+    monkeypatch.setattr(measurement, "_DRAW_BLOCK", block or n)
+    assert np.array_equal(sample_record(dist, n, seed=3).cells, cells)
+
+
+class _TopRng:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 4096, 65_535, 65_536])
+def test_largest_uniform_draws_a_cell_inside_the_table(k):
+    cells = AliasTable(np.arange(1.0, k + 1)).draw(_TopRng(), 10)
+    assert cells.dtype == np.uint16
+    assert cells.max() < k
+
+
+def test_sampling_memory_is_bounded_by_a_block():
+    dist = outcome_distribution(random_density(64, 4, 1), build_mub(64), PovmMode.OFFDIAG)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        sample_record(dist, n, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000 + 2 * n  # the 2 B cells plus a block's temporaries
 
 
 def test_point_mass_record(fam2):
