@@ -188,6 +188,7 @@ def cmd_simulate(args) -> int:
         measurement.write_record(record, path, binary=binary)
         _say(args, f"wrote {path}: d={args.dim} mode={mode.value} n={n} seed={seed} "
                    f"mub={record.mub_fingerprint}")
+        del dist, record  # freed before the next record is drawn
     return 0
 
 
@@ -209,9 +210,9 @@ def cmd_estimate(args) -> int:
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     offdiag = diag = None
     if args.record:
-        offdiag = measurement.read_record(args.record)
+        offdiag = measurement.read_counts(args.record)
     if args.diag_record:
-        diag = measurement.read_record(args.diag_record)
+        diag = measurement.read_counts(args.diag_record)
     some = offdiag or diag
     if some is None:
         raise ValueError("give --record (off-diagonal) and/or --diag-record")
@@ -265,8 +266,8 @@ def cmd_tomography(args) -> int:
         raise ValueError(f"--tol and --no-trace-constraint apply only to --project maxnorm, "
                          f"not {args.project}")
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
-    offdiag = measurement.read_record(args.record)
-    diag = measurement.read_record(args.diag_record)
+    offdiag = measurement.read_counts(args.record)
+    diag = measurement.read_counts(args.diag_record)
     family = _family(offdiag.d)
     linear = tomography.assemble_linear_estimate(offdiag, diag, family,
                                                  args.epsilon, args.delta)
@@ -434,7 +435,7 @@ def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
 
 
 def cmd_operator_estimate(args) -> int:
-    record = measurement.read_record(args.record)
+    record = measurement.read_counts(args.record)
     family = _family(record.d)
     if (args.operator is None) == (args.extreme is None):
         raise ValueError("give exactly one of --operator or --extreme")

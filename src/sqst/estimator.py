@@ -6,7 +6,8 @@ Every estimate is the same linear fold of a (basis, outcome) table:
 
 where the table is a record's outcome counts with total n, or an exact
 distribution's probabilities with total 1.  A record keeps each outcome as
-its flat cell index into that table, so its counts are one `bincount`.
+its flat cell index into that table, so its counts are one `bincount`; a
+record file read with `measurement.read_counts` arrives as the table alone.
 `count_table` is the one way to get the table, and it checks mode, dimension
 and MUB fingerprint on the way.  Only the weights differ: eta_ij for an
 off-diagonal element, a unit vector for a diagonal, (d+1)-scaled projector
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import MeasurementRecord, OutcomeDistribution, PovmMode, check_family
+from .measurement import (MeasurementRecord, OutcomeDistribution, PovmMode, RecordCounts,
+                          check_family)
 from .mub import MubFamily, born_weights, eta_table, projector_sum
 
 _COUNT_SLICE = 65_536  # cells per bincount
@@ -94,32 +96,31 @@ class SelectiveEstimate:
 
 
 def outcome_counts(record: MeasurementRecord) -> np.ndarray:
-    """Multiplicity of each (basis, outcome) cell, shaped (bases, d).
+    """Multiplicity of each (basis, outcome) cell, shaped (bases, d), read-only.
 
-    Counted once per record and cached on it, read-only: every element
-    estimated from the record folds the same table.  The cells are counted
-    _COUNT_SLICE at a time, so the intp copy bincount makes stays small.
+    The cells are counted _COUNT_SLICE at a time, so the intp copy bincount
+    makes stays small.
     """
-    if record._counts is None:
-        size = record.mode.basis_count(record.d) * record.d
-        counts = np.zeros(size, dtype=np.intp)
-        for start in range(0, record.n, _COUNT_SLICE):  # bincount casts each slice to intp
-            counts += np.bincount(record.cells[start:start + _COUNT_SLICE], minlength=size)
-        counts = counts.reshape(-1, record.d)
-        counts.setflags(write=False)
-        object.__setattr__(record, "_counts", counts)
-    return record._counts
+    size = record.mode.basis_count(record.d) * record.d
+    counts = np.zeros(size, dtype=np.intp)
+    for start in range(0, record.n, _COUNT_SLICE):  # bincount casts each slice to intp
+        counts += np.bincount(record.cells[start:start + _COUNT_SLICE], minlength=size)
+    counts = counts.reshape(-1, record.d)
+    counts.setflags(write=False)
+    return counts
 
 
-def count_table(source: MeasurementRecord | OutcomeDistribution, family: MubFamily,
-                mode: PovmMode) -> tuple:
-    """(table, total) of a record (counts, n) or a distribution (probabilities, 1).
+def count_table(source: MeasurementRecord | RecordCounts | OutcomeDistribution,
+                family: MubFamily, mode: PovmMode) -> tuple:
+    """(table, total): (counts, n) of a record or its counts, (probabilities, 1) of a distribution.
 
     The source is first checked against the family and the mode it must have.
     """
     check_family(source, family, mode)
     if isinstance(source, OutcomeDistribution):
         return source.probs.reshape(-1, source.d), 1
+    if isinstance(source, RecordCounts):
+        return source.counts, source.n
     return outcome_counts(source), source.n
 
 
@@ -142,7 +143,8 @@ def fold_diagonal(source, family: MubFamily, i: int) -> float:
                       np.eye(1, family.d, i)))
 
 
-def _estimate(record: MeasurementRecord, i: int, j: int, value, epsilon, delta) -> SelectiveEstimate:
+def _estimate(record: MeasurementRecord | RecordCounts, i: int, j: int, value, epsilon,
+              delta) -> SelectiveEstimate:
     """Attach the Hoeffding guarantee for record.n copies to a folded value.
 
     Hoeffding on Re and Im, joined by a union bound, bounds the chance that
@@ -159,14 +161,16 @@ def _estimate(record: MeasurementRecord, i: int, j: int, value, epsilon, delta) 
                              guarantee=text)
 
 
-def estimate_element(record: MeasurementRecord, family: MubFamily, i: int, j: int,
-                     epsilon: float | None = None, delta: float | None = None) -> SelectiveEstimate:
+def estimate_element(record: MeasurementRecord | RecordCounts, family: MubFamily, i: int,
+                     j: int, epsilon: float | None = None,
+                     delta: float | None = None) -> SelectiveEstimate:
     """Off-diagonal element estimate with its Hoeffding guarantee."""
     return _estimate(record, i, j, fold_element(record, family, i, j), epsilon, delta)
 
 
-def estimate_diagonal(record: MeasurementRecord, family: MubFamily, i: int,
-                      epsilon: float | None = None, delta: float | None = None) -> SelectiveEstimate:
+def estimate_diagonal(record: MeasurementRecord | RecordCounts, family: MubFamily, i: int,
+                      epsilon: float | None = None,
+                      delta: float | None = None) -> SelectiveEstimate:
     """Diagonal element estimate with its Hoeffding guarantee."""
     return _estimate(record, i, i, fold_diagonal(record, family, i), epsilon, delta)
 

@@ -8,7 +8,12 @@ In memory an outcome is one cell index (m - first_basis) * d + k into the
 (basis, outcome) count table, from the sampler through the record to
 `estimator.outcome_counts`.  The labels (m, k) exist only in record files:
 the writers decode cells into labels, and `_label_cells` is the one place
-that turns file labels back into cells.
+that turns file labels back into cells, block by block.
+
+Record files are read in fixed chunks of _CHUNK_BYTES, so no reader holds a
+whole file: `read_record` fills a record's cells from the decoded blocks,
+and `read_counts` keeps only the (basis, outcome) count table, which is all
+the estimators need, whatever n is.
 
 Record files exist in two formats sharing one header line
 
@@ -18,7 +23,9 @@ Record files exist in two formats sharing one header line
   label 1 to 5 ASCII digits of a value <= 65535, each line ended by LF or
   CRLF, the final line's newline optional.  Nothing else is accepted: no
   signs, spaces, underscores or empty lines.  Text is written and parsed in
-  blocks with numpy, never line by line in Python;
+  blocks with numpy, never line by line in Python: a first pass over the
+  chunks checks the bytes are ASCII and counts the lines, a second parses
+  each chunk's whole lines and carries its partial last line on;
 * binary: the header line NUL-padded to 128 bytes, then n little-endian
   (uint16 m, uint16 k) pairs.
 
@@ -30,6 +37,7 @@ mode, dimension or fingerprint does not match the family it is used with.
 from __future__ import annotations
 
 import enum
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -40,7 +48,7 @@ from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128
 _TEXT_BLOCK = 65_536  # outcomes per written block of text
-_TEXT_BLOCK_BYTES = 1 << 16  # bytes per parsed block of text, cut after a newline
+_CHUNK_BYTES = 1 << 16  # bytes per read of a record file
 _DRAW_BLOCK = 65_536  # copies per sampling block; the cells do not depend on it
 _MAX_DIGITS = 5  # digits of the largest uint16 label
 
@@ -98,14 +106,15 @@ class AliasTable:
             (small if scaled[hi] < 1.0 else large).append(hi)
         # leftovers are all (numerically) 1
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size uint16 cells, drawn _DRAW_BLOCK copies at a time.
+    def draw(self, rng: np.random.Generator, size: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """size uint16 cells, drawn _DRAW_BLOCK copies at a time into out (or a new array).
 
         Copy i uses the i-th double of rng, so the cells do not depend on the
         block size, and the temporaries stay a block long whatever size is.
         """
         k = self.prob.size
-        cells = np.empty(size, dtype=np.uint16)
+        cells = np.empty(size, dtype=np.uint16) if out is None else out
         for start in range(0, size, _DRAW_BLOCK):
             u = rng.random(min(_DRAW_BLOCK, size - start))
             u *= k
@@ -133,8 +142,9 @@ class OutcomeDistribution:
     mub_fingerprint: str
     _alias: AliasTable = field(repr=False)
 
-    def sample_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._alias.draw(rng, size)
+    def sample_cells(self, rng: np.random.Generator, size: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        return self._alias.draw(rng, size, out)
 
 
 def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> OutcomeDistribution:
@@ -163,8 +173,7 @@ class MeasurementRecord:
     into the (basis, outcome) count table, a uint16 array (at
     MAX_FIELD_ORDER = 64 there are at most 65 * 64 cells); the labels (m, k)
     appear only in record files.  Immutable, cells included (a writeable array
-    is copied), so the count table that `estimator.outcome_counts` caches on it
-    cannot go stale.
+    is copied).
     """
 
     d: int
@@ -173,11 +182,9 @@ class MeasurementRecord:
     n: int
     mub_fingerprint: str
     cells: np.ndarray = field(repr=False)
-    _counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
+        _require_outcomes(self.n)
         if self.n != len(self.cells):
             raise ValueError("header count does not match outcome sequence length")
         size = self.mode.basis_count(self.d) * self.d
@@ -194,6 +201,30 @@ class MeasurementRecord:
             == (other.d, other.mode, other.seed, other.n, other.mub_fingerprint)
             and np.array_equal(self.cells, other.cells)
         )
+
+
+@dataclass(frozen=True)
+class RecordCounts:
+    """A record file's header fields and its read-only (basis, outcome) count table.
+
+    counts[m - mode.first_basis, k] is the multiplicity of outcome k of basis
+    m; it sums to n.  `read_counts` builds it without holding the outcomes.
+    """
+
+    d: int
+    mode: PovmMode
+    seed: int
+    n: int
+    mub_fingerprint: str
+    counts: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _require_outcomes(self.n)
+
+
+def _require_outcomes(n: int) -> None:
+    if n < 1:
+        raise RecordFormatError(f"a record needs at least one outcome, header says n={n}")
 
 
 class RecordFormatError(ValueError):
@@ -215,33 +246,34 @@ def check_family(source, family: MubFamily, mode: PovmMode) -> None:
         raise FingerprintMismatch(f"fingerprint {source.mub_fingerprint} does not match family {fp}")
 
 
-def _label_cells(blocks, d: int, mode: PovmMode, n: int) -> np.ndarray:
-    """Read-only uint16 cells (m - first_basis) * d + k of n file labels given as (ms, ks) blocks.
+def _label_cells(blocks, d: int, mode: PovmMode, n: int):
+    """Yield the uint16 cells (m - first_basis) * d + k of n file labels given as (ms, ks) blocks.
 
     Blocks are decoded as they arrive, in uint16 arithmetic exact for labels in
-    range; the ranges are checked on the label extrema after the last block, so
-    a grammar fault in a later block wins over a range fault in an earlier one.
+    range.  The ranges are checked on the label extrema, and a fault is raised
+    only after the last block, so a grammar fault in a later block wins over a
+    range fault in an earlier one; no block is yielded from the first range
+    fault on.
     """
-    cells = np.empty(n, dtype=np.uint16)
-    if not n:  # MeasurementRecord refuses the header
-        return cells
+    if not n:  # the record's own check refuses the header
+        return
     first, count = mode.first_basis, mode.basis_count(d)
-    at, m_lo, m_hi, k_hi = 0, first, first, 0
+    m_lo, m_hi, k_hi = first, first, 0
+    in_range = count * d <= 0xFFFF  # else refused below, once the labels are checked
     for ms, ks in blocks:
-        if count * d <= 0xFFFF:  # else refused below, once the labels are checked
-            out = cells[at:at + ms.size]
-            np.subtract(ms, first, out=out, casting="unsafe")
-            out *= np.uint16(d)
-            np.add(out, ks, out=out, casting="unsafe")
         m_lo, m_hi, k_hi = min(m_lo, ms.min()), max(m_hi, ms.max()), max(k_hi, ks.max())
-        at += ms.size
+        in_range = in_range and first <= m_lo and m_hi < first + count and k_hi < d
+        if in_range:
+            cells = np.subtract(ms, first, dtype=np.uint16, casting="unsafe")
+            cells *= np.uint16(d)
+            np.add(cells, ks, out=cells, casting="unsafe")
+            yield cells
     if m_lo < first or m_hi >= first + count:
         raise RecordFormatError(f"basis label outside {first}..{first + count - 1} for mode {mode.value}")
     if k_hi >= d:
         raise RecordFormatError(f"outcome label outside 0..{d - 1}")
     if count * d > 0xFFFF:
         raise RecordFormatError(f"d={d} {mode.value} record has {count * d} cells, over 65535")
-    return _readonly(cells)
 
 
 def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> MeasurementRecord:
@@ -256,9 +288,12 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
     if shards < 1:
         raise ValueError("shards must be >= 1")
     base, extra = divmod(n, shards)
-    sizes = [base + (1 if s < extra else 0) for s in range(shards)]
-    parts = [dist.sample_cells(philox_rng(seed, s), size) for s, size in enumerate(sizes) if size]
-    cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    cells = np.empty(n, dtype=np.uint16)
+    start = 0
+    for s in range(min(shards, n)):  # shards past n would draw nothing
+        size = base + (1 if s < extra else 0)
+        dist.sample_cells(philox_rng(seed, s), size, out=cells[start:start + size])
+        start += size
     return MeasurementRecord(
         d=dist.d, mode=dist.mode, seed=seed, n=n, mub_fingerprint=dist.mub_fingerprint,
         cells=_readonly(cells),
@@ -332,53 +367,106 @@ def _write_text_body(record: MeasurementRecord, fh) -> None:
 def read_record(path) -> MeasurementRecord:
     """Load a record from either format; `check_family` ties it to a family."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data:
+        (d, mode, seed, n, fp), blocks = _open_record(fh, path)
+        cells = np.empty(n, dtype=np.uint16)
+        start = 0
+        for block in _label_cells(blocks, d, mode, n):
+            cells[start:start + block.size] = block
+            start += block.size
+    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
+                             cells=_readonly(cells))
+
+
+def read_counts(path) -> RecordCounts:
+    """The count table of a record file in either format, its outcomes counted chunk by chunk.
+
+    It accepts and refuses exactly the files `read_record` does, with the same
+    messages, and its memory does not grow with n.
+    """
+    with open(path, "rb") as fh:
+        (d, mode, seed, n, fp), blocks = _open_record(fh, path)
+        size = mode.basis_count(d) * d
+        counts = None  # made from the first block: until the labels are checked, d may be absurd
+        for block in _label_cells(blocks, d, mode, n):
+            part = np.bincount(block, minlength=size)
+            counts = part if counts is None else np.add(counts, part, out=counts)
+    return RecordCounts(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
+                        counts=None if counts is None else _readonly(counts.reshape(-1, d)))
+
+
+def _open_record(fh, path) -> tuple:
+    """(header fields, label blocks) of the open record file fh, its size checked against n."""
+    head = fh.read(_HEADER_BLOCK)
+    if not head:
         raise RecordFormatError(f"{path}: empty record file")
-    if b"\x00" in data[:_HEADER_BLOCK]:
-        return _read_binary(data, path)
-    return _read_text(data, path)
+    if b"\x00" in head:
+        return _open_binary(fh, head, path)
+    return _open_text(fh, head, path)
 
 
-def _read_binary(data: bytes, path) -> MeasurementRecord:
-    head, _, pad = data[:_HEADER_BLOCK].partition(b"\x00")
+def _open_binary(fh, head: bytes, path) -> tuple:
+    line, _, pad = head.partition(b"\x00")
     if pad.strip(b"\x00"):
         raise RecordFormatError(f"{path}: garbage in binary header padding")
     try:
-        d, mode, seed, n, fp = _parse_header(head.decode("ascii"))
+        fields = _parse_header(line.decode("ascii"))
     except UnicodeDecodeError as exc:
         raise RecordFormatError(f"{path}: undecodable header") from exc
-    body = data[_HEADER_BLOCK:]
-    if len(body) != 4 * n:
-        raise RecordFormatError(f"{path}: body holds {len(body)} bytes, header says n={n}")
-    pairs = np.frombuffer(body, dtype="<u2").reshape(n, 2)
-    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             cells=_label_cells([(pairs[:, 0], pairs[:, 1])], d, mode, n))
+    n = fields[3]
+    body = max(0, os.fstat(fh.fileno()).st_size - _HEADER_BLOCK)
+    if body != 4 * n:
+        raise RecordFormatError(f"{path}: body holds {body} bytes, header says n={n}")
+    return fields, _binary_blocks(fh)
 
 
-def _read_text(data: bytes, path) -> MeasurementRecord:
-    if not data.isascii():
-        raise RecordFormatError(f"{path}: not an ASCII record file")
-    body = data.find(b"\n") + 1 or len(data)
-    d, mode, seed, n, fp = _parse_header(data[:body].decode("ascii"))
-    lines = data.count(b"\n", body) + (body < len(data) and not data.endswith(b"\n"))
-    if lines != n:
-        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={n}")
-    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             cells=_label_cells(_text_blocks(data, body, path), d, mode, n))
+def _binary_blocks(fh):
+    """Labels (m, k) of the (uint16 m, uint16 k) pairs from fh's position on, a chunk at a time."""
+    size = max(4, _CHUNK_BYTES - _CHUNK_BYTES % 4)
+    while chunk := fh.read(size):
+        pairs = np.frombuffer(chunk, dtype="<u2").reshape(-1, 2)
+        yield pairs[:, 0], pairs[:, 1]
 
 
-def _text_blocks(data: bytes, body: int, path):
-    """Labels (m, k) of the text body from offset body on, one parse block at a time."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    start, line = body, 0
-    while start < len(data):
-        stop = data.rfind(b"\n", start, start + _TEXT_BLOCK_BYTES) + 1
-        if stop == 0 or start + _TEXT_BLOCK_BYTES >= len(data):  # an overlong line, or the tail
-            stop = data.find(b"\n", start + _TEXT_BLOCK_BYTES) + 1 or len(data)
-        m, k = _parse_text_block(buf[start:stop], path, line + 2)
-        yield m, k
-        start, line = stop, line + m.size
+def _open_text(fh, head: bytes, path) -> tuple:
+    """Check every byte is ASCII, then the header, then the line count, one chunk at a time."""
+    header, newlines, body, chunk, last = b"", 0, 0, head, b""
+    while chunk:
+        if not chunk.isascii():
+            raise RecordFormatError(f"{path}: not an ASCII record file")
+        if not header.endswith(b"\n"):
+            cut = chunk.find(b"\n") + 1 or len(chunk)
+            header, chunk = header + chunk[:cut], chunk[cut:]
+        newlines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        body += len(chunk)
+        last = chunk[-1:] or last
+        chunk = fh.read(_CHUNK_BYTES)
+    fields = _parse_header(header.decode("ascii"))
+    lines = newlines + (body > 0 and last != b"\n")
+    if lines != fields[3]:
+        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={fields[3]}")
+    fh.seek(len(header))
+    return fields, _text_blocks(fh, path)
+
+
+def _text_blocks(fh, path):
+    """Labels (m, k) of the text body from fh's position on, the whole lines of one chunk at a time.
+
+    A chunk's partial last line is carried into the next chunk, so a line
+    longer than a chunk is parsed once it is whole.
+    """
+    line, carry = 0, b""
+    while True:
+        chunk = fh.read(_CHUNK_BYTES)
+        data = carry + chunk
+        stop = data.rfind(b"\n") + 1 if chunk else len(data)  # at the end, the unended last line
+        if stop:
+            seg = np.frombuffer(data, dtype=np.uint8, count=stop)
+            m, k = _parse_text_block(seg, path, line + 2)
+            yield m, k
+            line += m.size
+        if not chunk:
+            return
+        carry = data[stop:]
 
 
 def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:

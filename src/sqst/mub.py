@@ -26,6 +26,8 @@ import numpy as np
 
 from .fields import MAX_FIELD_ORDER, GaloisRing4, build_field, factor_prime_power
 
+_BLOCK_COEFFS = 32_768  # coefficients per block of a contraction's operand: 512 KiB of complex128
+
 
 @dataclass(frozen=True)
 class MubFamily:
@@ -49,13 +51,20 @@ class MubFamily:
             object.__setattr__(self, "vectors", vectors)
 
     def fingerprint(self) -> str:
-        """64-bit hash of the coefficients rounded to 12 decimals, as 16 hex chars."""
+        """64-bit hash of the coefficients rounded to 12 decimals, as 16 hex chars.
+
+        The hash runs over every basis's real parts, then every basis's
+        imaginary parts, one rounded basis plane at a time.
+        """
         if self._fingerprint is None:
-            parts = np.empty((2, *self.vectors.shape), dtype="<f8")
-            np.round(self.vectors.real, 12, out=parts[0])
-            np.round(self.vectors.imag, 12, out=parts[1])
-            parts += 0.0  # -0.0 hashes as 0.0
-            object.__setattr__(self, "_fingerprint", hashlib.sha256(parts).digest()[:8].hex())
+            plane = np.empty(self.vectors.shape[1:], dtype="<f8")
+            digest = hashlib.sha256(b"")
+            for part in (self.vectors.real, self.vectors.imag):
+                for basis in part:
+                    np.round(basis, 12, out=plane)
+                    plane += 0.0  # -0.0 hashes as 0.0
+                    digest.update(plane)
+            object.__setattr__(self, "_fingerprint", digest.digest()[:8].hex())
         return self._fingerprint
 
     def _check_index(self, i: int, name: str) -> None:
@@ -78,18 +87,21 @@ def build_mub(d: int) -> MubFamily:
 
     vectors = np.zeros((d + 1, d, d), dtype=np.complex128)
     vectors[0] = np.eye(d)
+    # each unbiased basis is filled on its own, so the temporaries are one basis in size
     if p == 2:
-        exps = GaloisRing4(n).phase_exponents()  # values in Z4
-        vectors[1:] = (np.power(1j, np.arange(4.0)) / np.sqrt(d))[exps]
+        exps = GaloisRing4(n).phase_exponents()  # [a, b, x], values in Z4
+        phases = np.power(1j, np.arange(4.0)) / np.sqrt(d)
+        for a in range(d):
+            vectors[a + 1] = phases[exps[a]]
     else:
         f = build_field(p, n)
         idx = np.arange(d)
         sq = f.mul_table[idx, idx]  # x^2 for each element
         tr_ax2 = f.trace_table[f.mul_table[idx[:, None], sq[None, :]]]  # [a, x]
         tr_bx = f.trace_table[f.mul_table]  # [b, x]
-        exps = (tr_ax2[:, None, :] + tr_bx[None, :, :]) % p  # [a, b, x]
         omega = np.exp(2j * np.pi / p)
-        vectors[1:] = omega ** exps / np.sqrt(d)
+        for a in range(d):
+            vectors[a + 1] = omega ** ((tr_ax2[a] + tr_bx) % p) / np.sqrt(d)
     vectors.setflags(write=False)
     return MubFamily(d=d, vectors=vectors)
 
@@ -162,15 +174,35 @@ def eta_table(family: MubFamily, i: int, j: int) -> np.ndarray:
 
 
 def born_weights(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<k,m|A|k,m> for every vector vecs[m, k] of a stack of bases, as one matmul."""
+    """<k,m|A|k,m> for every vector vecs[m, k] of a stack of bases, a matmul per block of bases."""
     d = vecs.shape[-1]
-    return ((vecs.conj().reshape(-1, d) @ a).reshape(vecs.shape) * vecs).sum(-1)
+    out = np.empty(vecs.shape[:-1], dtype=np.result_type(vecs, a))
+    step = max(1, _BLOCK_COEFFS // (d * d))
+    for m in range(0, len(vecs), step):
+        v = vecs[m:m + step]
+        out[m:m + step] = ((v.conj().reshape(-1, d) @ a).reshape(v.shape) * v).sum(-1)
+    return out
 
 
 def projector_sum(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """sum_{m,k} coeffs[m, k] |k,m><k,m| over a stack of bases, as one matmul."""
+    """sum_{m,k} coeffs[m, k] |k,m><k,m| over a stack of bases, one matmul per block of rows.
+
+    Rows i of the sum are conj(W^T @ V) with W = conj(coeffs * vecs[..., i]) and V the
+    vectors, so only W, a block of columns, is held.  Conjugation is exact, so
+    the rows are those of the one matmul (coeffs * vecs)^T @ conj(vecs) bit for
+    bit, zeros included once the -0.0 the conjugate leaves is made 0.0.
+    """
     d = vecs.shape[-1]
-    return (coeffs[..., None] * vecs).reshape(-1, d).T @ vecs.conj().reshape(-1, d)
+    v = vecs.reshape(-1, d)
+    out = np.empty((d, d), dtype=np.result_type(coeffs, vecs))
+    blocks = -(-d // max(1, _BLOCK_COEFFS // len(v)))
+    for rows in np.array_split(np.arange(d), blocks):  # even blocks: none is one row
+        w = coeffs[..., None] * vecs[..., rows[0]:rows[-1] + 1]
+        np.conjugate(w, out=w)
+        block = out[rows[0]:rows[-1] + 1]
+        np.conjugate(w.reshape(len(v), -1).T @ v, out=block)
+        block += 0.0
+    return out
 
 
 def mub_to_json(family: MubFamily) -> dict:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sqst
+from sqst import measurement
 from sqst.cli import _build_parser, main, parse_state, reproduce_fig2
 from sqst.measurement import PovmMode, check_family, read_record
 from sqst.mub import MubFamily, build_mub, verify_mub
@@ -346,6 +347,42 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# A child's ru_maxrss starts from its parent's resident size, so the commands are
+# started from an interpreter that has not imported numpy, not from this one.
+_PEAK_PROBE = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.Popen([sys.executable, "-m", "sqst.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    peaks.append((os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_estimate_and_tomography_peak_memory_is_flat_in_n(tmp_path):
+    family, rho = build_mub(64), random_density(64, 4, 1)
+    commands = []
+    for n in (200_000, 800_000):
+        prefix = tmp_path / f"r{n}"
+        for mode, suffix in ((PovmMode.OFFDIAG, "offdiag"), (PovmMode.COMPUTATIONAL, "diag")):
+            dist = measurement.outcome_distribution(rho, family, mode)
+            measurement.write_record(measurement.sample_record(dist, n, seed=n),
+                                     f"{prefix}.{suffix}.txt")
+        records = ["--record", f"{prefix}.offdiag.txt", "--diag-record", f"{prefix}.diag.txt"]
+        commands += [["estimate", *records, "--element", "0,1", "--element", "5,5",
+                      "--out", str(tmp_path / "e.json")],
+                     ["tomography", *records, "--out", str(tmp_path / "t.json"), "--quiet"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(sqst.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, check=True)
+    (code_e1, e1), (code_t1, t1), (code_e2, e2), (code_t2, t2) = json.loads(out.stdout)
+    assert code_e1 == code_t1 == code_e2 == code_t2 == 0
+    assert abs(e2 - e1) < 1024 and abs(t2 - t1) < 1024  # KiB: 4x the copies, within 1 MiB
 
 
 def test_fig2_rejects_bad_dimension():

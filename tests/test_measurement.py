@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from sqst import measurement
 from sqst.estimator import outcome_counts
 from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
-                              PovmMode, RecordFormatError, check_family,
-                              outcome_distribution, read_record, sample_record, write_record)
+                              PovmMode, RecordFormatError, check_family, outcome_distribution,
+                              read_counts, read_record, sample_record, write_record)
 from sqst.mub import build_mub
 from sqst.states import make_pure_superposition, philox_rng, random_density
 
@@ -159,6 +159,20 @@ def test_sampling_memory_is_bounded_by_a_block():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000 + 2 * n  # the 2 B cells plus a block's temporaries
+
+
+def test_sharded_sampling_memory_matches_one_shard():
+    dist = outcome_distribution(random_density(64, 4, 1), build_mub(64), PovmMode.OFFDIAG)
+    peaks = []
+    for shards in (1, 2):
+        tracemalloc.start()
+        try:
+            sample_record(dist, 1_000_000, seed=11, shards=shards)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # each shard is drawn into its slice of the cells: no shard copies, no concatenation
+    assert peaks[1] < peaks[0] + 2 * measurement._DRAW_BLOCK  # one block of uint16 cells
 
 
 def test_point_mass_record(fam2):
@@ -404,12 +418,15 @@ def test_read_record_parses_or_raises_format_error(tmp_path_factory, d, mode, n,
         data = (head + text_body + ("\n" if trailing_newline else "")).encode("ascii")
     path = tmp_path_factory.getbasetemp() / "fuzzed.record"
     path.write_bytes(data)
+    counted = _outcome(lambda p: read_counts(p).counts.ravel(), path)
     try:
         record = read_record(path)
-    except RecordFormatError:
+    except RecordFormatError as exc:
+        assert counted == (type(exc).__name__, str(exc))
         return
     assert (record.d, record.mode.value, record.n) == (d, mode, n)
     assert _record_invariants_hold(record)
+    assert counted == np.bincount(record.cells, minlength=len(counted)).tolist()
 
 
 def test_header_integer_too_long_for_int_is_format_error(tmp_path):
@@ -473,8 +490,8 @@ def _corrupt_line(data: bytes, body_index: int) -> bytes:
 def test_bad_line_in_a_later_block_is_named(many_path, tmp_path):
     _, path = many_path
     data = path.read_bytes()
-    # the line holding the first byte of the second parse block, and the last line
-    boundary = len(measurement._header_line(many_path[0])) + 1 + measurement._TEXT_BLOCK_BYTES
+    # the line holding the first byte of the second read chunk, and the last line
+    boundary = len(measurement._header_line(many_path[0])) + 1 + measurement._CHUNK_BYTES
     at_boundary = data.count(b"\n", 0, boundary) - 1
     for body_index in (at_boundary, 2 * 65_536 + 7, _MANY - 1):
         bad = tmp_path / f"bad{body_index}.txt"
@@ -524,7 +541,7 @@ def test_lone_carriage_return_is_not_a_line_end(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# records are immutable, so their cached count table stays right
+# records and their count tables are immutable
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -534,7 +551,7 @@ def test_record_labels_and_count_table_are_read_only(fam3, binary, tmp_path):
     write_record(sample_record(dist, 50, seed=3), path, binary=binary)
     for record in (sample_record(dist, 50, seed=3), read_record(path)):
         counts = outcome_counts(record)
-        assert outcome_counts(record) is counts
+        assert np.array_equal(counts, np.bincount(record.cells, minlength=9).reshape(3, 3))
         for array in (record.cells, counts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -546,3 +563,112 @@ def test_record_copies_writeable_labels():
                                mub_fingerprint="0" * 16, cells=cells)
     cells[0] = 3
     assert record.cells.tolist() == [0, 3]
+
+
+# ---------------------------------------------------------------------------
+# read_counts and read_record: one chunked reader, two sinks
+
+
+def _reader_cases(tmp_path) -> dict:
+    """Record files, valid and damaged, that exercise the chunked readers; name -> path."""
+    d, n = 4, 3000
+    dist = outcome_distribution(random_density(d, 3, 8), build_mub(d), PovmMode.OFFDIAG)
+    record = sample_record(dist, n, seed=21)
+    write_record(record, tmp_path / "base.txt")
+    write_record(record, tmp_path / "base.bin", binary=True)
+    text, binary = (tmp_path / "base.txt").read_bytes(), (tmp_path / "base.bin").read_bytes()
+    head, body = text.split(b"\n", 1)
+    lines = body.split(b"\n")[:-1]
+    late = n - 5  # a body line past a chunk edge at chunk sizes 7 and 4096
+
+    def with_line(i, line, data=text):
+        at = len(head) + 1 + sum(len(x) + 1 for x in lines[:i])
+        return data[:at] + line + data[data.index(b"\n", at):]
+
+    padded = b"\n".join(b"%05d,%05d" % tuple(map(int, x.split(b","))) if i % 97 == 0 else x
+                        for i, x in enumerate(lines))
+    range_fault = with_line(3, b"1,0")  # basis 1 is outside offdiag's 2..5
+    zero = _header(d, "offdiag", 0).encode("ascii") + b"\n"
+    cases = {
+        "lf.txt": text,
+        "crlf.txt": text.replace(b"\n", b"\r\n"),
+        "no_final_lf.txt": text[:-1],
+        "crlf_no_final_lf.txt": text.replace(b"\n", b"\r\n")[:-2],
+        "long_lines.txt": head + b"\n" + padded + b"\n",  # 11-byte lines: longer than 7
+        "overlong_line.txt": with_line(late, b"2," + b"0" * 5000),
+        "non_ascii_and_bad_header.txt": b"#SQST v9" + text[8:-1] + b"\xe9",  # in the last chunk
+        "bad_header.txt": b"#SQST v9" + text[8:],
+        "range_fault.txt": range_fault,
+        "range_then_grammar_fault.txt": with_line(late, b"2;1", range_fault),
+        "outcome_range_fault.txt": with_line(late, b"2,4"),
+        "line_count.txt": text[:text.rindex(b"\n", 0, -1) + 1],
+        "empty.txt": b"",
+        "header_only_no_lf.txt": zero[:-1],
+        "n0.txt": zero,
+        "n0.bin": zero.ljust(128, b"\x00"),
+        "lf.bin": binary,
+        "truncated_by_1.bin": binary[:-1],
+        "truncated_by_4.bin": binary[:-4],
+        "one_pair_too_many.bin": binary + binary[-4:],
+        "bad_padding.bin": binary[:127] + b"z" + binary[128:],
+        "range_fault.bin": binary[:128] + b"\x01\x00" + binary[130:],
+    }
+    paths = {}
+    for name, data in cases.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(data)
+    return paths
+
+
+def _outcome(read, path):
+    """The flat count table read gives for path, or the type and text of what it raises."""
+    try:
+        return read(path).tolist()
+    except RecordFormatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096, measurement._CHUNK_BYTES])
+def test_read_counts_agrees_with_counting_read_record(tmp_path, monkeypatch, chunk):
+    paths = _reader_cases(tmp_path)
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
+    size = 16  # d=4 offdiag: 4 bases of 4 outcomes
+    outcomes = {}
+    for name, path in paths.items():
+        counted = _outcome(lambda p: np.bincount(read_record(p).cells, minlength=size), path)
+        outcomes[name] = _outcome(lambda p: read_counts(p).counts.ravel(), path)
+        assert outcomes[name] == counted, name
+    assert {name for name, out in outcomes.items() if isinstance(out, list)} == {
+        "lf.txt", "crlf.txt", "no_final_lf.txt", "crlf_no_final_lf.txt", "long_lines.txt",
+        "lf.bin"}
+    assert outcomes["crlf.txt"] == outcomes["lf.bin"] == outcomes["long_lines.txt"]
+    assert outcomes["non_ascii_and_bad_header.txt"][1].endswith("not an ASCII record file")
+    assert "bad outcome line" in outcomes["range_then_grammar_fault.txt"][1]
+    assert "bad outcome line 2997: '2,0000" in outcomes["overlong_line.txt"][1]
+    assert outcomes["range_fault.txt"][1].startswith("basis label outside 2..5")
+    assert outcomes["n0.bin"][1] == "a record needs at least one outcome, header says n=0"
+
+
+def test_read_counts_is_a_read_only_table_with_the_header_fields(tmp_path):
+    paths = _reader_cases(tmp_path)
+    counts, record = read_counts(paths["lf.txt"]), read_record(paths["lf.txt"])
+    assert (counts.d, counts.mode, counts.seed, counts.n, counts.mub_fingerprint) == (
+        record.d, record.mode, record.seed, record.n, record.mub_fingerprint)
+    assert counts.counts.shape == (4, 4) and counts.counts.sum() == record.n
+    with pytest.raises(ValueError, match="read-only"):
+        counts.counts[0, 0] = 1
+
+
+def test_read_counts_memory_does_not_grow_with_n(tmp_path):
+    dist = outcome_distribution(random_density(64, 4, 1), build_mub(64), PovmMode.OFFDIAG)
+    peaks = []
+    for n in (100_000, 1_000_000):
+        path = tmp_path / f"r{n}.txt"
+        write_record(sample_record(dist, n, seed=2), path)
+        tracemalloc.start()
+        try:
+            read_counts(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 500_000

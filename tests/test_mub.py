@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +273,36 @@ def test_contractions_match_their_einsum_definitions(d, mode):
     projectors = np.einsum("mk,mki,mkj->ij", coeffs, vecs, vecs.conj())
     assert np.abs(born_weights(vecs, a) - born).max() <= 1e-12
     assert np.abs(projector_sum(coeffs, vecs) - projectors).max() <= 1e-12
+
+
+def _traced_peak(fn, *args) -> tuple:
+    """(result, peak bytes traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_and_fingerprint_hold_little_beyond_the_vectors():
+    def build_and_hash():
+        family = build_mub(64)
+        family.fingerprint()
+        return family
+
+    family, peak = _traced_peak(build_and_hash)
+    assert peak <= family.vectors.nbytes + 1_000_000
+
+
+@pytest.mark.parametrize("first", [0, 1])  # the full family, and the d unbiased bases
+def test_contractions_at_d64_hold_a_block_of_temporaries(first):
+    vecs = build_mub(64).vectors[first:]
+    rng = np.random.default_rng(first)
+    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    for coeffs in (rng.integers(0, 1000, vecs.shape[:2]),
+                   rng.standard_normal(vecs.shape[:2]) + 1j * rng.standard_normal(vecs.shape[:2])):
+        out, peak = _traced_peak(projector_sum, coeffs, vecs)
+        assert peak - out.nbytes <= 1_500_000
+    out, peak = _traced_peak(born_weights, vecs, a)
+    assert peak - out.nbytes <= 1_500_000
