@@ -184,11 +184,10 @@ def cmd_simulate(args) -> int:
         jobs = [(PovmMode(args.povm), args.seed, args.out)]
     for mode, seed, path in jobs:
         dist = measurement.outcome_distribution(rho, family, mode)
-        record = measurement.sample_record(dist, n, seed, shards=args.shards)
-        measurement.write_record(record, path, binary=binary)
+        record = measurement.stream_record(dist, n, seed, shards=args.shards)
+        measurement.write_record(record, path, binary=binary)  # drawn as it is written
         _say(args, f"wrote {path}: d={args.dim} mode={mode.value} n={n} seed={seed} "
                    f"mub={record.mub_fingerprint}")
-        del dist, record  # freed before the next record is drawn
     return 0
 
 
@@ -316,8 +315,7 @@ def _fig2_trial(task) -> tuple:
     amp /= np.linalg.norm(amp)
     rho = states.make_pure_superposition(i, j, amp[0], amp[1], d)
     dist = measurement.outcome_distribution(rho, family, PovmMode.OFFDIAG)
-    cells = dist.sample_cells(rng, n)
-    counts = np.bincount(cells, minlength=d * d).reshape(d, d)
+    counts = measurement.count_cells(dist.cell_blocks(rng, n), d * d).reshape(d, d)
     estimate = estimator.fold(counts, n, mub.eta_table(family, i, j))
     return d, trial, abs(complex(estimate) - complex(rho[i, j]))
 

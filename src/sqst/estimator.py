@@ -6,8 +6,9 @@ Every estimate is the same linear fold of a (basis, outcome) table:
 
 where the table is a record's outcome counts with total n, or an exact
 distribution's probabilities with total 1.  A record keeps each outcome as
-its flat cell index into that table, so its counts are one `bincount`; a
-record file read with `measurement.read_counts` arrives as the table alone.
+its flat cell index into that table, so its counts are a `bincount`, taken a
+block of cells at a time; a record file read with `measurement.read_counts`,
+or a record counted once with `record_counts`, arrives as the table alone.
 `count_table` is the one way to get the table, and it checks mode, dimension
 and MUB fingerprint on the way.  Only the weights differ: eta_ij for an
 off-diagonal element, a unit vector for a diagonal, (d+1)-scaled projector
@@ -26,10 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import (MeasurementRecord, OutcomeDistribution, PovmMode, RecordCounts,
-                          check_family)
+                          check_family, count_cells)
 from .mub import MubFamily, born_weights, eta_table, projector_sum
-
-_COUNT_SLICE = 65_536  # cells per bincount
 
 
 def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
@@ -98,16 +97,19 @@ class SelectiveEstimate:
 def outcome_counts(record: MeasurementRecord) -> np.ndarray:
     """Multiplicity of each (basis, outcome) cell, shaped (bases, d), read-only.
 
-    The cells are counted _COUNT_SLICE at a time, so the intp copy bincount
-    makes stays small.
+    The cells are counted a block at a time, so the intp copy bincount makes
+    stays small.
     """
-    size = record.mode.basis_count(record.d) * record.d
-    counts = np.zeros(size, dtype=np.intp)
-    for start in range(0, record.n, _COUNT_SLICE):  # bincount casts each slice to intp
-        counts += np.bincount(record.cells[start:start + _COUNT_SLICE], minlength=size)
+    counts = count_cells(record.cell_blocks(), record.mode.basis_count(record.d) * record.d)
     counts = counts.reshape(-1, record.d)
     counts.setflags(write=False)
     return counts
+
+
+def record_counts(record: MeasurementRecord) -> RecordCounts:
+    """The record's header and count table, counted once: fold it as often as needed."""
+    return RecordCounts(d=record.d, mode=record.mode, seed=record.seed, n=record.n,
+                        mub_fingerprint=record.mub_fingerprint, counts=outcome_counts(record))
 
 
 def count_table(source: MeasurementRecord | RecordCounts | OutcomeDistribution,

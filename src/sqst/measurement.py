@@ -10,8 +10,14 @@ In memory an outcome is one cell index (m - first_basis) * d + k into the
 the writers decode cells into labels, and `_label_cells` is the one place
 that turns file labels back into cells, block by block.
 
-Record files are read in fixed chunks of _CHUNK_BYTES, so no reader holds a
-whole file: `read_record` fills a record's cells from the decoded blocks,
+Every n-long cell stream is handled one block of at most _BLOCK cells at a
+time, so no temporary grows with n and no consumer needs all n cells: the
+alias table draws cells in blocks, which are counted (`count_cells`), filled
+into a record's array, or written.  `write_record` writes a record's body
+block by block, and writes a `RecordStream` (`stream_record`) as it is
+drawn, byte for byte the file of the sampled record, so `sqst simulate`
+never holds a record.  Record files are read in fixed chunks of
+_CHUNK_BYTES: `read_record` fills a record's cells from the decoded blocks,
 and `read_counts` keeps only the (basis, outcome) count table, which is all
 the estimators need, whatever n is.
 
@@ -47,9 +53,12 @@ from .mub import MubFamily, born_weights
 from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128
-_TEXT_BLOCK = 65_536  # outcomes per written block of text
+# Copies per block of every n-long cell stream (drawn, counted or written): each
+# float64 or intp temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so
+# blocks reuse heap memory rather than fault fresh pages in.  The cells do not
+# depend on it.
+_BLOCK = 8_192
 _CHUNK_BYTES = 1 << 16  # bytes per read of a record file
-_DRAW_BLOCK = 65_536  # copies per sampling block; the cells do not depend on it
 _MAX_DIGITS = 5  # digits of the largest uint16 label
 
 
@@ -106,24 +115,31 @@ class AliasTable:
             (small if scaled[hi] < 1.0 else large).append(hi)
         # leftovers are all (numerically) 1
 
-    def draw(self, rng: np.random.Generator, size: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """size uint16 cells, drawn _DRAW_BLOCK copies at a time into out (or a new array).
+    def blocks(self, rng: np.random.Generator, size: int):
+        """Yield size cells as intp arrays of at most _BLOCK copies each.
 
         Copy i uses the i-th double of rng, so the cells do not depend on the
         block size, and the temporaries stay a block long whatever size is.
         """
         k = self.prob.size
-        cells = np.empty(size, dtype=np.uint16) if out is None else out
-        for start in range(0, size, _DRAW_BLOCK):
-            u = rng.random(min(_DRAW_BLOCK, size - start))
+        for start in range(0, size, _BLOCK):
+            u = rng.random(min(_BLOCK, size - start))
             u *= k
             col = u.astype(np.intp)
             np.minimum(col, k - 1, out=col)  # a guard: u * K < K for every u < 1 and K <= 65536
             u -= col  # the fractional part: the acceptance uniform
             swap = np.flatnonzero(u >= self.prob[col])
             col[swap] = self.alias[col[swap]]
-            cells[start:start + col.size] = col
+            yield col
+
+    def draw(self, rng: np.random.Generator, size: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """size uint16 cells, filled block by block into out (or a new array)."""
+        cells = np.empty(size, dtype=np.uint16) if out is None else out
+        start = 0
+        for block in self.blocks(rng, size):
+            cells[start:start + block.size] = block
+            start += block.size
         return cells
 
 
@@ -146,6 +162,10 @@ class OutcomeDistribution:
                      out: np.ndarray | None = None) -> np.ndarray:
         return self._alias.draw(rng, size, out)
 
+    def cell_blocks(self, rng: np.random.Generator, size: int):
+        """The cells of sample_cells(rng, size), yielded a block at a time as intp arrays."""
+        return self._alias.blocks(rng, size)
+
 
 def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> OutcomeDistribution:
     """Born probabilities p_km = <k,m|rho|k,m> / B over the mode's bases.
@@ -166,7 +186,21 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
+class RecordHeader:
+    """The provenance of a record: the fields of a record file's header line."""
+
+    d: int
+    mode: PovmMode
+    seed: int
+    n: int
+    mub_fingerprint: str
+
+    def __post_init__(self):
+        _require_outcomes(self.n)
+
+
+@dataclass(frozen=True)
+class MeasurementRecord(RecordHeader):
     """Ordered outcome sequence plus its provenance header.
 
     cells[i] = (m_i - mode.first_basis) * d + k_i is outcome i as a flat index
@@ -176,15 +210,10 @@ class MeasurementRecord:
     is copied).
     """
 
-    d: int
-    mode: PovmMode
-    seed: int
-    n: int
-    mub_fingerprint: str
     cells: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _require_outcomes(self.n)
+        super().__post_init__()
         if self.n != len(self.cells):
             raise ValueError("header count does not match outcome sequence length")
         size = self.mode.basis_count(self.d) * self.d
@@ -202,24 +231,48 @@ class MeasurementRecord:
             and np.array_equal(self.cells, other.cells)
         )
 
+    def cell_blocks(self):
+        """The cells in slices of at most _BLOCK."""
+        return (self.cells[start:start + _BLOCK] for start in range(0, self.n, _BLOCK))
+
 
 @dataclass(frozen=True)
-class RecordCounts:
-    """A record file's header fields and its read-only (basis, outcome) count table.
+class RecordStream(RecordHeader):
+    """The record `sample_record(dist, n, seed, shards)` returns, drawn anew a block at a time.
+
+    It holds the distribution, not the cells: each pass over `cell_blocks`
+    draws them again, shard s from the Philox stream (seed, s), in shard order.
+    """
+
+    dist: OutcomeDistribution = field(repr=False)
+    shards: int
+
+    def cell_blocks(self):
+        for s, size in enumerate(_shard_sizes(self.n, self.shards)):
+            yield from self.dist.cell_blocks(philox_rng(self.seed, s), size)
+
+
+@dataclass(frozen=True)
+class RecordCounts(RecordHeader):
+    """A record's header fields and its read-only (basis, outcome) count table.
 
     counts[m - mode.first_basis, k] is the multiplicity of outcome k of basis
     m; it sums to n.  `read_counts` builds it without holding the outcomes.
     """
 
-    d: int
-    mode: PovmMode
-    seed: int
-    n: int
-    mub_fingerprint: str
     counts: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        _require_outcomes(self.n)
+
+def count_cells(blocks, size: int) -> np.ndarray | None:
+    """The multiplicity of each of size cells over blocks of cells, one bincount per block.
+
+    None when there are no blocks.
+    """
+    counts = None
+    for block in blocks:
+        part = np.bincount(block, minlength=size)
+        counts = part if counts is None else np.add(counts, part, out=counts)
+    return counts
 
 
 def _require_outcomes(n: int) -> None:
@@ -276,6 +329,16 @@ def _label_cells(blocks, d: int, mode: PovmMode, n: int):
         raise RecordFormatError(f"d={d} {mode.value} record has {count * d} cells, over 65535")
 
 
+def _shard_sizes(n: int, shards: int) -> list:
+    """The copies of each shard that draws any: the first n % shards draw one more."""
+    if n < 1:
+        raise ValueError("need at least one copy to measure")
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    base, extra = divmod(n, shards)
+    return [base + (1 if s < extra else 0) for s in range(min(shards, n))]
+
+
 def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> MeasurementRecord:
     """Draw n independent outcomes; deterministic for fixed (dist, n, seed, shards).
 
@@ -283,21 +346,22 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
     the shards concurrently and concatenating them in shard order reproduces
     this function's output exactly.
     """
-    if n < 1:
-        raise ValueError("need at least one copy to measure")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    base, extra = divmod(n, shards)
     cells = np.empty(n, dtype=np.uint16)
     start = 0
-    for s in range(min(shards, n)):  # shards past n would draw nothing
-        size = base + (1 if s < extra else 0)
+    for s, size in enumerate(_shard_sizes(n, shards)):
         dist.sample_cells(philox_rng(seed, s), size, out=cells[start:start + size])
         start += size
     return MeasurementRecord(
         d=dist.d, mode=dist.mode, seed=seed, n=n, mub_fingerprint=dist.mub_fingerprint,
         cells=_readonly(cells),
     )
+
+
+def stream_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> RecordStream:
+    """`sample_record`'s record as a `RecordStream`, which `write_record` writes as it is drawn."""
+    _shard_sizes(n, shards)  # refuse bad arguments now, not on the first pass
+    return RecordStream(d=dist.d, mode=dist.mode, seed=seed, n=n,
+                        mub_fingerprint=dist.mub_fingerprint, dist=dist, shards=shards)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -310,7 +374,7 @@ _HEADER_RE = re.compile(
 )
 
 
-def _header_line(record: MeasurementRecord) -> str:
+def _header_line(record: RecordHeader) -> str:
     return (
         f"#SQST v1 d={record.d} mode={record.mode.value} "
         f"seed={record.seed} n={record.n} mub={record.mub_fingerprint}"
@@ -328,40 +392,43 @@ def _parse_header(line: str):
         raise RecordFormatError(f"corrupt record header: {exc}") from exc
 
 
-def write_record(record: MeasurementRecord, path, binary: bool = False) -> None:
-    """Persist a record; the round trip through read_record is the identity."""
-    header = _header_line(record)
+def write_record(record: MeasurementRecord | RecordStream, path, binary: bool = False) -> None:
+    """Persist a record, or a streamed one as it is drawn; read_record reads back the record.
+
+    The body is written one cell block at a time from a table of each cell's
+    bytes: its (uint16 m, uint16 k) pair in binary, its ``m,k`` line in text.
+    """
+    head = _header_line(record).encode("ascii") + b"\n"
     if binary:
-        head = header.encode("ascii") + b"\n"
         if len(head) > _HEADER_BLOCK:
             raise ValueError("header too long for the fixed binary layout")
-        m, k = divmod(np.arange(record.mode.basis_count(record.d) * record.d), record.d)
-        pairs = np.column_stack([m + record.mode.first_basis, k]).astype("<u2").view("<u4")
-        body = pairs.ravel()[record.cells]  # each cell's (m, k) pair as one 4-byte item
-        with open(path, "wb") as fh:
-            fh.write(head.ljust(_HEADER_BLOCK, b"\x00"))
+        head = head.ljust(_HEADER_BLOCK, b"\x00")
+    table = _cell_bytes(record.d, record.mode, binary)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for cells in record.cell_blocks():
+            body = table[cells]
+            if not binary:
+                body = body.view(np.uint8)
+                body = body[body != 0]
             fh.write(body)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
-            _write_text_body(record, fh)
 
 
-def _write_text_body(record: MeasurementRecord, fh) -> None:
-    """Write the ``m,k`` lines block by block from a table of every cell's line.
+def _cell_bytes(d: int, mode: PovmMode, binary: bool) -> np.ndarray:
+    """Row c holds the file bytes of cell c.
 
-    Each line is held NUL-padded in whole 8-byte words (one word while both
-    labels have at most three digits), so a block is one gather of words, and
-    dropping its NUL bytes leaves the lines.
+    Binary: the (m, k) pair as one little-endian 4-byte item.  Text: the
+    ``m,k`` line NUL-padded to whole 8-byte words (one word while both labels
+    have at most three digits), so a block of lines is one gather of words
+    and dropping its NUL bytes leaves the lines.
     """
-    d, first = record.d, record.mode.first_basis
-    lines = [f"{first + c // d},{c % d}\n".encode("ascii")
-             for c in range(record.mode.basis_count(d) * d)]
+    m, k = divmod(np.arange(mode.basis_count(d) * d), d)
+    m += mode.first_basis
+    if binary:
+        return np.column_stack([m, k]).astype("<u2").view("<u4").ravel()
+    lines = [f"{a},{b}\n".encode("ascii") for a, b in zip(m.tolist(), k.tolist())]
     width = -(-max(map(len, lines)) // 8) * 8
-    words = np.array(lines, dtype=f"S{width}").view(np.uint64).reshape(len(lines), -1)
-    for start in range(0, record.n, _TEXT_BLOCK):
-        body = words[record.cells[start:start + _TEXT_BLOCK]].view(np.uint8)
-        fh.write(body[body != 0])
+    return np.array(lines, dtype=f"S{width}").view(np.uint64).reshape(len(lines), -1)
 
 
 def read_record(path) -> MeasurementRecord:
@@ -385,11 +452,8 @@ def read_counts(path) -> RecordCounts:
     """
     with open(path, "rb") as fh:
         (d, mode, seed, n, fp), blocks = _open_record(fh, path)
-        size = mode.basis_count(d) * d
-        counts = None  # made from the first block: until the labels are checked, d may be absurd
-        for block in _label_cells(blocks, d, mode, n):
-            part = np.bincount(block, minlength=size)
-            counts = part if counts is None else np.add(counts, part, out=counts)
+        # the table is made from the first block: until the labels are checked, d may be absurd
+        counts = count_cells(_label_cells(blocks, d, mode, n), mode.basis_count(d) * d)
     return RecordCounts(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
                         counts=None if counts is None else _readonly(counts.reshape(-1, d)))
 

@@ -5,17 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sqst
-from sqst import measurement
-from sqst.cli import _build_parser, main, parse_state, reproduce_fig2
-from sqst.measurement import PovmMode, check_family, read_record
-from sqst.mub import MubFamily, build_mub, verify_mub
-from sqst.states import make_pure_superposition, random_density, save_matrix
+from sqst import estimator, measurement
+from sqst.cli import _build_parser, _fig2_trial, main, parse_state, reproduce_fig2
+from sqst.measurement import MeasurementRecord, PovmMode, check_family, read_record
+from sqst.mub import MubFamily, build_mub, eta_table, verify_mub
+from sqst.states import make_pure_superposition, philox_rng, random_density, save_matrix
 
 
 def run(*argv) -> int:
@@ -153,6 +154,21 @@ def test_simulate_binary_and_text_agree(tmp_path):
                    "--povm", "offdiag", "--seed", "5", "--out", str(path),
                    "--record-format", fmt) == 0
     assert read_record(t) == read_record(b)
+
+
+@pytest.mark.parametrize("n", [1, 2 * measurement._BLOCK + 17])
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_streamed_simulate_writes_the_sampled_record_file(tmp_path, n, shards, fmt):
+    out, expected = tmp_path / "streamed", tmp_path / "expected"
+    assert run("simulate", "--dim", "4", "--state", "random:3,2", "--copies", str(n),
+               "--povm", "full", "--seed", "8", "--shards", str(shards),
+               "--record-format", fmt, "--out", str(out), "--quiet") == 0
+    dist = measurement.outcome_distribution(parse_state("random:3,2", 4), build_mub(4),
+                                            PovmMode.FULL)
+    measurement.write_record(measurement.sample_record(dist, n, 8, shards), expected,
+                             binary=fmt == "binary")
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +380,56 @@ print(json.dumps(peaks))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
 def test_estimate_and_tomography_peak_memory_is_flat_in_n(tmp_path):
-    family, rho = build_mub(64), random_density(64, 4, 1)
+    # simulate in both formats too: it writes each record as it is drawn
     commands = []
     for n in (200_000, 800_000):
         prefix = tmp_path / f"r{n}"
-        for mode, suffix in ((PovmMode.OFFDIAG, "offdiag"), (PovmMode.COMPUTATIONAL, "diag")):
-            dist = measurement.outcome_distribution(rho, family, mode)
-            measurement.write_record(measurement.sample_record(dist, n, seed=n),
-                                     f"{prefix}.{suffix}.txt")
+        simulate = ["simulate", "--dim", "64", "--state", "random:4,1", "--copies", str(n),
+                    "--povm", "both", "--seed", str(n), "--quiet"]
         records = ["--record", f"{prefix}.offdiag.txt", "--diag-record", f"{prefix}.diag.txt"]
-        commands += [["estimate", *records, "--element", "0,1", "--element", "5,5",
+        commands += [[*simulate, "--record-format", "binary", "--out", str(prefix)],
+                     [*simulate, "--out", str(prefix)],
+                     ["estimate", *records, "--element", "0,1", "--element", "5,5",
                       "--out", str(tmp_path / "e.json")],
                      ["tomography", *records, "--out", str(tmp_path / "t.json"), "--quiet"]]
     env = dict(os.environ, PYTHONPATH=str(Path(sqst.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _PEAK_PROBE, json.dumps(commands)],
                          capture_output=True, text=True, env=env, check=True)
-    (code_e1, e1), (code_t1, t1), (code_e2, e2), (code_t2, t2) = json.loads(out.stdout)
-    assert code_e1 == code_t1 == code_e2 == code_t2 == 0
-    assert abs(e2 - e1) < 1024 and abs(t2 - t1) < 1024  # KiB: 4x the copies, within 1 MiB
+    peaks = json.loads(out.stdout)
+    assert [code for code, _ in peaks] == [0] * len(commands)
+    for (_, small), (_, large) in zip(peaks[:4], peaks[4:]):
+        assert abs(large - small) < 1024  # KiB: 4x the copies, within 1 MiB
+
+
+def test_fig2_trial_is_the_fold_of_the_counts_of_its_draw():
+    d, trial, seed, n = 8, 3, 17, 2 * measurement._BLOCK + 17
+    family = build_mub(d)
+    rng = philox_rng(seed, d, trial)  # the trial's own draws, in its order
+    i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
+    amp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    amp /= np.linalg.norm(amp)
+    rho = make_pure_superposition(i, j, amp[0], amp[1], d)
+    dist = measurement.outcome_distribution(rho, family, PovmMode.OFFDIAG)
+    record = MeasurementRecord(d=d, mode=PovmMode.OFFDIAG, seed=seed, n=n,
+                               mub_fingerprint=dist.mub_fingerprint,
+                               cells=dist.sample_cells(rng, n))
+    fold = estimator.fold(estimator.outcome_counts(record), n, eta_table(family, i, j))
+    assert _fig2_trial((d, trial, seed, n)) == (d, trial, abs(complex(fold) - complex(rho[i, j])))
+
+
+def test_fig2_trial_memory_does_not_grow_with_n():
+    _fig2_trial((16, 0, 1, 1000))  # builds and caches the family
+    peaks = []
+    for n in (119_830, 4 * 119_830):
+        tracemalloc.start()
+        try:
+            _fig2_trial((16, 0, 1, n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 16 * 1024  # bytes: 4x the copies, no more memory
+    assert peaks[0] < 8 * 8 * measurement._BLOCK  # a few block temporaries, no n-long array
 
 
 def test_fig2_rejects_bad_dimension():

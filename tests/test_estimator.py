@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import smallest_n_satisfying
-from sqst import estimator
+from sqst import measurement
 from sqst.estimator import (decompose_operator, estimate_diagonal, estimate_element,
                             extreme_operator, fold_diagonal, fold_element, fold_mean,
-                            outcome_counts, plan_samples, plan_samples_general)
-from sqst.measurement import (FingerprintMismatch, MeasurementRecord, PovmMode,
+                            outcome_counts, plan_samples, plan_samples_general,
+                            record_counts)
+from sqst.measurement import (FingerprintMismatch, MeasurementRecord, PovmMode, RecordCounts,
                               outcome_distribution, sample_record)
 from sqst.mub import build_mub, eta_table
 from sqst.states import (make_pure_superposition, max_norm, philox_rng, random_density,
@@ -410,13 +411,24 @@ def test_folds_check_distributions_like_records(fam2):
 
 
 def test_counts_over_several_slices_equal_one_bincount(fam4):
-    n = 3 * estimator._COUNT_SLICE + 123  # a partial last slice
+    n = 3 * measurement._BLOCK + 123  # a partial last slice
     cells = philox_rng(11).integers(0, 16, n).astype(np.uint16)
     record = MeasurementRecord(d=4, mode=PovmMode.OFFDIAG, seed=0, n=n,
                                mub_fingerprint=fam4.fingerprint(), cells=cells)
     counts = outcome_counts(record)
     assert counts.shape == (4, 4) and counts.dtype == np.intp
     assert np.array_equal(counts.ravel(), np.bincount(cells.astype(np.int64), minlength=16))
+
+
+def test_a_record_counted_once_folds_like_the_record():
+    family = build_mub(64)
+    record = sample_record(outcome_distribution(random_density(64, 4, 1), family,
+                                                PovmMode.OFFDIAG), 20_000, seed=5)
+    counted = record_counts(record)
+    assert isinstance(counted, RecordCounts) and counted.n == record.n
+    assert np.array_equal(counted.counts, outcome_counts(record))
+    for j in range(1, 64):
+        assert estimate_element(counted, family, 0, j) == estimate_element(record, family, 0, j)
 
 
 def test_guarantee_states_what_hoeffding_proves(fam2):

@@ -11,7 +11,8 @@ from sqst import measurement
 from sqst.estimator import outcome_counts
 from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
                               PovmMode, RecordFormatError, check_family, outcome_distribution,
-                              read_counts, read_record, sample_record, write_record)
+                              read_counts, read_record, sample_record, stream_record,
+                              write_record)
 from sqst.mub import build_mub
 from sqst.states import make_pure_superposition, philox_rng, random_density
 
@@ -129,9 +130,9 @@ def test_drawn_cells_fit_the_born_distribution(d, mode, seed):
 @pytest.mark.parametrize("block", [1000, None])  # None: one block of all n copies
 def test_cells_do_not_depend_on_the_draw_block(fam3, monkeypatch, block):
     dist = outcome_distribution(random_density(3, 3, 2), fam3, PovmMode.FULL)
-    n = 2 * measurement._DRAW_BLOCK + 17
+    n = 2 * measurement._BLOCK + 17
     cells = sample_record(dist, n, seed=3).cells
-    monkeypatch.setattr(measurement, "_DRAW_BLOCK", block or n)
+    monkeypatch.setattr(measurement, "_BLOCK", block or n)
     assert np.array_equal(sample_record(dist, n, seed=3).cells, cells)
 
 
@@ -172,7 +173,7 @@ def test_sharded_sampling_memory_matches_one_shard():
         finally:
             tracemalloc.stop()
     # each shard is drawn into its slice of the cells: no shard copies, no concatenation
-    assert peaks[1] < peaks[0] + 2 * measurement._DRAW_BLOCK  # one block of uint16 cells
+    assert peaks[1] < peaks[0] + 2 * measurement._BLOCK  # one block of uint16 cells
 
 
 def test_point_mass_record(fam2):
@@ -216,6 +217,25 @@ def test_sample_record_rejects_zero_copies(fam2):
     dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
     with pytest.raises(ValueError):
         sample_record(dist, 0, seed=1)
+
+
+@pytest.mark.parametrize("n, shards, message",
+                         [(0, 1, "at least one copy"), (5, 0, "shards must be >= 1")])
+def test_stream_record_refuses_bad_arguments_before_writing(fam2, tmp_path, n, shards, message):
+    dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
+    with pytest.raises(ValueError, match=message):
+        write_record(stream_record(dist, n, 1, shards), tmp_path / "r.txt")
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_a_record_stream_draws_the_same_cells_on_every_pass(fam3):
+    dist = outcome_distribution(random_density(3, 3, 4), fam3, PovmMode.FULL)
+    n = 2 * measurement._BLOCK + 17
+    stream = stream_record(dist, n, seed=6, shards=3)
+    for _ in range(2):
+        blocks = list(stream.cell_blocks())
+        assert max(b.size for b in blocks) <= measurement._BLOCK
+        assert np.array_equal(np.concatenate(blocks), sample_record(dist, n, 6, 3).cells)
 
 
 def _roundtrip(record, path, binary):
@@ -465,7 +485,7 @@ def test_multi_block_text_round_trip_is_byte_identical(many_path, tmp_path):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 27, 64])
 @pytest.mark.parametrize("mode", list(PovmMode))
-@pytest.mark.parametrize("n", [1, 2 * measurement._TEXT_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 131_073])  # one line, and several blocks plus a partial one
 def test_text_body_matches_a_line_by_line_writer(tmp_path, d, mode, n):
     size = mode.basis_count(d) * d
     cells = philox_rng(d, n).integers(0, size, n)

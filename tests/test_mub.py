@@ -169,11 +169,14 @@ def test_blockwise_verify_matches_full_gram(d):
 
 
 def test_alpha_is_unit_modulus():
-    # the phases alpha_l of |k,m> are sqrt(d) times its coefficients, m >= 2
-    for d in (3, 4, 8):
+    # the phases alpha_l of |k,m> are sqrt(d) times its coefficients, m >= 2; so every
+    # weight eta_ij = d * v_i * conj(v_j) of bases 2..d+1 has modulus 1, off the diagonal too
+    supported = [d for d in range(2, 65) if factor_prime_power(d)]
+    assert len(supported) == 27
+    for d in supported:
         family = build_mub(d)
         mags = np.abs(np.sqrt(d) * family.vectors[1:])
-        assert np.allclose(mags, 1.0, atol=1e-12)
+        assert np.abs(mags - 1.0).max() <= 1e-12, d
 
 
 def test_computational_basis_has_no_phases():
