@@ -315,7 +315,7 @@ def _fig2_trial(task) -> tuple:
     amp /= np.linalg.norm(amp)
     rho = states.make_pure_superposition(i, j, amp[0], amp[1], d)
     dist = measurement.outcome_distribution(rho, family, PovmMode.OFFDIAG)
-    counts = measurement.count_cells(dist.cell_blocks(rng, n), d * d).reshape(d, d)
+    counts = measurement.count_cells(dist.alias.blocks(rng, n), d * d).reshape(d, d)
     estimate = estimator.fold(counts, n, mub.eta_table(family, i, j))
     return d, trial, abs(complex(estimate) - complex(rho[i, j]))
 
@@ -421,10 +421,7 @@ def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
     kind, _, rest = spec.partition(":")
     if kind == "file":
         with open(rest) as fh:
-            arr = np.asarray(json.load(fh), dtype=np.float64)
-        if arr.shape != (d + 1, d):
-            raise ValueError(f"phase array shape {arr.shape} != {(d + 1, d)}")
-        return arr
+            return np.asarray(json.load(fh), dtype=np.float64)  # extreme_operator checks it
     if kind == "random":
         phase_seed = int(rest) if rest else seed
         rng = philox_rng(phase_seed, _PHASE_STREAM)

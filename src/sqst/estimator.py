@@ -5,11 +5,10 @@ Every estimate is the same linear fold of a (basis, outcome) table:
     fold(table, total, weights) = (table * weights).sum() / total
 
 where the table is a record's outcome counts with total n, or an exact
-distribution's probabilities with total 1.  A record keeps each outcome as
-its flat cell index into that table, so its counts are a `bincount`, taken a
-block of cells at a time; a record file read with `measurement.read_counts`,
-or a record counted once with `record_counts`, arrives as the table alone.
-`count_table` is the one way to get the table, and it checks mode, dimension
+distribution's probabilities with total 1.  Counts come from the one count
+sink, `measurement.counted`, fed by a record file (`measurement.read_counts`)
+or a record in memory (`record_counts`).  `count_table` is the one way to get
+the table (it counts a record on each call), and it checks mode, dimension
 and MUB fingerprint on the way.  Only the weights differ: eta_ij for an
 off-diagonal element, a unit vector for a diagonal, (d+1)-scaled projector
 coefficients for an operator mean.  So any element, or any operator in the
@@ -21,14 +20,27 @@ permutation-invariant and bit-stable per seed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measurement import (MeasurementRecord, OutcomeDistribution, PovmMode, RecordCounts,
-                          check_family, count_cells)
+                          check_family, counted)
 from .mub import MubFamily, born_weights, eta_table, projector_sum
+
+
+def _copies(formula, **inputs) -> float:
+    """formula(), a planned copy count, refused on overflow or from 2**53 on."""
+    try:
+        x = formula()
+    except (OverflowError, ZeroDivisionError):  # a square or a product past the float range
+        x = math.inf
+    if not x < 2**53:  # past it a float count cannot tell n from n + 1
+        named = ", ".join(f"{k}={v}" for k, v in inputs.items())
+        raise ValueError(f"cannot plan for {named}: the copy count overflows or reaches 2**53")
+    return x
 
 
 def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
@@ -42,7 +54,8 @@ def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
     def bound(n: int) -> float:
         return 4.0 * m_elements * math.exp(-n * epsilon**2 / 2.0)
 
-    n = max(1, math.ceil(2.0 * math.log(4.0 * m_elements / delta) / epsilon**2))
+    n = max(1, math.ceil(_copies(lambda: 2.0 * math.log(4.0 * m_elements / delta) / epsilon**2,
+                                 epsilon=epsilon, delta=delta, elements=m_elements)))
     while bound(n) > delta:
         n += 1
     while n > 1 and bound(n - 1) <= delta:
@@ -58,11 +71,13 @@ def plan_samples_general(epsilon: float, delta: float, k_bound: float, d: int,
     is independent of the dimension.
     """
     _check_plan_args(epsilon, delta, m_operators)
-    if k_bound <= 0:
+    if not k_bound > 0:
         raise ValueError(f"coefficient bound must be positive, got {k_bound}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    x = 2.0 * (k_bound * (d + 1) / epsilon) ** 2 * math.log(4.0 * m_operators / delta)
+    x = _copies(lambda: 2.0 * (k_bound * (d + 1) / epsilon) ** 2
+                * math.log(4.0 * m_operators / delta),
+                epsilon=epsilon, delta=delta, k_bound=k_bound, d=d, operators=m_operators)
     return max(1, math.floor(x))
 
 
@@ -95,21 +110,13 @@ class SelectiveEstimate:
 
 
 def outcome_counts(record: MeasurementRecord) -> np.ndarray:
-    """Multiplicity of each (basis, outcome) cell, shaped (bases, d), read-only.
-
-    The cells are counted a block at a time, so the intp copy bincount makes
-    stays small.
-    """
-    counts = count_cells(record.cell_blocks(), record.mode.basis_count(record.d) * record.d)
-    counts = counts.reshape(-1, record.d)
-    counts.setflags(write=False)
-    return counts
+    """Multiplicity of each (basis, outcome) cell, shaped (bases, d), read-only."""
+    return record_counts(record).counts
 
 
 def record_counts(record: MeasurementRecord) -> RecordCounts:
     """The record's header and count table, counted once: fold it as often as needed."""
-    return RecordCounts(d=record.d, mode=record.mode, seed=record.seed, n=record.n,
-                        mub_fingerprint=record.mub_fingerprint, counts=outcome_counts(record))
+    return counted(record, record.cell_blocks())
 
 
 def count_table(source: MeasurementRecord | RecordCounts | OutcomeDistribution,
@@ -221,8 +228,12 @@ def extreme_operator(phases: np.ndarray, k_bound: float, family: MubFamily) -> O
     phases = np.asarray(phases, dtype=np.float64)
     if phases.shape != (d + 1, d):
         raise ValueError(f"phase array shape {phases.shape} != {(d + 1, d)}")
-    if k_bound <= 0:
+    if not np.isfinite(phases).all():
+        raise ValueError("phases must be finite (no NaN or inf)")
+    if not k_bound > 0:
         raise ValueError(f"coefficient bound must be positive, got {k_bound}")
+    if not math.isfinite(d * (d + 1) * k_bound):  # the most the d(d+1) coefficients sum to
+        raise ValueError(f"coefficient bound must keep d(d+1)*K finite, got {k_bound} at d={d}")
     coeffs = k_bound * np.exp(1j * phases)
     return OperatorCoefficients(d=d, trace=complex(coeffs.sum()), coeffs=coeffs,
                                 identity_coeff=0.0, k_bound=float(k_bound))
@@ -232,5 +243,9 @@ def fold_mean(source, family: MubFamily, coeffs: OperatorCoefficients) -> comple
     """Mean value of the operator from a full-mode record or distribution."""
     if coeffs.d != family.d:
         raise ValueError(f"coefficient dimension {coeffs.d} != family dimension {family.d}")
-    mean = fold(*count_table(source, family, PovmMode.FULL), coeffs.coeffs)
-    return complex(coeffs.identity_coeff + (coeffs.d + 1) * mean)
+    table, total = count_table(source, family, PovmMode.FULL)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        value = complex(coeffs.identity_coeff + (coeffs.d + 1) * fold(table, total, coeffs.coeffs))
+    if not cmath.isfinite(value):
+        raise ValueError(f"operator mean overflows: coefficient bound {coeffs.k_bound}")
+    return value

@@ -5,21 +5,17 @@ the exact Born distribution over (basis m, outcome k) pairs, draw N
 independent outcomes, and keep them as the universal measurement record.
 
 In memory an outcome is one cell index (m - first_basis) * d + k into the
-(basis, outcome) count table, from the sampler through the record to
-`estimator.outcome_counts`.  The labels (m, k) exist only in record files:
-the writers decode cells into labels, and `_label_cells` is the one place
-that turns file labels back into cells, block by block.
+(basis, outcome) count table; the labels (m, k) exist only in record files.
 
-Every n-long cell stream is handled one block of at most _BLOCK cells at a
-time, so no temporary grows with n and no consumer needs all n cells: the
-alias table draws cells in blocks, which are counted (`count_cells`), filled
-into a record's array, or written.  `write_record` writes a record's body
-block by block, and writes a `RecordStream` (`stream_record`) as it is
-drawn, byte for byte the file of the sampled record, so `sqst simulate`
-never holds a record.  Record files are read in fixed chunks of
-_CHUNK_BYTES: `read_record` fills a record's cells from the decoded blocks,
-and `read_counts` keeps only the (basis, outcome) count table, which is all
-the estimators need, whatever n is.
+Records flow as blocks of at most _BLOCK cells, so no temporary grows with n.
+Three sources give a `RecordHeader` and its cell blocks: a `RecordStream`
+(the sharded alias draw, anew on each pass), a `MeasurementRecord` (slices
+of its array) and a record file (`_open_record`: labels read in _CHUNK_BYTES
+chunks, made cells by `_label_cells`, the one place that does so).  Three
+sinks take them: `_gathered` fills a `MeasurementRecord` (`sample_record`,
+`read_record`), `counted` keeps only the `RecordCounts` table the estimators
+read (`read_counts`, `estimator.record_counts`), and `write_record` writes a
+file.  So `sqst simulate` and the commands that estimate hold no n-long array.
 
 Record files exist in two formats sharing one header line
 
@@ -45,7 +41,7 @@ from __future__ import annotations
 import enum
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -132,16 +128,6 @@ class AliasTable:
             col[swap] = self.alias[col[swap]]
             yield col
 
-    def draw(self, rng: np.random.Generator, size: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """size uint16 cells, filled block by block into out (or a new array)."""
-        cells = np.empty(size, dtype=np.uint16) if out is None else out
-        start = 0
-        for block in self.blocks(rng, size):
-            cells[start:start + block.size] = block
-            start += block.size
-        return cells
-
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -149,22 +135,18 @@ class OutcomeDistribution:
 
     probs is stored flat in (basis, outcome) row-major order, so entry
     (m - mode.first_basis) * d + k is the weight of outcome k of basis m;
-    sample_cells draws these flat cell indices.
+    alias.blocks draws these flat cell indices a block at a time.
     """
 
     mode: PovmMode
     d: int
     probs: np.ndarray = field(repr=False)
     mub_fingerprint: str
-    _alias: AliasTable = field(repr=False)
+    alias: AliasTable = field(repr=False)
 
-    def sample_cells(self, rng: np.random.Generator, size: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        return self._alias.draw(rng, size, out)
-
-    def cell_blocks(self, rng: np.random.Generator, size: int):
-        """The cells of sample_cells(rng, size), yielded a block at a time as intp arrays."""
-        return self._alias.blocks(rng, size)
+    def sample_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size uint16 cells drawn from rng."""
+        return _gather(self.alias.blocks(rng, size), size)
 
 
 def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> OutcomeDistribution:
@@ -182,7 +164,7 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
     born = born_weights(vecs, rho).real
     probs = np.clip(born, 0.0, None).reshape(-1) / mode.basis_count(d)
     return OutcomeDistribution(mode=mode, d=d, probs=probs,
-                               mub_fingerprint=family.fingerprint(), _alias=AliasTable(probs))
+                               mub_fingerprint=family.fingerprint(), alias=AliasTable(probs))
 
 
 @dataclass(frozen=True)
@@ -196,7 +178,13 @@ class RecordHeader:
     mub_fingerprint: str
 
     def __post_init__(self):
-        _require_outcomes(self.n)
+        if self.n < 1:
+            raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
+
+
+def _fields(header: RecordHeader) -> dict:
+    """The `RecordHeader` fields of header (or of any record built on one), by name."""
+    return {f.name: getattr(header, f.name) for f in fields(RecordHeader)}
 
 
 @dataclass(frozen=True)
@@ -225,11 +213,7 @@ class MeasurementRecord(RecordHeader):
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementRecord):
             return NotImplemented
-        return (
-            (self.d, self.mode, self.seed, self.n, self.mub_fingerprint)
-            == (other.d, other.mode, other.seed, other.n, other.mub_fingerprint)
-            and np.array_equal(self.cells, other.cells)
-        )
+        return _fields(self) == _fields(other) and np.array_equal(self.cells, other.cells)
 
     def cell_blocks(self):
         """The cells in slices of at most _BLOCK."""
@@ -249,7 +233,7 @@ class RecordStream(RecordHeader):
 
     def cell_blocks(self):
         for s, size in enumerate(_shard_sizes(self.n, self.shards)):
-            yield from self.dist.cell_blocks(philox_rng(self.seed, s), size)
+            yield from self.dist.alias.blocks(philox_rng(self.seed, s), size)
 
 
 @dataclass(frozen=True)
@@ -257,16 +241,33 @@ class RecordCounts(RecordHeader):
     """A record's header fields and its read-only (basis, outcome) count table.
 
     counts[m - mode.first_basis, k] is the multiplicity of outcome k of basis
-    m; it sums to n.  `read_counts` builds it without holding the outcomes.
+    m; it sums to n.  `counted` builds it from any source without holding the
+    outcomes.
     """
 
     counts: np.ndarray = field(repr=False)
 
 
-def count_cells(blocks, size: int) -> np.ndarray | None:
-    """The multiplicity of each of size cells over blocks of cells, one bincount per block.
+def _gather(blocks, n: int) -> np.ndarray:
+    """The n cells of blocks in one uint16 array."""
+    cells = np.empty(n, dtype=np.uint16)
+    start = 0
+    for block in blocks:
+        cells[start:start + block.size] = block
+        start += block.size
+    return cells
 
-    None when there are no blocks.
+
+def _gathered(header: RecordHeader, blocks) -> MeasurementRecord:
+    """The gather sink: the record of header whose cells are blocks."""
+    return MeasurementRecord(**_fields(header), cells=_readonly(_gather(blocks, header.n)))
+
+
+def count_cells(blocks, size: int) -> np.ndarray:
+    """The multiplicity of each of size cells over one or more blocks, one bincount per block.
+
+    The table is made from the first block: a file's labels are checked before
+    it arrives, so an absurd header d allocates nothing.
     """
     counts = None
     for block in blocks:
@@ -275,9 +276,10 @@ def count_cells(blocks, size: int) -> np.ndarray | None:
     return counts
 
 
-def _require_outcomes(n: int) -> None:
-    if n < 1:
-        raise RecordFormatError(f"a record needs at least one outcome, header says n={n}")
+def counted(header: RecordHeader, blocks) -> RecordCounts:
+    """The count sink: the `RecordCounts` of header whose cells are blocks."""
+    counts = count_cells(blocks, header.mode.basis_count(header.d) * header.d)
+    return RecordCounts(**_fields(header), counts=_readonly(counts.reshape(-1, header.d)))
 
 
 class RecordFormatError(ValueError):
@@ -299,8 +301,8 @@ def check_family(source, family: MubFamily, mode: PovmMode) -> None:
         raise FingerprintMismatch(f"fingerprint {source.mub_fingerprint} does not match family {fp}")
 
 
-def _label_cells(blocks, d: int, mode: PovmMode, n: int):
-    """Yield the uint16 cells (m - first_basis) * d + k of n file labels given as (ms, ks) blocks.
+def _label_cells(blocks, d: int, mode: PovmMode):
+    """Yield the uint16 cells (m - first_basis) * d + k of file labels given as (ms, ks) blocks.
 
     Blocks are decoded as they arrive, in uint16 arithmetic exact for labels in
     range.  The ranges are checked on the label extrema, and a fault is raised
@@ -308,8 +310,6 @@ def _label_cells(blocks, d: int, mode: PovmMode, n: int):
     range fault in an earlier one; no block is yielded from the first range
     fault on.
     """
-    if not n:  # the record's own check refuses the header
-        return
     first, count = mode.first_basis, mode.basis_count(d)
     m_lo, m_hi, k_hi = first, first, 0
     in_range = count * d <= 0xFFFF  # else refused below, once the labels are checked
@@ -342,19 +342,12 @@ def _shard_sizes(n: int, shards: int) -> list:
 def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> MeasurementRecord:
     """Draw n independent outcomes; deterministic for fixed (dist, n, seed, shards).
 
-    Shard s draws its slice from the Philox stream (seed, s), so generating
-    the shards concurrently and concatenating them in shard order reproduces
-    this function's output exactly.
+    The gather of `stream_record`: shard s draws its slice from the Philox
+    stream (seed, s), so generating the shards concurrently and concatenating
+    them in shard order reproduces this function's output exactly.
     """
-    cells = np.empty(n, dtype=np.uint16)
-    start = 0
-    for s, size in enumerate(_shard_sizes(n, shards)):
-        dist.sample_cells(philox_rng(seed, s), size, out=cells[start:start + size])
-        start += size
-    return MeasurementRecord(
-        d=dist.d, mode=dist.mode, seed=seed, n=n, mub_fingerprint=dist.mub_fingerprint,
-        cells=_readonly(cells),
-    )
+    stream = stream_record(dist, n, seed, shards)
+    return _gathered(stream, stream.cell_blocks())
 
 
 def stream_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> RecordStream:
@@ -434,14 +427,7 @@ def _cell_bytes(d: int, mode: PovmMode, binary: bool) -> np.ndarray:
 def read_record(path) -> MeasurementRecord:
     """Load a record from either format; `check_family` ties it to a family."""
     with open(path, "rb") as fh:
-        (d, mode, seed, n, fp), blocks = _open_record(fh, path)
-        cells = np.empty(n, dtype=np.uint16)
-        start = 0
-        for block in _label_cells(blocks, d, mode, n):
-            cells[start:start + block.size] = block
-            start += block.size
-    return MeasurementRecord(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                             cells=_readonly(cells))
+        return _gathered(*_open_record(fh, path))
 
 
 def read_counts(path) -> RecordCounts:
@@ -451,21 +437,21 @@ def read_counts(path) -> RecordCounts:
     messages, and its memory does not grow with n.
     """
     with open(path, "rb") as fh:
-        (d, mode, seed, n, fp), blocks = _open_record(fh, path)
-        # the table is made from the first block: until the labels are checked, d may be absurd
-        counts = count_cells(_label_cells(blocks, d, mode, n), mode.basis_count(d) * d)
-    return RecordCounts(d=d, mode=mode, seed=seed, n=n, mub_fingerprint=fp,
-                        counts=None if counts is None else _readonly(counts.reshape(-1, d)))
+        return counted(*_open_record(fh, path))
 
 
 def _open_record(fh, path) -> tuple:
-    """(header fields, label blocks) of the open record file fh, its size checked against n."""
+    """The file source: (header, cell blocks) of the open record file fh.
+
+    The header is made once the body is checked against its n, so a size or
+    line-count fault wins over the refusal of n < 1.
+    """
     head = fh.read(_HEADER_BLOCK)
     if not head:
         raise RecordFormatError(f"{path}: empty record file")
-    if b"\x00" in head:
-        return _open_binary(fh, head, path)
-    return _open_text(fh, head, path)
+    parsed, labels = (_open_binary if b"\x00" in head else _open_text)(fh, head, path)
+    header = RecordHeader(*parsed)
+    return header, _label_cells(labels, header.d, header.mode)
 
 
 def _open_binary(fh, head: bytes, path) -> tuple:
@@ -473,14 +459,14 @@ def _open_binary(fh, head: bytes, path) -> tuple:
     if pad.strip(b"\x00"):
         raise RecordFormatError(f"{path}: garbage in binary header padding")
     try:
-        fields = _parse_header(line.decode("ascii"))
+        parsed = _parse_header(line.decode("ascii"))
     except UnicodeDecodeError as exc:
         raise RecordFormatError(f"{path}: undecodable header") from exc
-    n = fields[3]
+    n = parsed[3]
     body = max(0, os.fstat(fh.fileno()).st_size - _HEADER_BLOCK)
     if body != 4 * n:
         raise RecordFormatError(f"{path}: body holds {body} bytes, header says n={n}")
-    return fields, _binary_blocks(fh)
+    return parsed, _binary_blocks(fh)
 
 
 def _binary_blocks(fh):
@@ -504,12 +490,12 @@ def _open_text(fh, head: bytes, path) -> tuple:
         body += len(chunk)
         last = chunk[-1:] or last
         chunk = fh.read(_CHUNK_BYTES)
-    fields = _parse_header(header.decode("ascii"))
+    parsed = _parse_header(header.decode("ascii"))
     lines = newlines + (body > 0 and last != b"\n")
-    if lines != fields[3]:
-        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={fields[3]}")
+    if lines != parsed[3]:
+        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={parsed[3]}")
     fh.seek(len(header))
-    return fields, _text_blocks(fh, path)
+    return parsed, _text_blocks(fh, path)
 
 
 def _text_blocks(fh, path):

@@ -663,3 +663,39 @@ def test_flag_combinations_that_would_drop_a_flag_exit_1(argv, named, tmp_path, 
     captured = capsys.readouterr()
     assert all(flag in captured.err for flag in named) and not captured.out
     assert not (tmp_path / "r.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# no input ends in a traceback
+
+
+_HUGE = "1" + "0" * 400  # an --elements count past the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--epsilon", "1e-300", "--delta", "0.1"],
+    ["plan", "--epsilon", "1e-100", "--delta", "0.1"],  # a count past 2**53: the fix-up never ended
+    ["plan", "--epsilon", "1e200", "--delta", "0.1"],
+    ["plan", "--epsilon", "0.1", "--delta", "0.1", "--elements", _HUGE],
+    ["simulate", "--dim", "2", "--state", "mixed", "--epsilon", "1e-300", "--delta", "0.1",
+     "--out", "{tmp}/r.txt"],
+    ["reproduce-fig2", "--dims", "2", "--trials", "1", "--epsilon", "1e-300"],
+    *(["plan", "--epsilon", "0.1", "--delta", "0.1", "--general", "--k-bound", k, "--dim", "4"]
+      for k in ("inf", "1e200", "nan")),
+    *(["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", k]
+      for k in ("nan", "inf", "1e308")),
+    ["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", "1",
+     "--phases", "file:{tmp}/nan_phases.json"],
+    # 6K fits a float, but the 10 copies' weights sum to 10K, which does not
+    ["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", "2.5e307",
+     "--phases", "file:{tmp}/zero_phases.json"],
+], ids=lambda argv: " ".join(a for a in argv if "{tmp}" not in a)[:60])
+def test_out_of_range_numbers_exit_1_without_a_traceback(argv, tmp_path, capsys):
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10",
+               "--povm", "full", "--out", str(tmp_path / "full.txt"), "--quiet") == 0
+    (tmp_path / "nan_phases.json").write_text("[[0, 1], [NaN, 0], [0, 0]]")
+    (tmp_path / "zero_phases.json").write_text("[[0, 0], [0, 0], [0, 0]]")
+    assert run(*[a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not captured.out and not (tmp_path / "r.txt").exists()

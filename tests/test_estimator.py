@@ -387,6 +387,15 @@ def test_mean_fold_extreme_operator_matches_trace(fam4):
             complex(np.trace(rho @ a)), abs=1e-10)
 
 
+def test_a_mean_that_overflows_is_refused(fam2):
+    # each coefficient fits a float, but a cell's count times it does not
+    dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.FULL)
+    record = sample_record(dist, 20_000, seed=3)
+    coeffs = extreme_operator(np.zeros((3, 2)), 1e305, fam2)
+    with pytest.raises(ValueError, match="operator mean overflows"):
+        fold_mean(record, fam2, coeffs)
+
+
 def test_mean_and_diagonal_folds_check_the_fingerprint(fam2):
     # same dimension and mode, but taken against another family
     def foreign(mode, cells):

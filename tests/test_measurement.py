@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqst import measurement
-from sqst.estimator import outcome_counts
+from sqst.estimator import outcome_counts, record_counts
 from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
                               PovmMode, RecordFormatError, check_family, outcome_distribution,
                               read_counts, read_record, sample_record, stream_record,
@@ -81,7 +81,7 @@ def test_distribution_dimension_mismatch(fam2):
 def test_alias_table_matches_probabilities():
     probs = np.array([0.5, 0.125, 0.25, 0.125])
     table = AliasTable(probs)
-    draws = table.draw(philox_rng(4), 200_000)
+    draws = np.concatenate(list(table.blocks(philox_rng(4), 200_000)))
     freq = np.bincount(draws, minlength=4) / len(draws)
     sigma = np.sqrt(probs * (1 - probs) / len(draws))
     assert np.all(np.abs(freq - probs) < 4 * sigma + 1e-12)
@@ -145,8 +145,7 @@ class _TopRng:
 
 @pytest.mark.parametrize("k", [1, 3, 5, 4096, 65_535, 65_536])
 def test_largest_uniform_draws_a_cell_inside_the_table(k):
-    cells = AliasTable(np.arange(1.0, k + 1)).draw(_TopRng(), 10)
-    assert cells.dtype == np.uint16
+    (cells,) = AliasTable(np.arange(1.0, k + 1)).blocks(_TopRng(), 10)
     assert cells.max() < k
 
 
@@ -236,6 +235,26 @@ def test_a_record_stream_draws_the_same_cells_on_every_pass(fam3):
         blocks = list(stream.cell_blocks())
         assert max(b.size for b in blocks) <= measurement._BLOCK
         assert np.array_equal(np.concatenate(blocks), sample_record(dist, n, 6, 3).cells)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("binary", [False, True])
+def test_the_three_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
+    # a streamed draw written to a file, gathered, and counted, from the file or from memory
+    dist = outcome_distribution(random_density(3, 3, 5), fam3, PovmMode.FULL)
+    n = 2 * measurement._BLOCK + 17
+    path = tmp_path / "r"
+    write_record(stream_record(dist, n, 7, shards), path, binary=binary)
+    record = sample_record(dist, n, 7, shards)
+    assert read_record(path) == record
+    tables = [read_counts(path), record_counts(record), record_counts(read_record(path))]
+    for table in tables:
+        assert measurement._fields(table) == measurement._fields(record)
+        assert np.array_equal(table.counts, tables[0].counts)
+    assert tables[0].counts.sum() == n
+    cells = dist.sample_cells(philox_rng(7, 0), n // shards)  # shard 0 draws these first
+    assert cells.dtype == np.uint16
+    assert np.array_equal(cells, record.cells[:cells.size])
 
 
 def _roundtrip(record, path, binary):
