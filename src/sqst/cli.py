@@ -101,8 +101,12 @@ def cmd_plan(args) -> int:
         from decimal import ROUND_CEILING, Decimal  # imported only here: ~2 ms of start-up
         # n is the paper's floor of the inverse, so its bound can sit just above delta:
         # print that bound, rounded up to 6 significant digits
-        bound = Decimal(4 * args.elements * math.exp(
-            -n * args.epsilon**2 / (2 * args.k_bound**2 * (args.dim + 1)**2)))
+        scale = 2 * args.k_bound**2 * (args.dim + 1)**2  # 0 once K^2 underflows
+        bound = 4 * args.elements * math.exp(-n * args.epsilon**2 / scale) if scale else 0.0
+        if not bound > 0:  # "<= 0" would print a false inequality
+            raise ValueError(f"k_bound={args.k_bound} is too small: the bound for n={n} "
+                             "underflows to 0")
+        bound = Decimal(bound)
         bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 5), rounding=ROUND_CEILING)
         ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
                 f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound.normalize()}")
@@ -184,7 +188,7 @@ def cmd_simulate(args) -> int:
         jobs = [(PovmMode(args.povm), args.seed, args.out)]
     for mode, seed, path in jobs:
         dist = measurement.outcome_distribution(rho, family, mode)
-        record = measurement.stream_record(dist, n, seed, shards=args.shards)
+        record = measurement.sample_record(dist, n, seed, shards=args.shards)
         measurement.write_record(record, path, binary=binary)  # drawn as it is written
         _say(args, f"wrote {path}: d={args.dim} mode={mode.value} n={n} seed={seed} "
                    f"mub={record.mub_fingerprint}")
@@ -209,9 +213,9 @@ def cmd_estimate(args) -> int:
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     offdiag = diag = None
     if args.record:
-        offdiag = measurement.read_counts(args.record)
+        offdiag = measurement.read_record(args.record)
     if args.diag_record:
-        diag = measurement.read_counts(args.diag_record)
+        diag = measurement.read_record(args.diag_record)
     some = offdiag or diag
     if some is None:
         raise ValueError("give --record (off-diagonal) and/or --diag-record")
@@ -265,8 +269,8 @@ def cmd_tomography(args) -> int:
         raise ValueError(f"--tol and --no-trace-constraint apply only to --project maxnorm, "
                          f"not {args.project}")
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
-    offdiag = measurement.read_counts(args.record)
-    diag = measurement.read_counts(args.diag_record)
+    offdiag = measurement.read_record(args.record)
+    diag = measurement.read_record(args.diag_record)
     family = _family(offdiag.d)
     linear = tomography.assemble_linear_estimate(offdiag, diag, family,
                                                  args.epsilon, args.delta)
@@ -430,7 +434,7 @@ def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
 
 
 def cmd_operator_estimate(args) -> int:
-    record = measurement.read_counts(args.record)
+    record = measurement.read_record(args.record)
     family = _family(record.d)
     if (args.operator is None) == (args.extreme is None):
         raise ValueError("give exactly one of --operator or --extreme")

@@ -5,17 +5,17 @@ Every estimate is the same linear fold of a (basis, outcome) table:
     fold(table, total, weights) = (table * weights).sum() / total
 
 where the table is a record's outcome counts with total n, or an exact
-distribution's probabilities with total 1.  Counts come from the one count
-sink, `measurement.counted`, fed by a record file (`measurement.read_counts`)
-or a record in memory (`record_counts`).  `count_table` is the one way to get
-the table (it counts a record on each call), and it checks mode, dimension
-and MUB fingerprint on the way.  Only the weights differ: eta_ij for an
-off-diagonal element, a unit vector for a diagonal, (d+1)-scaled projector
-coefficients for an operator mean.  So any element, or any operator in the
-bounded manifold, can be re-estimated from the same record without new
-measurements, and the exact value is the same fold of the distribution.  The
-sum runs over the cells in (basis, outcome) row-major order, so the result is
-permutation-invariant and bit-stable per seed.
+distribution's probabilities with total 1.  Counts come from one counter,
+`measurement.counted`, fed by a record file (`measurement.read_record`) or a
+sampled record stream (`record_counts`).  `count_table` is the one way to get
+the table (it draws and counts a stream on each call), and it checks mode,
+dimension and MUB fingerprint on the way.  Only the weights differ: eta_ij
+for an off-diagonal element, a unit vector for a diagonal, (d+1)-scaled
+projector coefficients for an operator mean.  So any element, or any
+operator in the bounded manifold, can be re-estimated from the same record
+without new measurements, and the exact value is the same fold of the
+distribution.  The sum runs over the cells in (basis, outcome) row-major
+order, so the result is permutation-invariant and bit-stable per seed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import (MeasurementRecord, OutcomeDistribution, PovmMode, RecordCounts,
+from .measurement import (OutcomeDistribution, PovmMode, RecordCounts, RecordStream,
                           check_family, counted)
 from .mub import MubFamily, born_weights, eta_table, projector_sum
 
@@ -109,17 +109,17 @@ class SelectiveEstimate:
     guarantee: str
 
 
-def outcome_counts(record: MeasurementRecord) -> np.ndarray:
-    """Multiplicity of each (basis, outcome) cell, shaped (bases, d), read-only."""
+def outcome_counts(record: RecordStream) -> np.ndarray:
+    """Multiplicity of each (basis, outcome) cell, drawn anew, shaped (bases, d), read-only."""
     return record_counts(record).counts
 
 
-def record_counts(record: MeasurementRecord) -> RecordCounts:
-    """The record's header and count table, counted once: fold it as often as needed."""
+def record_counts(record: RecordStream) -> RecordCounts:
+    """The stream's header and count table, drawn and counted once: fold it as often as needed."""
     return counted(record, record.cell_blocks())
 
 
-def count_table(source: MeasurementRecord | RecordCounts | OutcomeDistribution,
+def count_table(source: RecordStream | RecordCounts | OutcomeDistribution,
                 family: MubFamily, mode: PovmMode) -> tuple:
     """(table, total): (counts, n) of a record or its counts, (probabilities, 1) of a distribution.
 
@@ -152,7 +152,7 @@ def fold_diagonal(source, family: MubFamily, i: int) -> float:
                       np.eye(1, family.d, i)))
 
 
-def _estimate(record: MeasurementRecord | RecordCounts, i: int, j: int, value, epsilon,
+def _estimate(record: RecordStream | RecordCounts, i: int, j: int, value, epsilon,
               delta) -> SelectiveEstimate:
     """Attach the Hoeffding guarantee for record.n copies to a folded value.
 
@@ -170,14 +170,14 @@ def _estimate(record: MeasurementRecord | RecordCounts, i: int, j: int, value, e
                              guarantee=text)
 
 
-def estimate_element(record: MeasurementRecord | RecordCounts, family: MubFamily, i: int,
+def estimate_element(record: RecordStream | RecordCounts, family: MubFamily, i: int,
                      j: int, epsilon: float | None = None,
                      delta: float | None = None) -> SelectiveEstimate:
     """Off-diagonal element estimate with its Hoeffding guarantee."""
     return _estimate(record, i, j, fold_element(record, family, i, j), epsilon, delta)
 
 
-def estimate_diagonal(record: MeasurementRecord | RecordCounts, family: MubFamily, i: int,
+def estimate_diagonal(record: RecordStream | RecordCounts, family: MubFamily, i: int,
                       epsilon: float | None = None,
                       delta: float | None = None) -> SelectiveEstimate:
     """Diagonal element estimate with its Hoeffding guarantee."""

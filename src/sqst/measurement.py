@@ -7,15 +7,15 @@ independent outcomes, and keep them as the universal measurement record.
 In memory an outcome is one cell index (m - first_basis) * d + k into the
 (basis, outcome) count table; the labels (m, k) exist only in record files.
 
-Records flow as blocks of at most _BLOCK cells, so no temporary grows with n.
-Three sources give a `RecordHeader` and its cell blocks: a `RecordStream`
-(the sharded alias draw, anew on each pass), a `MeasurementRecord` (slices
-of its array) and a record file (`_open_record`: labels read in _CHUNK_BYTES
-chunks, made cells by `_label_cells`, the one place that does so).  Three
-sinks take them: `_gathered` fills a `MeasurementRecord` (`sample_record`,
-`read_record`), `counted` keeps only the `RecordCounts` table the estimators
-read (`read_counts`, `estimator.record_counts`), and `write_record` writes a
-file.  So `sqst simulate` and the commands that estimate hold no n-long array.
+No estimate reads the order of outcomes, only the count table, so no ordered
+record is kept in memory.  A record is a `RecordStream` (what `sample_record`
+returns: the sharded alias draw, made anew on each pass), a file, or a
+`RecordCounts` table, all sharing one `RecordHeader`.  Cells flow in blocks of
+at most _BLOCK, so no temporary grows with n: `write_record` writes a stream
+to a file, and `counted` counts a stream (`estimator.record_counts`) or a file
+(`read_record`, whose labels are read in _CHUNK_BYTES chunks and made cells by
+`_label_cells`, the one place that does so).  So `sqst simulate` and the
+commands that estimate hold no n-long array.
 
 Record files exist in two formats sharing one header line
 
@@ -145,8 +145,13 @@ class OutcomeDistribution:
     alias: AliasTable = field(repr=False)
 
     def sample_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size uint16 cells drawn from rng."""
-        return _gather(self.alias.blocks(rng, size), size)
+        """size uint16 cells drawn from rng, in draw order."""
+        cells = np.empty(size, dtype=np.uint16)
+        start = 0
+        for block in self.alias.blocks(rng, size):
+            cells[start:start + block.size] = block
+            start += block.size
+        return cells
 
 
 def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> OutcomeDistribution:
@@ -188,44 +193,12 @@ def _fields(header: RecordHeader) -> dict:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord(RecordHeader):
-    """Ordered outcome sequence plus its provenance header.
-
-    cells[i] = (m_i - mode.first_basis) * d + k_i is outcome i as a flat index
-    into the (basis, outcome) count table, a uint16 array (at
-    MAX_FIELD_ORDER = 64 there are at most 65 * 64 cells); the labels (m, k)
-    appear only in record files.  Immutable, cells included (a writeable array
-    is copied).
-    """
-
-    cells: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n != len(self.cells):
-            raise ValueError("header count does not match outcome sequence length")
-        size = self.mode.basis_count(self.d) * self.d
-        if self.cells.max() >= size:
-            raise ValueError(f"cell index outside 0..{size - 1}")
-        if self.cells.flags.writeable:
-            object.__setattr__(self, "cells", _readonly(self.cells.copy()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MeasurementRecord):
-            return NotImplemented
-        return _fields(self) == _fields(other) and np.array_equal(self.cells, other.cells)
-
-    def cell_blocks(self):
-        """The cells in slices of at most _BLOCK."""
-        return (self.cells[start:start + _BLOCK] for start in range(0, self.n, _BLOCK))
-
-
-@dataclass(frozen=True)
 class RecordStream(RecordHeader):
-    """The record `sample_record(dist, n, seed, shards)` returns, drawn anew a block at a time.
+    """A sampled record, the one `sample_record(dist, n, seed, shards)` returns.
 
     It holds the distribution, not the cells: each pass over `cell_blocks`
-    draws them again, shard s from the Philox stream (seed, s), in shard order.
+    draws them again, shard s from the Philox stream (seed, s), in shard order,
+    as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK.
     """
 
     dist: OutcomeDistribution = field(repr=False)
@@ -241,26 +214,11 @@ class RecordCounts(RecordHeader):
     """A record's header fields and its read-only (basis, outcome) count table.
 
     counts[m - mode.first_basis, k] is the multiplicity of outcome k of basis
-    m; it sums to n.  `counted` builds it from any source without holding the
-    outcomes.
+    m; it sums to n.  `counted` builds it from a stream or a file without
+    holding the outcomes.
     """
 
     counts: np.ndarray = field(repr=False)
-
-
-def _gather(blocks, n: int) -> np.ndarray:
-    """The n cells of blocks in one uint16 array."""
-    cells = np.empty(n, dtype=np.uint16)
-    start = 0
-    for block in blocks:
-        cells[start:start + block.size] = block
-        start += block.size
-    return cells
-
-
-def _gathered(header: RecordHeader, blocks) -> MeasurementRecord:
-    """The gather sink: the record of header whose cells are blocks."""
-    return MeasurementRecord(**_fields(header), cells=_readonly(_gather(blocks, header.n)))
 
 
 def count_cells(blocks, size: int) -> np.ndarray:
@@ -277,9 +235,11 @@ def count_cells(blocks, size: int) -> np.ndarray:
 
 
 def counted(header: RecordHeader, blocks) -> RecordCounts:
-    """The count sink: the `RecordCounts` of header whose cells are blocks."""
-    counts = count_cells(blocks, header.mode.basis_count(header.d) * header.d)
-    return RecordCounts(**_fields(header), counts=_readonly(counts.reshape(-1, header.d)))
+    """The `RecordCounts` of header whose cells are blocks."""
+    d = header.d
+    counts = count_cells(blocks, header.mode.basis_count(d) * d).reshape(-1, d)
+    counts.setflags(write=False)
+    return RecordCounts(**_fields(header), counts=counts)
 
 
 class RecordFormatError(ValueError):
@@ -339,27 +299,17 @@ def _shard_sizes(n: int, shards: int) -> list:
     return [base + (1 if s < extra else 0) for s in range(min(shards, n))]
 
 
-def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> MeasurementRecord:
-    """Draw n independent outcomes; deterministic for fixed (dist, n, seed, shards).
+def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> RecordStream:
+    """n independent outcomes, drawn anew on each pass; deterministic per (dist, n, seed, shards).
 
-    The gather of `stream_record`: shard s draws its slice from the Philox
-    stream (seed, s), so generating the shards concurrently and concatenating
-    them in shard order reproduces this function's output exactly.
+    Shard s draws its slice from the Philox stream (seed, s), so generating
+    the shards concurrently and concatenating them in shard order reproduces
+    the record's cells exactly.  Bad arguments are refused now, not on the
+    first pass.
     """
-    stream = stream_record(dist, n, seed, shards)
-    return _gathered(stream, stream.cell_blocks())
-
-
-def stream_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> RecordStream:
-    """`sample_record`'s record as a `RecordStream`, which `write_record` writes as it is drawn."""
-    _shard_sizes(n, shards)  # refuse bad arguments now, not on the first pass
+    _shard_sizes(n, shards)
     return RecordStream(d=dist.d, mode=dist.mode, seed=seed, n=n,
                         mub_fingerprint=dist.mub_fingerprint, dist=dist, shards=shards)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 _HEADER_RE = re.compile(
@@ -385,8 +335,8 @@ def _parse_header(line: str):
         raise RecordFormatError(f"corrupt record header: {exc}") from exc
 
 
-def write_record(record: MeasurementRecord | RecordStream, path, binary: bool = False) -> None:
-    """Persist a record, or a streamed one as it is drawn; read_record reads back the record.
+def write_record(record: RecordStream, path, binary: bool = False) -> None:
+    """Persist a sampled record as it is drawn; read_record reads back its count table.
 
     The body is written one cell block at a time from a table of each cell's
     bytes: its (uint16 m, uint16 k) pair in binary, its ``m,k`` line in text.
@@ -424,24 +374,17 @@ def _cell_bytes(d: int, mode: PovmMode, binary: bool) -> np.ndarray:
     return np.array(lines, dtype=f"S{width}").view(np.uint64).reshape(len(lines), -1)
 
 
-def read_record(path) -> MeasurementRecord:
-    """Load a record from either format; `check_family` ties it to a family."""
-    with open(path, "rb") as fh:
-        return _gathered(*_open_record(fh, path))
-
-
-def read_counts(path) -> RecordCounts:
+def read_record(path) -> RecordCounts:
     """The count table of a record file in either format, its outcomes counted chunk by chunk.
 
-    It accepts and refuses exactly the files `read_record` does, with the same
-    messages, and its memory does not grow with n.
+    Its memory does not grow with n; `check_family` ties the table to a family.
     """
     with open(path, "rb") as fh:
         return counted(*_open_record(fh, path))
 
 
 def _open_record(fh, path) -> tuple:
-    """The file source: (header, cell blocks) of the open record file fh.
+    """(header, cell blocks) of the open record file fh.
 
     The header is made once the body is checked against its n, so a size or
     line-count fault wins over the refusal of n < 1.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import _check_plan_args, count_table
 from .estimator import outcome_counts  # noqa: F401  perfbench traces this name
-from .measurement import MeasurementRecord, PovmMode, RecordCounts
+from .measurement import PovmMode, RecordCounts, RecordStream
 from .mub import MubFamily, projector_sum
 from .states import NormChainReport, check_norm_chain, density_fault, max_norm, require_hermitian
 
@@ -46,8 +46,8 @@ class LinearEstimate:
     delta: float | None
 
 
-def assemble_linear_estimate(offdiag_record: MeasurementRecord | RecordCounts,
-                             diag_record: MeasurementRecord | RecordCounts,
+def assemble_linear_estimate(offdiag_record: RecordStream | RecordCounts,
+                             diag_record: RecordStream | RecordCounts,
                              family: MubFamily,
                              epsilon: float | None = None,
                              delta: float | None = None) -> LinearEstimate:

@@ -7,9 +7,23 @@ scans instead of the shipped algorithms.
 
 import numpy as np
 
+from sqst import measurement
 from sqst.fields import _CONWAY
 from sqst.states import philox_rng, random_density, random_hermitian, max_norm
 from sqst.tomography import project_psd_clip
+
+
+def cells(source) -> np.ndarray:
+    """The ordered uint16 cells of a `RecordStream`, or of the record file at path source.
+
+    The library keeps no ordered record in memory; tests that read the order
+    gather it here from the stream's draw or the file's decoded labels.
+    """
+    if isinstance(source, measurement.RecordStream):
+        return np.concatenate(list(source.cell_blocks())).astype(np.uint16)
+    with open(source, "rb") as fh:
+        _, blocks = measurement._open_record(fh, source)
+        return np.concatenate(list(blocks))  # _label_cells' own uint16 cells
 
 
 def smallest_n_satisfying(epsilon: float, delta: float, m: int) -> int:

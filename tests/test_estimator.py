@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import smallest_n_satisfying
+from oracles import cells, smallest_n_satisfying
 from sqst import measurement
-from sqst.estimator import (decompose_operator, estimate_diagonal, estimate_element,
-                            extreme_operator, fold_diagonal, fold_element, fold_mean,
-                            outcome_counts, plan_samples, plan_samples_general,
+from sqst.estimator import (count_table, decompose_operator, estimate_diagonal,
+                            estimate_element, extreme_operator, fold_diagonal, fold_element,
+                            fold_mean, outcome_counts, plan_samples, plan_samples_general,
                             record_counts)
-from sqst.measurement import (FingerprintMismatch, MeasurementRecord, PovmMode, RecordCounts,
-                              outcome_distribution, sample_record)
+from sqst.measurement import (FingerprintMismatch, PovmMode, RecordCounts, RecordHeader,
+                              counted, outcome_distribution, sample_record)
 from sqst.mub import build_mub, eta_table
 from sqst.states import (make_pure_superposition, max_norm, philox_rng, random_density,
                          random_hermitian, schatten_norm)
@@ -26,6 +26,12 @@ def fam4():
     return build_mub(4)
 
 
+def _counted(d, mode, fingerprint, cells, seed=0):
+    """The count table of a record of the given cells."""
+    header = RecordHeader(d=d, mode=mode, seed=seed, n=len(cells), mub_fingerprint=fingerprint)
+    return counted(header, [np.asarray(cells, dtype=np.uint16)])
+
+
 # ---------------------------------------------------------------------------
 # element estimation
 
@@ -33,9 +39,7 @@ def fam4():
 def test_constant_record_estimates_one(fam2):
     # every outcome (m=2, k=0) carries eta = +1 for the (0, 1) element
     n = 50
-    record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
-                               mub_fingerprint=fam2.fingerprint(),
-                               cells=np.zeros(n, dtype=np.uint16))
+    record = _counted(2, PovmMode.OFFDIAG, fam2.fingerprint(), np.zeros(n))
     est = estimate_element(record, fam2, 0, 1)
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
@@ -105,9 +109,8 @@ def test_estimate_is_pure_fold_reorder_invariant(fam4):
     dist = outcome_distribution(rho, fam4, PovmMode.OFFDIAG)
     record = sample_record(dist, 100_000, seed=77)
     perm = philox_rng(3).permutation(record.n)
-    shuffled = MeasurementRecord(d=4, mode=PovmMode.OFFDIAG, seed=record.seed,
-                                 n=record.n, mub_fingerprint=record.mub_fingerprint,
-                                 cells=record.cells[perm])
+    shuffled = _counted(4, PovmMode.OFFDIAG, record.mub_fingerprint, cells(record)[perm],
+                        seed=record.seed)
     for (i, j) in [(0, 1), (2, 3), (1, 0)]:
         a = estimate_element(record, fam4, i, j).value
         b = estimate_element(shuffled, fam4, i, j).value
@@ -399,9 +402,7 @@ def test_a_mean_that_overflows_is_refused(fam2):
 def test_mean_and_diagonal_folds_check_the_fingerprint(fam2):
     # same dimension and mode, but taken against another family
     def foreign(mode, cells):
-        return MeasurementRecord(d=2, mode=mode, seed=0, n=len(cells),
-                                 mub_fingerprint="0123456789abcdef",
-                                 cells=np.array(cells, dtype=np.uint16))
+        return _counted(2, mode, "0123456789abcdef", cells)
 
     coeffs = decompose_operator(np.eye(2, dtype=complex), fam2)
     with pytest.raises(FingerprintMismatch):
@@ -421,12 +422,12 @@ def test_folds_check_distributions_like_records(fam2):
 
 def test_counts_over_several_slices_equal_one_bincount(fam4):
     n = 3 * measurement._BLOCK + 123  # a partial last slice
-    cells = philox_rng(11).integers(0, 16, n).astype(np.uint16)
-    record = MeasurementRecord(d=4, mode=PovmMode.OFFDIAG, seed=0, n=n,
-                               mub_fingerprint=fam4.fingerprint(), cells=cells)
+    dist = outcome_distribution(random_density(4, 4, 11), fam4, PovmMode.OFFDIAG)
+    record = sample_record(dist, n, seed=11)
     counts = outcome_counts(record)
     assert counts.shape == (4, 4) and counts.dtype == np.intp
-    assert np.array_equal(counts.ravel(), np.bincount(cells.astype(np.int64), minlength=16))
+    assert np.array_equal(counts.ravel(), np.bincount(cells(record).astype(np.int64),
+                                                      minlength=16))
 
 
 def test_a_record_counted_once_folds_like_the_record():
@@ -440,12 +441,19 @@ def test_a_record_counted_once_folds_like_the_record():
         assert estimate_element(counted, family, 0, j) == estimate_element(record, family, 0, j)
 
 
+def test_count_table_draws_a_stream_anew_on_each_call(fam4):
+    record = sample_record(outcome_distribution(random_density(4, 2, 8), fam4,
+                                                PovmMode.OFFDIAG), 5_000, seed=8)
+    first, n = count_table(record, fam4, PovmMode.OFFDIAG)
+    again, _ = count_table(record, fam4, PovmMode.OFFDIAG)
+    assert n == 5_000 and first is not again and np.array_equal(first, again)
+    assert np.array_equal(first, record_counts(record).counts)
+
+
 def test_guarantee_states_what_hoeffding_proves(fam2):
     # Hoeffding on Re and Im with a union bound bounds max(|Re err|, |Im err|), not |err|
     n = 119_830
-    record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
-                               mub_fingerprint=fam2.fingerprint(),
-                               cells=np.zeros(n, dtype=np.uint16))
+    record = _counted(2, PovmMode.OFFDIAG, fam2.fingerprint(), np.zeros(n))
     est = estimate_element(record, fam2, 0, 1, epsilon=0.01)
     assert est.guarantee == ("Pr[max(|Re error|, |Im error|) >= 0.01] <= 0.00999965 "
                              "(Hoeffding, n=119830)")

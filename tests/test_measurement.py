@@ -1,18 +1,19 @@
 import math
 import statistics
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cells
 from sqst import measurement
 from sqst.estimator import outcome_counts, record_counts
-from sqst.measurement import (AliasTable, FingerprintMismatch, MeasurementRecord,
-                              PovmMode, RecordFormatError, check_family, outcome_distribution,
-                              read_counts, read_record, sample_record, stream_record,
-                              write_record)
+from sqst.measurement import (AliasTable, FingerprintMismatch, PovmMode, RecordFormatError,
+                              RecordHeader, check_family, outcome_distribution, read_record,
+                              sample_record, write_record)
 from sqst.mub import build_mub
 from sqst.states import make_pure_superposition, philox_rng, random_density
 
@@ -113,7 +114,7 @@ def test_drawn_cells_fit_the_born_distribution(d, mode, seed):
            else make_pure_superposition(0, 1, 1, 0, d))
     dist = outcome_distribution(rho, build_mub(d), mode)
     n = 200_000
-    counts = np.bincount(sample_record(dist, n, seed).cells, minlength=dist.probs.size)
+    counts = np.bincount(cells(sample_record(dist, n, seed)), minlength=dist.probs.size)
     zero = dist.probs == 0
     assert mode is PovmMode.OFFDIAG or zero.any()
     assert counts[zero].sum() == 0
@@ -131,9 +132,9 @@ def test_drawn_cells_fit_the_born_distribution(d, mode, seed):
 def test_cells_do_not_depend_on_the_draw_block(fam3, monkeypatch, block):
     dist = outcome_distribution(random_density(3, 3, 2), fam3, PovmMode.FULL)
     n = 2 * measurement._BLOCK + 17
-    cells = sample_record(dist, n, seed=3).cells
+    drawn = cells(sample_record(dist, n, seed=3))
     monkeypatch.setattr(measurement, "_BLOCK", block or n)
-    assert np.array_equal(sample_record(dist, n, seed=3).cells, cells)
+    assert np.array_equal(cells(sample_record(dist, n, seed=3)), drawn)
 
 
 class _TopRng:
@@ -154,11 +155,22 @@ def test_sampling_memory_is_bounded_by_a_block():
     n = 1_000_000
     tracemalloc.start()
     try:
-        sample_record(dist, n, seed=11)
+        dist.sample_cells(philox_rng(11, 0), n)  # the ordered draw: the stream's cells in order
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000 + 2 * n  # the 2 B cells plus a block's temporaries
+
+
+def test_a_sampled_record_holds_no_cells():
+    dist = outcome_distribution(random_density(64, 4, 1), build_mub(64), PovmMode.OFFDIAG)
+    tracemalloc.start()
+    try:
+        record = sample_record(dist, 10**9, seed=11)  # 2 GB as uint16 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.n == 10**9 and peak < 10_000
 
 
 def test_sharded_sampling_memory_matches_one_shard():
@@ -167,11 +179,11 @@ def test_sharded_sampling_memory_matches_one_shard():
     for shards in (1, 2):
         tracemalloc.start()
         try:
-            sample_record(dist, 1_000_000, seed=11, shards=shards)
+            record_counts(sample_record(dist, 1_000_000, seed=11, shards=shards))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # each shard is drawn into its slice of the cells: no shard copies, no concatenation
+    # each shard is drawn and counted a block at a time: no shard copies, no concatenation
     assert peaks[1] < peaks[0] + 2 * measurement._BLOCK  # one block of uint16 cells
 
 
@@ -180,7 +192,7 @@ def test_point_mass_record(fam2):
     rho = make_pure_superposition(0, 1, 0, 1, 2)  # |1><1|
     dist = outcome_distribution(rho, fam2, PovmMode.COMPUTATIONAL)
     record = sample_record(dist, 500, seed=1)
-    assert np.all(record.cells == 1)  # basis 1, outcome 1
+    assert np.all(cells(record) == 1)  # basis 1, outcome 1
 
 
 def test_sampling_is_deterministic(fam2):
@@ -188,15 +200,15 @@ def test_sampling_is_deterministic(fam2):
     a = sample_record(dist, 1000, seed=5)
     b = sample_record(dist, 1000, seed=5)
     c = sample_record(dist, 1000, seed=6)
-    assert a == b
-    assert a != c
+    assert np.array_equal(cells(a), cells(b))
+    assert not np.array_equal(cells(a), cells(c))
 
 
 def test_sampling_unbiased_at_1e6(fam2):
     dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
     n = 1_000_000
     record = sample_record(dist, n, seed=12)
-    freq = np.bincount(record.cells, minlength=4) / n
+    freq = np.bincount(cells(record), minlength=4) / n
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert np.all(np.abs(freq - 0.25) < 4 * sigma)
 
@@ -205,11 +217,11 @@ def test_shard_concatenation_contract(fam3):
     dist = outcome_distribution(random_density(3, 3, 1), fam3, PovmMode.OFFDIAG)
     whole = sample_record(dist, 1001, seed=9, shards=4)
     sizes = [251, 250, 250, 250]
-    cells = []
+    parts = []
     for s, size in enumerate(sizes):
-        cells.append(dist.sample_cells(philox_rng(9, s), size))
-    flat = np.concatenate(cells)
-    assert np.array_equal(whole.cells, flat)
+        parts.append(dist.sample_cells(philox_rng(9, s), size))
+    flat = np.concatenate(parts)
+    assert np.array_equal(cells(whole), flat)
 
 
 def test_sample_record_rejects_zero_copies(fam2):
@@ -220,46 +232,53 @@ def test_sample_record_rejects_zero_copies(fam2):
 
 @pytest.mark.parametrize("n, shards, message",
                          [(0, 1, "at least one copy"), (5, 0, "shards must be >= 1")])
-def test_stream_record_refuses_bad_arguments_before_writing(fam2, tmp_path, n, shards, message):
+def test_sample_record_refuses_bad_arguments_before_writing(fam2, tmp_path, n, shards, message):
     dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
     with pytest.raises(ValueError, match=message):
-        write_record(stream_record(dist, n, 1, shards), tmp_path / "r.txt")
+        write_record(sample_record(dist, n, 1, shards), tmp_path / "r.txt")
     assert not (tmp_path / "r.txt").exists()
 
 
 def test_a_record_stream_draws_the_same_cells_on_every_pass(fam3):
     dist = outcome_distribution(random_density(3, 3, 4), fam3, PovmMode.FULL)
     n = 2 * measurement._BLOCK + 17
-    stream = stream_record(dist, n, seed=6, shards=3)
+    stream = sample_record(dist, n, seed=6, shards=3)
     for _ in range(2):
         blocks = list(stream.cell_blocks())
         assert max(b.size for b in blocks) <= measurement._BLOCK
-        assert np.array_equal(np.concatenate(blocks), sample_record(dist, n, 6, 3).cells)
+        assert np.array_equal(np.concatenate(blocks), cells(sample_record(dist, n, 6, 3)))
 
 
 @pytest.mark.parametrize("shards", [1, 3])
 @pytest.mark.parametrize("binary", [False, True])
-def test_the_three_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
-    # a streamed draw written to a file, gathered, and counted, from the file or from memory
+def test_the_two_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
+    # a sampled record written to a file and read back, or counted as it is drawn
     dist = outcome_distribution(random_density(3, 3, 5), fam3, PovmMode.FULL)
     n = 2 * measurement._BLOCK + 17
     path = tmp_path / "r"
-    write_record(stream_record(dist, n, 7, shards), path, binary=binary)
-    record = sample_record(dist, n, 7, shards)
-    assert read_record(path) == record
-    tables = [read_counts(path), record_counts(record), record_counts(read_record(path))]
-    for table in tables:
-        assert measurement._fields(table) == measurement._fields(record)
-        assert np.array_equal(table.counts, tables[0].counts)
-    assert tables[0].counts.sum() == n
-    cells = dist.sample_cells(philox_rng(7, 0), n // shards)  # shard 0 draws these first
-    assert cells.dtype == np.uint16
-    assert np.array_equal(cells, record.cells[:cells.size])
+    write_record(sample_record(dist, n, 7, shards), path, binary=binary)
+    read, drawn = read_record(path), record_counts(sample_record(dist, n, 7, shards))
+    assert measurement._fields(read) == measurement._fields(drawn)
+    assert np.array_equal(read.counts, drawn.counts)
+    assert drawn.counts.sum() == n
+    first = dist.sample_cells(philox_rng(7, 0), n // shards)  # shard 0 draws these first
+    assert first.dtype == np.uint16
+    assert np.array_equal(first, cells(path)[:first.size])
+
+
+@dataclass(frozen=True)
+class _GivenCells(RecordHeader):
+    """A record of given cells, with the header fields and `cell_blocks` that write_record reads."""
+
+    cells: np.ndarray = field(repr=False)
+
+    def cell_blocks(self):
+        return iter([self.cells])
 
 
 def _roundtrip(record, path, binary):
     write_record(record, path, binary=binary)
-    return read_record(path)
+    return measurement._fields(read_record(path)), cells(path).tolist()
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -267,7 +286,8 @@ def test_record_round_trip(fam3, binary, tmp_path):
     dist = outcome_distribution(random_density(3, 2, 2), fam3, PovmMode.OFFDIAG)
     record = sample_record(dist, 300, seed=3)
     path = tmp_path / ("r.bin" if binary else "r.txt")
-    assert _roundtrip(record, path, binary) == record
+    assert _roundtrip(record, path, binary) == (measurement._fields(record),
+                                                 cells(record).tolist())
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -286,7 +306,7 @@ def test_read_with_wrong_family_fails(fam2, fam3, tmp_path):
     path = tmp_path / "r.txt"
     write_record(record, path)
     again = read_record(path)
-    assert again == record
+    assert measurement._fields(again) == measurement._fields(record)
     check_family(again, fam2, PovmMode.OFFDIAG)
     with pytest.raises(FingerprintMismatch):
         check_family(again, fam3, PovmMode.OFFDIAG)
@@ -365,24 +385,12 @@ def test_file_labels_decode_to_cells(tmp_path, binary):
                          + np.array(labels, dtype="<u2").tobytes())
     else:
         path.write_text(_header(3, "full", 4) + "\n" + "".join(f"{m},{k}\n" for m, k in labels))
-    record = read_record(path)
-    assert record.cells.tolist() == [0, 11, 4, 6]
-    assert record.cells.dtype == np.uint16
+    decoded = cells(path)
+    assert decoded.tolist() == [0, 11, 4, 6]
+    assert decoded.dtype == np.uint16
+    record = _GivenCells(**measurement._fields(read_record(path)), cells=decoded)
     write_record(record, tmp_path / "again", binary=binary)
     assert (tmp_path / "again").read_bytes() == path.read_bytes()
-
-
-def test_record_cells_outside_the_table_rejected():
-    with pytest.raises(ValueError, match="cell index outside 0..3"):
-        MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=2,
-                          mub_fingerprint="0" * 16, cells=np.array([0, 4], dtype=np.uint16))
-
-
-def test_record_header_count_must_match():
-    with pytest.raises(ValueError, match="count"):
-        MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=3,
-                          mub_fingerprint="0" * 16,
-                          cells=np.array([0, 1], dtype=np.uint16))
 
 
 def _header(d, mode, n, fp="0123456789abcdef", seed=0):
@@ -425,12 +433,12 @@ def test_read_with_matching_dimension_but_foreign_fingerprint(fam2, tmp_path):
         check_family(read_record(path), fam2, PovmMode.OFFDIAG)
 
 
-def _record_invariants_hold(record):
+def _record_invariants_hold(record, ordered):
     # cell c holds basis first + c // d in first..last and outcome c % d in 0..d-1
-    cells = record.mode.basis_count(record.d) * record.d
-    return (record.n >= 1 and len(record.cells) == record.n
-            and record.cells.dtype == np.uint16
-            and int(record.cells.max()) < cells)
+    size = record.mode.basis_count(record.d) * record.d
+    return (record.n >= 1 and len(ordered) == record.n
+            and ordered.dtype == np.uint16
+            and int(ordered.max()) < size)
 
 
 _labels = st.integers(min_value=-3, max_value=70_000)
@@ -457,15 +465,16 @@ def test_read_record_parses_or_raises_format_error(tmp_path_factory, d, mode, n,
         data = (head + text_body + ("\n" if trailing_newline else "")).encode("ascii")
     path = tmp_path_factory.getbasetemp() / "fuzzed.record"
     path.write_bytes(data)
-    counted = _outcome(lambda p: read_counts(p).counts.ravel(), path)
+    counted = _outcome(lambda p: read_record(p).counts.ravel(), path)
     try:
-        record = read_record(path)
+        ordered = cells(path)
     except RecordFormatError as exc:
         assert counted == (type(exc).__name__, str(exc))
         return
+    record = read_record(path)
     assert (record.d, record.mode.value, record.n) == (d, mode, n)
-    assert _record_invariants_hold(record)
-    assert counted == np.bincount(record.cells, minlength=len(counted)).tolist()
+    assert _record_invariants_hold(record, ordered)
+    assert counted == np.bincount(ordered, minlength=len(counted)).tolist()
 
 
 def test_header_integer_too_long_for_int_is_format_error(tmp_path):
@@ -494,10 +503,11 @@ def many_path(tmp_path_factory):
 def test_multi_block_text_round_trip_is_byte_identical(many_path, tmp_path):
     record, path = many_path
     data = path.read_bytes()
-    lines = "".join(f"{1 + c // 8},{c % 8}\n" for c in record.cells.tolist())  # full mode, d=8
+    lines = "".join(f"{1 + c // 8},{c % 8}\n" for c in cells(record).tolist())  # full mode, d=8
     assert data == (measurement._header_line(record) + "\n" + lines).encode("ascii")
-    again = read_record(path)
-    assert again == record
+    again = _GivenCells(**measurement._fields(read_record(path)), cells=cells(path))
+    assert measurement._fields(again) == measurement._fields(record)
+    assert np.array_equal(again.cells, cells(record))
     write_record(again, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == data
 
@@ -509,8 +519,8 @@ def test_text_body_matches_a_line_by_line_writer(tmp_path, d, mode, n):
     size = mode.basis_count(d) * d
     cells = philox_rng(d, n).integers(0, size, n)
     cells[-1] = size - 1  # the longest line, last in the final partial block
-    record = MeasurementRecord(d=d, mode=mode, seed=0, n=n, mub_fingerprint="0" * 16,
-                               cells=cells.astype(np.uint16))
+    record = _GivenCells(d=d, mode=mode, seed=0, n=n, mub_fingerprint="0" * 16,
+                         cells=cells.astype(np.uint16))
     path = tmp_path / "r.txt"
     write_record(record, path)
     first = mode.first_basis
@@ -560,7 +570,7 @@ def test_crlf_and_missing_final_newline_read_like_lf(many_path, tmp_path):
                 "crlf_no_final": data.replace(b"\n", b"\r\n")[:-2]}
     for name, body in variants.items():
         (tmp_path / name).write_bytes(body)
-        assert read_record(tmp_path / name) == record, name
+        assert np.array_equal(cells(tmp_path / name), cells(record)), name
 
 
 @pytest.mark.parametrize("line", ["+1,0", " 1,0", "1_0,0", "1,", ",0", "1,2,3", "", "1,0 ",
@@ -580,32 +590,22 @@ def test_lone_carriage_return_is_not_a_line_end(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# records and their count tables are immutable
+# count tables are immutable
 
 
 @pytest.mark.parametrize("binary", [False, True])
-def test_record_labels_and_count_table_are_read_only(fam3, binary, tmp_path):
+def test_count_tables_are_read_only(fam3, binary, tmp_path):
     dist = outcome_distribution(random_density(3, 2, 2), fam3, PovmMode.OFFDIAG)
     path = tmp_path / "r"
     write_record(sample_record(dist, 50, seed=3), path, binary=binary)
-    for record in (sample_record(dist, 50, seed=3), read_record(path)):
-        counts = outcome_counts(record)
-        assert np.array_equal(counts, np.bincount(record.cells, minlength=9).reshape(3, 3))
-        for array in (record.cells, counts):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
-
-
-def test_record_copies_writeable_labels():
-    cells = np.array([0, 3], dtype=np.uint16)
-    record = MeasurementRecord(d=2, mode=PovmMode.OFFDIAG, seed=0, n=2,
-                               mub_fingerprint="0" * 16, cells=cells)
-    cells[0] = 3
-    assert record.cells.tolist() == [0, 3]
+    for counts in (outcome_counts(sample_record(dist, 50, seed=3)), read_record(path).counts):
+        assert np.array_equal(counts, np.bincount(cells(path), minlength=9).reshape(3, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 1
 
 
 # ---------------------------------------------------------------------------
-# read_counts and read_record: one chunked reader, two sinks
+# read_record against the cells the same file decodes to, chunk size by chunk size
 
 
 def _reader_cases(tmp_path) -> dict:
@@ -668,14 +668,14 @@ def _outcome(read, path):
 
 
 @pytest.mark.parametrize("chunk", [7, 4096, measurement._CHUNK_BYTES])
-def test_read_counts_agrees_with_counting_read_record(tmp_path, monkeypatch, chunk):
+def test_read_record_agrees_with_counting_the_decoded_cells(tmp_path, monkeypatch, chunk):
     paths = _reader_cases(tmp_path)
     monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
     size = 16  # d=4 offdiag: 4 bases of 4 outcomes
     outcomes = {}
     for name, path in paths.items():
-        counted = _outcome(lambda p: np.bincount(read_record(p).cells, minlength=size), path)
-        outcomes[name] = _outcome(lambda p: read_counts(p).counts.ravel(), path)
+        counted = _outcome(lambda p: np.bincount(cells(p), minlength=size), path)
+        outcomes[name] = _outcome(lambda p: read_record(p).counts.ravel(), path)
         assert outcomes[name] == counted, name
     assert {name for name, out in outcomes.items() if isinstance(out, list)} == {
         "lf.txt", "crlf.txt", "no_final_lf.txt", "crlf_no_final_lf.txt", "long_lines.txt",
@@ -688,17 +688,17 @@ def test_read_counts_agrees_with_counting_read_record(tmp_path, monkeypatch, chu
     assert outcomes["n0.bin"][1] == "a record needs at least one outcome, header says n=0"
 
 
-def test_read_counts_is_a_read_only_table_with_the_header_fields(tmp_path):
+def test_read_record_is_a_read_only_table_with_the_header_fields(tmp_path):
     paths = _reader_cases(tmp_path)
-    counts, record = read_counts(paths["lf.txt"]), read_record(paths["lf.txt"])
+    counts = read_record(paths["lf.txt"])
     assert (counts.d, counts.mode, counts.seed, counts.n, counts.mub_fingerprint) == (
-        record.d, record.mode, record.seed, record.n, record.mub_fingerprint)
-    assert counts.counts.shape == (4, 4) and counts.counts.sum() == record.n
+        4, PovmMode.OFFDIAG, 21, 3000, build_mub(4).fingerprint())
+    assert counts.counts.shape == (4, 4) and counts.counts.sum() == 3000
     with pytest.raises(ValueError, match="read-only"):
         counts.counts[0, 0] = 1
 
 
-def test_read_counts_memory_does_not_grow_with_n(tmp_path):
+def test_read_record_memory_does_not_grow_with_n(tmp_path):
     dist = outcome_distribution(random_density(64, 4, 1), build_mub(64), PovmMode.OFFDIAG)
     peaks = []
     for n in (100_000, 1_000_000):
@@ -706,7 +706,7 @@ def test_read_counts_memory_does_not_grow_with_n(tmp_path):
         write_record(sample_record(dist, n, seed=2), path)
         tracemalloc.start()
         try:
-            read_counts(path)
+            read_record(path)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
