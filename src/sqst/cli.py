@@ -98,18 +98,25 @@ def cmd_plan(args) -> int:
             raise ValueError("--general needs --k-bound and --dim")
         n = estimator.plan_samples_general(args.epsilon, args.delta, args.k_bound,
                                            args.dim, args.elements)
-        from decimal import ROUND_CEILING, Decimal  # imported only here: ~2 ms of start-up
+        # imported only here: ~2 ms of start-up
+        from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Decimal, localcontext
         # n is the paper's floor of the inverse, so its bound can sit just above delta:
         # print that bound, rounded up to 6 significant digits
         scale = 2 * args.k_bound**2 * (args.dim + 1)**2  # 0 once K^2 underflows
-        bound = 4 * args.elements * math.exp(-n * args.epsilon**2 / scale) if scale else 0.0
-        if not bound > 0:  # "<= 0" would print a false inequality
-            raise ValueError(f"k_bound={args.k_bound} is too small: the bound for n={n} "
-                             "underflows to 0")
-        bound = Decimal(bound)
-        bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 5), rounding=ROUND_CEILING)
-        ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
-                f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound.normalize()}")
+        term = math.exp(-n * args.epsilon**2 / scale) if scale else 0.0
+        with localcontext() as ctx:
+            ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+            if term >= sys.float_info.min:
+                bound = Decimal(4 * args.elements * term)
+            else:  # below the normal float range: the same bound in Decimal
+                k, eps = Decimal(args.k_bound), Decimal(args.epsilon)
+                bound = 4 * args.elements * (-(n * eps**2) / (2 * k**2 * (args.dim + 1)**2)).exp()
+            if not bound.is_normal():  # "<= 0" would print a false inequality
+                raise ValueError(f"the bound for n={n} at k_bound={args.k_bound} is below "
+                                 f"1e{MIN_EMIN}, too small to print")
+            bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 5), ROUND_CEILING)
+            ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
+                    f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound.normalize()}")
     else:
         if args.k_bound is not None or args.dim is not None:
             raise ValueError("--k-bound and --dim apply only with --general")

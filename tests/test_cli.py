@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import itertools
 import json
 import math
@@ -60,6 +61,20 @@ def test_plan_general_prints_a_true_inequality(capsys):
                                               "n": payload["n"]})
         assert value <= float(rhs) <= value * (1 + 1e-5)
         assert payload["delta"] == delta
+
+
+@pytest.mark.parametrize("k", [1e-4, 1e-8])
+def test_plan_general_prints_a_bound_below_the_float_range(capsys, k):
+    # n = 1 is right, but its bound 4*exp(-n*eps^2/(2*K^2*(d+1)^2)) underflows a float
+    assert run("plan", "--epsilon", "0.1", "--delta", "0.1", "--general",
+               "--k-bound", str(k), "--dim", "4", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 1
+    rhs = decimal.Decimal(payload["inequality"].split(" <= ")[1])
+    assert rhs < decimal.Decimal("1e-300")
+    wide = decimal.Context(Emin=decimal.MIN_EMIN)
+    log_bound = wide.ln(4) - wide.divide(decimal.Decimal(0.1)**2, 2 * decimal.Decimal(k)**2 * 25)
+    assert 0 <= rhs.ln(wide) - log_bound <= 1e-5  # rounded up to 6 significant digits
 
 
 def test_plan_invalid_epsilon_fails(capsys):

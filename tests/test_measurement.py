@@ -307,6 +307,7 @@ def test_read_with_wrong_family_fails(fam2, fam3, tmp_path):
     write_record(record, path)
     again = read_record(path)
     assert measurement._fields(again) == measurement._fields(record)
+    assert np.array_equal(again.counts, record_counts(record).counts)
     check_family(again, fam2, PovmMode.OFFDIAG)
     with pytest.raises(FingerprintMismatch):
         check_family(again, fam3, PovmMode.OFFDIAG)
@@ -571,6 +572,9 @@ def test_crlf_and_missing_final_newline_read_like_lf(many_path, tmp_path):
     for name, body in variants.items():
         (tmp_path / name).write_bytes(body)
         assert np.array_equal(cells(tmp_path / name), cells(record)), name
+        again = read_record(tmp_path / name)
+        assert measurement._fields(again) == measurement._fields(record), name
+        assert np.array_equal(again.counts, record_counts(record).counts), name
 
 
 @pytest.mark.parametrize("line", ["+1,0", " 1,0", "1_0,0", "1,", ",0", "1,2,3", "", "1,0 ",
