@@ -50,33 +50,34 @@ def parse_state(spec: str, d: int | None = None) -> np.ndarray:
     """
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        rho = states.require_density(states.load_matrix(rest))
-        if d is not None and rho.shape[0] != d:
-            raise ValueError(f"state file has dimension {rho.shape[0]}, expected {d}")
-        return rho
-    if d is None:
+        rho = states.load_matrix(rest)
+    elif d is None:
         raise ValueError(f"state preset {spec!r} needs an explicit dimension")
-    if kind == "mixed":
-        return np.eye(d, dtype=np.complex128) / d
-    if kind == "basis":
+    elif kind == "mixed":
+        rho = np.eye(d, dtype=np.complex128) / d
+    elif kind == "basis":
         i = int(rest)
         if not 0 <= i < d:
             raise ValueError(f"basis label {i} outside 0..{d - 1}")
         rho = np.zeros((d, d), dtype=np.complex128)
         rho[i, i] = 1.0
-        return rho
-    if kind == "superposition":
+    elif kind == "superposition":
         parts = rest.split(",")
         if len(parts) != 4:
             raise ValueError("superposition preset needs i,j,a,b")
         i, j = int(parts[0]), int(parts[1])
-        return states.make_pure_superposition(i, j, complex(parts[2]), complex(parts[3]), d)
-    if kind == "random":
+        rho = states.make_pure_superposition(i, j, complex(parts[2]), complex(parts[3]), d)
+    elif kind == "random":
         parts = rest.split(",") if rest else ["1"]
         rank = int(parts[0])
         seed = int(parts[1]) if len(parts) > 1 else 0
-        return states.random_density(d, rank, seed)
-    raise ValueError(f"unknown state spec {spec!r}")
+        rho = states.random_density(d, rank, seed)
+    else:
+        raise ValueError(f"unknown state spec {spec!r}")
+    rho = states.require_density(rho)
+    if d is not None and rho.shape[0] != d:
+        raise ValueError(f"state file has dimension {rho.shape[0]}, expected {d}")
+    return rho
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,25 +99,12 @@ def cmd_plan(args) -> int:
             raise ValueError("--general needs --k-bound and --dim")
         n = estimator.plan_samples_general(args.epsilon, args.delta, args.k_bound,
                                            args.dim, args.elements)
-        # imported only here: ~2 ms of start-up
-        from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Decimal, localcontext
-        # n is the paper's floor of the inverse, so its bound can sit just above delta:
-        # print that bound, rounded up to 6 significant digits
-        scale = 2 * args.k_bound**2 * (args.dim + 1)**2  # 0 once K^2 underflows
-        term = math.exp(-n * args.epsilon**2 / scale) if scale else 0.0
-        with localcontext() as ctx:
-            ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
-            if term >= sys.float_info.min:
-                bound = Decimal(4 * args.elements * term)
-            else:  # below the normal float range: the same bound in Decimal
-                k, eps = Decimal(args.k_bound), Decimal(args.epsilon)
-                bound = 4 * args.elements * (-(n * eps**2) / (2 * k**2 * (args.dim + 1)**2)).exp()
-            if not bound.is_normal():  # "<= 0" would print a false inequality
-                raise ValueError(f"the bound for n={n} at k_bound={args.k_bound} is below "
-                                 f"1e{MIN_EMIN}, too small to print")
-            bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 5), ROUND_CEILING)
-            ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
-                    f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound.normalize()}")
+        # n is the paper's floor of the inverse, so its bound can sit just above delta
+        bound = estimator.bound_text(estimator.hoeffding_tail(
+            n, args.epsilon, args.elements, args.k_bound, args.dim),
+            f"the bound for n={n} at k_bound={args.k_bound}")
+        ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
+                f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound}")
     else:
         if args.k_bound is not None or args.dim is not None:
             raise ValueError("--k-bound and --dim apply only with --general")
@@ -441,17 +429,16 @@ def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
 
 
 def cmd_operator_estimate(args) -> int:
-    record = measurement.read_record(args.record)
-    family = _family(record.d)
     if (args.operator is None) == (args.extreme is None):
         raise ValueError("give exactly one of --operator or --extreme")
+    if args.operator is not None and args.phases is not None:
+        raise ValueError("--phases applies only to --extreme, not to --operator")
+    if args.operator is not None and args.operator.partition(":")[0] != "file":
+        raise ValueError("--operator takes file:PATH")
+    record = measurement.read_record(args.record)  # after the flag checks: reading is slow
+    family = _family(record.d)
     if args.operator is not None:
-        if args.phases is not None:
-            raise ValueError("--phases applies only to --extreme, not to --operator")
-        kind, _, rest = args.operator.partition(":")
-        if kind != "file":
-            raise ValueError("--operator takes file:PATH")
-        matrix = states.load_matrix(rest)
+        matrix = states.load_matrix(args.operator.partition(":")[2])
         coeffs = estimator.decompose_operator(matrix, family)
     else:
         phases = _load_phases("random" if args.phases is None else args.phases, record.d,

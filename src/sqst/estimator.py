@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,15 +51,11 @@ def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
     ceil(2*ln(4*M/delta)/eps^2) with an exact fix-up at the integer boundary.
     """
     _check_plan_args(epsilon, delta, m_elements)
-
-    def bound(n: int) -> float:
-        return 4.0 * m_elements * math.exp(-n * epsilon**2 / 2.0)
-
     n = max(1, math.ceil(_copies(lambda: 2.0 * math.log(4.0 * m_elements / delta) / epsilon**2,
                                  epsilon=epsilon, delta=delta, elements=m_elements)))
-    while bound(n) > delta:
+    while hoeffding_tail(n, epsilon, m_elements) > delta:
         n += 1
-    while n > 1 and bound(n - 1) <= delta:
+    while n > 1 and hoeffding_tail(n - 1, epsilon, m_elements) <= delta:
         n -= 1
     return n
 
@@ -91,9 +88,31 @@ def _check_plan_args(epsilon: float | None, delta: float | None, m: int = 1) -> 
         raise ValueError(f"element count must be >= 1, got {m}")
 
 
-def hoeffding_failure(n: int, epsilon: float) -> float:
-    """The displayed failure bound 4*exp(-n*eps^2/2) for one complex element."""
-    return 4.0 * math.exp(-n * epsilon**2 / 2.0)
+def _wide_context():  # 28 digits, the widest exponents; decimal loads on the first bound: ~3 ms
+    from decimal import MAX_EMAX, MIN_EMIN, Context, localcontext
+    return localcontext(Context(Emin=MIN_EMIN, Emax=MAX_EMAX))
+
+
+def hoeffding_tail(n: int, epsilon: float, count: int = 1, k_bound: float = 1.0, d: int = 0):
+    """The one Hoeffding tail, 4*count*exp(-n*eps^2 / (2*K^2*(d+1)^2)), as a Decimal.
+
+    It bounds Pr[the Re or Im part of any of `count` means is off by >= eps] for
+    weights of modulus <= (d+1)*K (K = 1, d = 0 for an element's eta).  Exact
+    inputs, 28 digits a step: an exponent of 1e18 is off by < 1e-8 relative.
+    """
+    from decimal import Decimal
+    with _wide_context():
+        eps, k = Decimal(epsilon), Decimal(k_bound)
+        return 4 * count * (-(n * eps**2) / (2 * k**2 * (d + 1)**2)).exp()
+
+
+def bound_text(bound, what: str) -> str:
+    """A Decimal bound rounded up to 6 significant digits; ValueError naming `what` if it is 0."""
+    from decimal import MIN_EMIN, ROUND_CEILING, Decimal
+    with _wide_context():
+        if not bound.is_normal():  # "<= 0" would print a false inequality
+            raise ValueError(f"{what} is below 1e{MIN_EMIN}, too small to print")
+        return str(bound.quantize(Decimal(f"1e{bound.adjusted() - 5}"), ROUND_CEILING).normalize())
 
 
 @dataclass(frozen=True)
@@ -156,16 +175,17 @@ def _estimate(record: RecordStream | RecordCounts, i: int, j: int, value, epsilo
               delta) -> SelectiveEstimate:
     """Attach the Hoeffding guarantee for record.n copies to a folded value.
 
-    Hoeffding on Re and Im, joined by a union bound, bounds the chance that
-    either part is off by epsilon; it says nothing sharper about the modulus.
+    The bound prints as a float to 6 significant digits; below the float range
+    it is the exact tail rounded up.  It says nothing sharper about the modulus.
     """
     _check_plan_args(epsilon, delta)
     n = record.n
-    if epsilon is None:
-        eff_delta = 0.01 if delta is None else delta
-        epsilon = math.sqrt(2.0 * math.log(4.0 / eff_delta) / n)
-    bound = min(1.0, hoeffding_failure(n, epsilon))
-    text = f"Pr[max(|Re error|, |Im error|) >= {epsilon:.6g}] <= {bound:.6g} (Hoeffding, n={n})"
+    if epsilon is None:  # the radius at delta, 0.01 if not given
+        epsilon = math.sqrt(2.0 * math.log(4.0 / (delta or 0.01)) / n)
+    bound = min(1, hoeffding_tail(n, epsilon))
+    shown = (f"{float(bound):.6g}" if float(bound) >= sys.float_info.min else
+             bound_text(bound, f"the bound for n={n} at epsilon={epsilon}"))
+    text = f"Pr[max(|Re error|, |Im error|) >= {epsilon:.6g}] <= {shown} (Hoeffding, n={n})"
     return SelectiveEstimate(i=i, j=j, value=value, n=n, epsilon=epsilon, delta=delta,
                              guarantee=text)
 

@@ -78,11 +78,11 @@ def build_mub(d: int) -> MubFamily:
     Deterministic for fixed d.  Raises ValueError for dimensions that are
     not prime powers (d = 6, 10, ...), where no maximal family is known.
     """
+    if d > MAX_FIELD_ORDER:  # before factoring: the trial division runs up to d
+        raise ValueError(f"dimension {d} exceeds maximum {MAX_FIELD_ORDER}")
     pn = factor_prime_power(d)
     if pn is None:
         raise ValueError(f"dimension {d} is not a prime power; maximal MUB unsupported")
-    if d > MAX_FIELD_ORDER:
-        raise ValueError(f"dimension {d} exceeds maximum {MAX_FIELD_ORDER}")
     p, n = pn
 
     vectors = np.zeros((d + 1, d, d), dtype=np.complex128)
@@ -185,23 +185,13 @@ def born_weights(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def projector_sum(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """sum_{m,k} coeffs[m, k] |k,m><k,m| over a stack of bases, one matmul per block of rows.
-
-    Rows i of the sum are conj(W^T @ V) with W = conj(coeffs * vecs[..., i]) and V the
-    vectors, so only W, a block of columns, is held.  Conjugation is exact, so
-    the rows are those of the one matmul (coeffs * vecs)^T @ conj(vecs) bit for
-    bit, zeros included once the -0.0 the conjugate leaves is made 0.0.
-    """
+    """sum_{m,k} coeffs[m, k] |k,m><k,m| over a stack of bases, a matmul per block of bases."""
     d = vecs.shape[-1]
-    v = vecs.reshape(-1, d)
-    out = np.empty((d, d), dtype=np.result_type(coeffs, vecs))
-    blocks = -(-d // max(1, _BLOCK_COEFFS // len(v)))
-    for rows in np.array_split(np.arange(d), blocks):  # even blocks: none is one row
-        w = coeffs[..., None] * vecs[..., rows[0]:rows[-1] + 1]
-        np.conjugate(w, out=w)
-        block = out[rows[0]:rows[-1] + 1]
-        np.conjugate(w.reshape(len(v), -1).T @ v, out=block)
-        block += 0.0
+    out = np.zeros((d, d), dtype=np.result_type(coeffs, vecs))
+    step = max(1, _BLOCK_COEFFS // (d * d))
+    for m in range(0, len(vecs), step):
+        v = vecs[m:m + step].reshape(-1, d)
+        out += (coeffs[m:m + step].reshape(-1, 1) * v).T @ v.conj()
     return out
 
 

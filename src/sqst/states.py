@@ -70,9 +70,13 @@ def make_pure_superposition(i: int, j: int, a: complex, b: complex, d: int) -> n
         raise ValueError(f"labels ({i}, {j}) outside 0..{d - 1}")
     if i == j:
         raise ValueError("superposition labels must differ")
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if norm == 0:
-        raise ValueError("amplitudes a and b are both zero")
+    try:
+        norm = abs(a) ** 2 + abs(b) ** 2  # NaN or inf for a non-finite amplitude
+    except OverflowError:  # a modulus or a Python float square past the float range
+        norm = math.inf
+    if not 0 < norm < math.inf:
+        raise ValueError("amplitudes a and b are both zero" if norm == 0 else
+                         "amplitudes a and b must be finite, and |a|^2 + |b|^2 too")
     psi = np.zeros(d, dtype=np.complex128)
     psi[i] = a
     psi[j] = b

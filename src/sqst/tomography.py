@@ -42,8 +42,6 @@ class LinearEstimate:
 
     d: int
     matrix: np.ndarray = field(repr=False)
-    epsilon: float | None
-    delta: float | None
 
 
 def assemble_linear_estimate(offdiag_record: RecordStream | RecordCounts,
@@ -67,7 +65,7 @@ def assemble_linear_estimate(offdiag_record: RecordStream | RecordCounts,
     matrix = upper + upper.conj().T
     matrix[np.diag_indices(d)] = diag_counts[0] / n_diag
     matrix.setflags(write=False)
-    return LinearEstimate(d=d, matrix=matrix, epsilon=epsilon, delta=delta)
+    return LinearEstimate(d=d, matrix=matrix)
 
 
 @dataclass(frozen=True)

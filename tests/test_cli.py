@@ -262,6 +262,22 @@ def test_bad_delta_fails_before_any_record_is_read(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: delta must lie in (0, 1), got 7.0\n"
 
 
+def test_estimate_prints_a_bound_below_the_float_range(tmp_path, capsys):
+    # n*eps^2/2 from 722 (a subnormal float bound) to 125,000 (far below the float range)
+    rec = tmp_path / "r.bin"
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "1000000",
+               "--record-format", "binary", "--out", str(rec), "--quiet") == 0
+    wide = decimal.Context(Emin=decimal.MIN_EMIN)
+    for eps in (0.038, 0.05, 0.5):
+        assert run("estimate", "--record", str(rec), "--element", "0,1",
+                   "--epsilon", str(eps)) == 0
+        guarantee = json.loads(capsys.readouterr().out)["estimates"][0]["guarantee"]
+        rhs = decimal.Decimal(guarantee.split(" <= ")[1].split(" ")[0])
+        assert rhs < decimal.Decimal("1e-308")
+        log_bound = wide.ln(4) - wide.divide(10**6 * decimal.Decimal(eps)**2, 2)
+        assert 0 <= rhs.ln(wide) - log_bound <= 1e-5  # rounded up to 6 significant digits
+
+
 def _header(mode, n, d=2):
     return f"#SQST v1 d={d} mode={mode} seed=0 n={n} mub={build_mub(d).fingerprint()}\n"
 
@@ -371,15 +387,24 @@ def test_fig2_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == par.read_bytes()
 
 
-def test_cli_import_leaves_the_worker_pool_unloaded():
-    # the pool is imported by reproduce_fig2 only when workers > 1
+def _loaded_by_cli_import(*packages) -> str:
+    """The modules of `packages` that `import sqst.cli` loads, in a fresh interpreter."""
     probe = ("import sys, sqst.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-             "('concurrent', 'multiprocessing')))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     env = dict(os.environ, PYTHONPATH=str(Path(sqst.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # the pool is imported by reproduce_fig2 only when workers > 1
+    assert _loaded_by_cli_import("concurrent", "multiprocessing") == "[]"
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    # the Hoeffding tail imports it only when a bound is computed
+    assert _loaded_by_cli_import("decimal", "_decimal", "_pydecimal") == "[]"
 
 
 # A child's ru_maxrss starts from its parent's resident size, so the commands are
@@ -544,6 +569,19 @@ def test_operator_estimate_needs_exactly_one_source(full_record):
     assert run("operator-estimate", "--record", full_record) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--operator", "file:op.json", "--extreme", "0.2"], "exactly one of --operator or --extreme"),
+    ([], "exactly one of --operator or --extreme"),
+    (["--operator", "file:op.json", "--phases", "random:1"], "--phases applies only to --extreme"),
+    (["--operator", "op.json"], "--operator takes file:PATH"),
+])
+def test_operator_estimate_checks_its_flags_before_reading_the_record(tmp_path, capsys, flags,
+                                                                       message):
+    assert run("operator-estimate", "--record", str(tmp_path / "absent.txt"), *flags) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 def test_operator_estimate_rejects_foreign_family_record(tmp_path, capsys):
     path = tmp_path / "full.txt"
     path.write_text("#SQST v1 d=2 mode=full seed=0 n=3 mub=0123456789abcdef\n1,0\n2,1\n3,0\n")
@@ -704,13 +742,25 @@ _HUGE = "1" + "0" * 400  # an --elements count past the float range
     # 6K fits a float, but the 10 copies' weights sum to 10K, which does not
     ["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", "2.5e307",
      "--phases", "file:{tmp}/zero_phases.json"],
+    # state presets: a NaN truth printed NaN, an amplitude squared past the float range crashed
+    ["estimate", "--record", "{tmp}/off.txt", "--element", "0,1",
+     "--truth", "superposition:0,1,nan,1"],
+    ["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", "0.2",
+     "--truth", "superposition:0,1,nan,0"],
+    ["simulate", "--dim", "4", "--state", "superposition:0,1,1e200,1e200", "--copies", "10",
+     "--out", "{tmp}/r.txt"],
+    ["simulate", "--dim", "2", "--state", "superposition:0,1,1e308+1e308j,0", "--copies", "10",
+     "--out", "{tmp}/r.txt"],
+    ["mub", "--dim", "1000000007"],  # refused before it is factored
 ], ids=lambda argv: " ".join(a for a in argv if "{tmp}" not in a)[:60])
 def test_out_of_range_numbers_exit_1_without_a_traceback(argv, tmp_path, capsys):
-    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10",
-               "--povm", "full", "--out", str(tmp_path / "full.txt"), "--quiet") == 0
+    for mode in ("full", "offdiag"):
+        assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10",
+                   "--povm", mode, "--out", str(tmp_path / f"{mode[:4]}.txt"), "--quiet") == 0
     (tmp_path / "nan_phases.json").write_text("[[0, 1], [NaN, 0], [0, 0]]")
     (tmp_path / "zero_phases.json").write_text("[[0, 0], [0, 0], [0, 0]]")
     assert run(*[a.format(tmp=tmp_path) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "NaN" not in captured.out  # no value printed, NaN least of all
     assert not captured.out and not (tmp_path / "r.txt").exists()

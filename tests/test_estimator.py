@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from oracles import cells, smallest_n_satisfying
 from sqst import measurement
-from sqst.estimator import (count_table, decompose_operator, estimate_diagonal,
+from sqst.estimator import (bound_text, count_table, decompose_operator, estimate_diagonal,
                             estimate_element, extreme_operator, fold_diagonal, fold_element,
-                            fold_mean, outcome_counts, plan_samples, plan_samples_general,
-                            record_counts)
+                            fold_mean, hoeffding_tail, outcome_counts, plan_samples,
+                            plan_samples_general, record_counts)
 from sqst.measurement import (FingerprintMismatch, PovmMode, RecordCounts, RecordHeader,
                               counted, outcome_distribution, sample_record)
 from sqst.mub import build_mub, eta_table
@@ -457,6 +458,32 @@ def test_guarantee_states_what_hoeffding_proves(fam2):
     est = estimate_element(record, fam2, 0, 1, epsilon=0.01)
     assert est.guarantee == ("Pr[max(|Re error|, |Im error|) >= 0.01] <= 0.00999965 "
                              "(Hoeffding, n=119830)")
+
+
+def test_hoeffding_tail_is_the_float_formula_within_the_float_range():
+    for n, eps, m in [(119_830, 0.01, 1), (1_199, 0.1, 1), (175_282, 0.01, 16), (10, 0.3, 2)]:
+        assert float(hoeffding_tail(n, eps, m)) == pytest.approx(
+            4 * m * math.exp(-n * eps**2 / 2), rel=1e-12)
+    # an operator's weights reach (d+1)*K: K = 1/(d+1) gives the element tail
+    assert float(hoeffding_tail(4_793, 0.05, 3, 1 / 5, 4)) == pytest.approx(
+        float(hoeffding_tail(4_793, 0.05, 3)), rel=1e-12)
+
+
+def test_hoeffding_tail_holds_below_the_float_range():
+    # n*eps^2/2 = 1250 for the float nearest 0.05, taken exactly: a float exp gives 0
+    log_tail = decimal.Context(Emin=decimal.MIN_EMIN).ln(hoeffding_tail(10**6, 0.05, 7))
+    exponent = 10**6 * decimal.Decimal(0.05)**2 / 2
+    assert abs(log_tail - (decimal.Decimal(28).ln() - exponent)) < decimal.Decimal("1e-20")
+
+
+def test_bound_text_rounds_up_to_six_digits_and_refuses_zero():
+    D = decimal.Decimal
+    assert bound_text(D("0.0123456"), "b") == "0.0123456"
+    assert bound_text(D("0.01234560001"), "b") == "0.0123457"
+    assert bound_text(D("3.999999999"), "b") == "4"
+    assert bound_text(D("1.2345678E-400000"), "b") == "1.23457E-400000"
+    with pytest.raises(ValueError, match="^the bound is below 1e-999999999999999999, too small"):
+        bound_text(hoeffding_tail(10**6, 1e10), "the bound")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -82,6 +82,14 @@ def test_non_prime_power_dimension_rejected():
         build_mub(1)
 
 
+def test_a_dimension_above_the_maximum_is_refused_before_it_is_factored():
+    # a prime: factoring it first trial-divided for more than 15 s
+    with pytest.raises(ValueError, match="dimension 1000000007 exceeds maximum 64"):
+        build_mub(1_000_000_007)
+    with pytest.raises(ValueError, match="dimension 66 exceeds maximum 64"):
+        build_mub(66)  # no prime power either: the range is checked first
+
+
 @pytest.mark.parametrize("d", SMALL_DIMS)
 def test_verify_mub_passes(d):
     assert verify_mub(build_mub(d), 1e-10).passed

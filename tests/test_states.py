@@ -37,6 +37,19 @@ def test_superposition_errors():
         make_pure_superposition(0, 9, 1, 1, 4)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, complex(0, math.nan), 1e200,
+                               complex(1e308, 1e308), 1.4e154, np.complex128(np.nan)])
+def test_superposition_refuses_non_finite_or_overflowing_amplitudes(a):
+    for args in ((a, 1), (1, a)):
+        with pytest.raises(ValueError, match=r"must be finite, and \|a\|\^2 \+ \|b\|\^2 too"):
+            make_pure_superposition(0, 1, *args, 2)
+
+
+def test_superposition_takes_every_amplitude_whose_norm_is_finite():
+    rho = make_pure_superposition(0, 1, 1e154, 1e-170, 2)  # |a|^2 = 1e308
+    assert rho[0, 0] == pytest.approx(1.0) and rho[1, 1] == 0.0
+
+
 def test_random_density_rank_one_is_pure():
     rho = random_density(2, 1, seed=5)
     w = np.linalg.eigvalsh(rho)
