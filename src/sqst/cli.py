@@ -327,8 +327,10 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
     summaries).  Per-trial Philox streams (seed, d, trial) make the output
     independent of worker scheduling.
     """
-    for d in dims:
-        _family(d)  # validate prime powers before spawning workers
+    for k, d in enumerate(dims):  # validate before spawning workers
+        if d in dims[:k]:
+            raise ValueError(f"dimension {d} is given more than once")
+        _family(d)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:

@@ -51,7 +51,8 @@ def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
     ceil(2*ln(4*M/delta)/eps^2) with an exact fix-up at the integer boundary.
     """
     _check_plan_args(epsilon, delta, m_elements)
-    n = max(1, math.ceil(_copies(lambda: 2.0 * math.log(4.0 * m_elements / delta) / epsilon**2,
+    n = max(1, math.ceil(_copies(lambda: 2.0 * math.log(4.0 * m_elements / delta)
+                                 / epsilon / epsilon,  # epsilon**2 overflows for huge epsilon
                                  epsilon=epsilon, delta=delta, elements=m_elements)))
     while hoeffding_tail(n, epsilon, m_elements) > delta:
         n += 1
@@ -79,11 +80,16 @@ def plan_samples_general(epsilon: float, delta: float, k_bound: float, d: int,
 
 
 def _check_plan_args(epsilon: float | None, delta: float | None, m: int = 1) -> None:
-    """Refuse epsilon <= 0, delta outside (0, 1) and m < 1; None stands for not given."""
+    """Refuse epsilon <= 0 or inf, delta outside (0, 1) or so small that 4/delta overflows,
+    and m < 1; None stands for not given."""
     if epsilon is not None and not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon == math.inf:
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if delta is not None and not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if delta is not None and not delta > sys.float_info.min:
+        raise ValueError(f"delta must exceed the least normal float {sys.float_info.min}, got {delta}")
     if m < 1:
         raise ValueError(f"element count must be >= 1, got {m}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import MAX_FIELD_ORDER, GaloisRing4, build_field, factor_prime_power
+from .fields import MAX_FIELD_ORDER, factor_prime_power, phase_exponents
 
 _BLOCK_COEFFS = 32_768  # coefficients per block of a contraction's operand: 512 KiB of complex128
 
@@ -85,23 +85,13 @@ def build_mub(d: int) -> MubFamily:
         raise ValueError(f"dimension {d} is not a prime power; maximal MUB unsupported")
     p, n = pn
 
+    exps = phase_exponents(p, n)  # [a, b, x], values in Z4 (p = 2) or Z_p
+    phases = np.power(1j, np.arange(4.0)) if p == 2 else np.exp(2j * np.pi / p) ** np.arange(p)
+    phases /= np.sqrt(d)
     vectors = np.zeros((d + 1, d, d), dtype=np.complex128)
     vectors[0] = np.eye(d)
-    # each unbiased basis is filled on its own, so the temporaries are one basis in size
-    if p == 2:
-        exps = GaloisRing4(n).phase_exponents()  # [a, b, x], values in Z4
-        phases = np.power(1j, np.arange(4.0)) / np.sqrt(d)
-        for a in range(d):
-            vectors[a + 1] = phases[exps[a]]
-    else:
-        f = build_field(p, n)
-        idx = np.arange(d)
-        sq = f.mul_table[idx, idx]  # x^2 for each element
-        tr_ax2 = f.trace_table[f.mul_table[idx[:, None], sq[None, :]]]  # [a, x]
-        tr_bx = f.trace_table[f.mul_table]  # [b, x]
-        omega = np.exp(2j * np.pi / p)
-        for a in range(d):
-            vectors[a + 1] = omega ** ((tr_ax2[a] + tr_bx) % p) / np.sqrt(d)
+    for a in range(d):  # one basis at a time, so the temporaries are one basis in size
+        vectors[a + 1] = phases[exps[a]]
     vectors.setflags(write=False)
     return MubFamily(d=d, vectors=vectors)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,12 @@ def make_pure_superposition(i: int, j: int, a: complex, b: complex, d: int) -> n
         norm = abs(a) ** 2 + abs(b) ** 2  # NaN or inf for a non-finite amplitude
     except OverflowError:  # a modulus or a Python float square past the float range
         norm = math.inf
-    if not 0 < norm < math.inf:
-        raise ValueError("amplitudes a and b are both zero" if norm == 0 else
-                         "amplitudes a and b must be finite, and |a|^2 + |b|^2 too")
+    if a == 0 and b == 0:
+        raise ValueError("amplitudes a and b are both zero")
+    if not norm < math.inf:
+        raise ValueError("amplitudes a and b must be finite, and |a|^2 + |b|^2 too")
+    if norm < sys.float_info.min:  # zero or subnormal: the normalised state loses its trace
+        raise ValueError(f"|a|^2 + |b|^2 = {norm} underflows the float range; scale a and b up")
     psi = np.zeros(d, dtype=np.complex128)
     psi[i] = a
     psi[j] = b

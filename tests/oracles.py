@@ -142,16 +142,22 @@ def first_basic_primitive_lift(n: int) -> list:
 class GaloisRingTrace:
     """The GR(4, n) trace as the sum of the n Frobenius conjugates of any ring element.
 
-    Frobenius is computed on general elements from their 2-adic form a + 2b
-    (a, b Teichmueller) as a^2 + 2 b^2 with the schoolbook `poly_mul_mod`.
-    Only the ring's modulus and Teichmueller rows are read from `ring`, not
-    its power table or the closed form of `GaloisRing4.phase_exponents`.
+    The ring is Z4[x] modulo the given monic ascending `modulus`; its
+    Teichmueller rows 0, 1, x, ..., x^(2^n - 2) are multiplied up here with
+    the schoolbook `poly_mul_mod`.  Frobenius is computed on general elements
+    from their 2-adic form a + 2b (a, b Teichmueller) as a^2 + 2 b^2.
+    Nothing is read from the library's power rows or trace form.
     """
 
-    def __init__(self, ring):
-        self.n, self.d, self.modulus = ring.n, ring.d, ring.modulus
-        self.teichmuller = t = [tuple(int(c) for c in row) for row in ring.teichmuller]
+    def __init__(self, n: int, modulus):
+        self.n, self.d, self.modulus = n, 2**n, list(modulus)
+        x = ((-self.modulus[0]) % 4,) if n == 1 else (0, 1) + (0,) * (n - 2)
+        powers = [(1,) + (0,) * (n - 1)]
+        for _ in range(self.d - 2):
+            powers.append(self.mul(powers[-1], x))
+        self.teichmuller = t = [(0,) * n] + powers
         self._two_adic = {self.add(a, b, 2): (a, b) for a in t for b in t}
+        assert len(self._two_adic) == 4**n, "a + 2b is not a bijection from T x T"
         self._cache = {}
 
     @staticmethod
@@ -178,12 +184,16 @@ class GaloisRingTrace:
         return self._cache[e]
 
     def phase_exponents(self) -> np.ndarray:
-        """E[a, b, x] = trace((T[a] + 2 T[b]) * T[x]), element by element."""
+        """E[a, b, x] = trace((T[a] + 2 T[b]) * T[x]), element by element.
+
+        The product is expanded by distributivity as T[a] T[x] + 2 T[b] T[x],
+        so only the d^2 schoolbook products T[a] T[x] are multiplied out.
+        """
         t = self.teichmuller
+        prod = [[self.mul(a, x) for x in t] for a in t]
         out = np.zeros((self.d, self.d, self.d), dtype=np.uint8)
-        for ai, a in enumerate(t):
-            for bi, b in enumerate(t):
-                c = self.add(a, b, 2)
-                for xi, x in enumerate(t):
-                    out[ai, bi, xi] = self(self.mul(c, x))
+        for ai in range(self.d):
+            for bi in range(self.d):
+                for xi in range(self.d):
+                    out[ai, bi, xi] = self(self.add(prod[ai][xi], prod[bi][xi], 2))
         return out

@@ -82,6 +82,16 @@ def test_plan_invalid_epsilon_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plan_takes_one_copy_for_a_huge_finite_epsilon(tmp_path, capsys):
+    # epsilon**2 overflows here; the plan divides by epsilon twice instead
+    assert run("plan", "--epsilon", "1e200", "--delta", "0.1", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 1
+    rec = tmp_path / "r.txt"
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--epsilon", "1e300",
+               "--delta", "0.5", "--out", str(rec), "--quiet") == 0
+    assert read_record(rec).n == 1
+
+
 def test_plan_general_needs_dim(capsys):
     assert run("plan", "--epsilon", "0.1", "--delta", "0.1", "--general") == 1
 
@@ -244,6 +254,12 @@ def test_estimate_requires_elements(record_pair):
     (["--delta", "7"], "delta must lie in (0, 1), got 7.0"),
     (["--delta", "1"], "delta must lie in (0, 1), got 1.0"),
     (["--epsilon", "0.1", "--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+    (["--epsilon", "nan"], "epsilon must be positive, got nan"),
+    (["--epsilon", "inf"], "epsilon must be finite, got inf"),
+    (["--delta", "1e-320"],
+     "delta must exceed the least normal float 2.2250738585072014e-308, got 1e-320"),
+    (["--delta", "2.2250738585072014e-308"],  # 4/delta overflows: the radius was inf
+     "delta must exceed the least normal float 2.2250738585072014e-308, got 2.2250738585072014e-308"),
 ])
 def test_epsilon_and_delta_outside_their_ranges_fail_cleanly(record_pair, capsys, command,
                                                              flags, message):
@@ -376,6 +392,14 @@ def test_fig2_single_trial_deterministic(tmp_path):
     lines = a.read_text().splitlines()
     assert lines[0] == "d,trial,abs_error"
     assert len(lines) == 2
+
+
+def test_fig2_refuses_a_repeated_dimension(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert run("reproduce-fig2", "--dims", "2,3,2", "--trials", "3", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: dimension 2 is given more than once\n" and not captured.out
+    assert not out.exists()
 
 
 def test_fig2_parallel_matches_serial(tmp_path):
@@ -728,7 +752,11 @@ _HUGE = "1" + "0" * 400  # an --elements count past the float range
 @pytest.mark.parametrize("argv", [
     ["plan", "--epsilon", "1e-300", "--delta", "0.1"],
     ["plan", "--epsilon", "1e-100", "--delta", "0.1"],  # a count past 2**53: the fix-up never ended
-    ["plan", "--epsilon", "1e200", "--delta", "0.1"],
+    ["plan", "--epsilon", "inf", "--delta", "0.1"],
+    ["simulate", "--dim", "2", "--state", "mixed", "--epsilon", "inf", "--delta", "0.1",
+     "--out", "{tmp}/r.txt"],
+    ["reproduce-fig2", "--dims", "2", "--trials", "1", "--epsilon", "inf"],
+    ["plan", "--epsilon", "0.1", "--delta", "1e-320"],
     ["plan", "--epsilon", "0.1", "--delta", "0.1", "--elements", _HUGE],
     ["simulate", "--dim", "2", "--state", "mixed", "--epsilon", "1e-300", "--delta", "0.1",
      "--out", "{tmp}/r.txt"],
@@ -751,6 +779,8 @@ _HUGE = "1" + "0" * 400  # an --elements count past the float range
      "--out", "{tmp}/r.txt"],
     ["simulate", "--dim", "2", "--state", "superposition:0,1,1e308+1e308j,0", "--copies", "10",
      "--out", "{tmp}/r.txt"],
+    *(["simulate", "--dim", "2", "--state", f"superposition:0,1,{a},0", "--copies", "10",
+       "--out", "{tmp}/r.txt"] for a in ("1e-170", "1e-160")),  # |a|^2 underflows
     ["mub", "--dim", "1000000007"],  # refused before it is factored
 ], ids=lambda argv: " ".join(a for a in argv if "{tmp}" not in a)[:60])
 def test_out_of_range_numbers_exit_1_without_a_traceback(argv, tmp_path, capsys):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import GaloisRingTrace, field_add, first_basic_primitive_lift, poly_mul_mod
-from sqst.fields import _CONWAY, GaloisRing4, build_field, factor_prime_power
+from sqst.fields import (_CONWAY, MAX_FIELD_ORDER, _primitive_powers, factor_prime_power,
+                         phase_exponents)
+
+FAMILIES = [pn for pn in map(factor_prime_power, range(2, MAX_FIELD_ORDER + 1)) if pn]
 
 
 def test_prime_power_factoring():
@@ -13,143 +16,91 @@ def test_prime_power_factoring():
     assert factor_prime_power(6) is None
     assert factor_prime_power(12) is None
     assert factor_prime_power(1) is None
+    assert len(FAMILIES) == 27
 
 
-def test_gf2_is_xor():
-    f = build_field(2, 1)
-    assert field_add(0, 1, 2, 1) == 1 and field_add(1, 1, 2, 1) == 0
-    assert f.mul_table[1, 1] == 1 and f.mul_table[0, 1] == 0
+def _least_primitive_root(p: int) -> int:
+    """Brute force: the least g whose powers g^1 .. g^(p-1) mod p are all distinct."""
+    return next(g for g in range(1, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
 
 
-def test_gf3_is_mod3():
-    f = build_field(3, 1)
-    for a in range(3):
-        for b in range(3):
-            assert field_add(a, b, 3, 1) == (a + b) % 3
-            assert f.mul_table[a, b] == (a * b) % 3
+@pytest.mark.parametrize("p,n", FAMILIES)
+def test_modulus_search_takes_the_conway_choice_and_lists_the_powers_of_its_root(p, n):
+    modulus, rows = _primitive_powers(p, n)
+    if p == 2:
+        assert modulus == first_basic_primitive_lift(n)
+    elif n == 1:
+        assert modulus == [(-_least_primitive_root(p)) % p, 1]
+    else:
+        assert modulus == list(_CONWAY[(p, n)])
+    # the rows are x^0 .. x^(q-2) by schoolbook products, all distinct, and x^(q-1) = 1
+    r, q = 4 if p == 2 else p, p**n
+    x = ((-modulus[0]) % r,) if n == 1 else (0, 1) + (0,) * (n - 2)
+    power = (1,) + (0,) * (n - 1)
+    assert rows.shape == (q - 1, n)
+    for row in rows:
+        assert tuple(row) == power
+        power = poly_mul_mod(power, x, modulus, r)
+    assert power == (1,) + (0,) * (n - 1)
+    assert len(np.unique(rows, axis=0)) == q - 1
 
 
-def test_gf4_cubes_are_one():
-    # every nonzero element of GF(4) satisfies x^3 = 1
-    f = build_field(2, 2)
-    mul = f.mul_table
-    for a in range(1, 4):
-        cube = mul[a, mul[a, a]]
-        assert cube == 1
+def _schoolbook_exponents(p: int, n: int) -> np.ndarray:
+    """E[a, b, x] = tr(a x^2 + b x) over GF(p^n) labels, from schoolbook products and digit sums.
 
-
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 1), (7, 1)])
-def test_field_axioms_exhaustive(p, n):
-    f = build_field(p, n)
-    mul = f.mul_table
-    els = np.arange(f.q)
-    a, b, c = np.meshgrid(els, els, els, indexing="ij")
-    add = field_add(els[:, None], els[None, :], p, n)
-    assert np.array_equal(add[els, 0], els)
-    assert np.array_equal(mul[els, 1], els)
-    assert np.all(mul[els, 0] == 0)
-    assert np.array_equal(add, add.T)
-    assert np.array_equal(mul, mul.T)
-    assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
-    assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
-    assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
-
-
-@pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (3, 3), (5, 2)])
-def test_every_nonzero_element_invertible(p, n):
-    f = build_field(p, n)
-    for a in range(1, f.q):
-        assert np.count_nonzero(f.mul_table[a] == 1) == 1
-    # zero has no multiplicative inverse
-    assert not np.any(f.mul_table[0] == 1)
-
-
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (7, 2)])
-def test_trace_is_additive_and_in_prime_subfield(p, n):
-    f = build_field(p, n)
-    tr = f.trace_table
-    assert np.all((0 <= tr) & (tr < p))
-    els = np.arange(f.q)
-    a, b = np.meshgrid(els, els, indexing="ij")
-    assert np.array_equal(tr[field_add(a, b, p, n)], (tr[a] + tr[b]) % p)
-
-
-@pytest.mark.parametrize("p,n", sorted(_CONWAY))
-def test_field_tables_match_schoolbook_oracle(p, n):
-    f = build_field(p, n)
-    modulus = _CONWAY[(p, n)]
-    digits = [tuple((a // p**k) % p for k in range(n)) for a in range(f.q)]
+    The trace is the sum of the n conjugates y, y^p, ..., each the p-th power
+    of the last by repeated multiplication; it must land in GF(p).
+    """
+    q = p**n
+    modulus = _CONWAY[(p, n)] if n > 1 else (0, 1)
+    digits = [tuple((a // p**k) % p for k in range(n)) for a in range(q)]
     label = {dig: a for a, dig in enumerate(digits)}
-    for a in range(f.q):
-        for b in range(f.q):
-            assert f.mul_table[a, b] == label[poly_mul_mod(digits[a], digits[b], modulus, p)]
-        # trace(a) = a + a^p + ... + a^(p^(n-1)); each conjugate is p products of the last
-        acc, conj = digits[a], digits[a]
+    mul = np.array([[label[poly_mul_mod(u, v, modulus, p)] for v in digits] for u in digits])
+    trace = np.zeros(q, dtype=np.int64)
+    for a, conj in enumerate(digits):
+        acc = a
         for _ in range(n - 1):
-            power = digits[1]  # the element 1
+            power = digits[1]
             for _ in range(p):
                 power = poly_mul_mod(power, conj, modulus, p)
             conj = power
-            acc = tuple((x + y) % p for x, y in zip(acc, conj))
-        assert acc == (f.trace_table[a],) + (0,) * (n - 1)
+            acc = int(field_add(acc, label[conj], p, n))
+        assert acc < p, f"trace of {a} not in GF({p})"
+        trace[a] = acc
+    els = np.arange(q)
+    ax2 = mul[:, mul[els, els]]  # [a, x] -> a x^2
+    return trace[field_add(ax2[:, None, :], mul[None, :, :], p, n)]
 
 
-def test_build_field_is_deterministic():
-    f1 = build_field(3, 3)
-    f2 = build_field(3, 3)
-    assert np.array_equal(f1.mul_table, f2.mul_table)
-    assert np.array_equal(f1.trace_table, f2.trace_table)
+@pytest.mark.parametrize("p,n", [pn for pn in FAMILIES if pn[0] > 2])
+def test_odd_phase_exponents_match_the_schoolbook_trace(p, n):
+    table = phase_exponents(p, n)
+    assert table.dtype == np.uint8 and table.shape == (p**n,) * 3
+    assert np.array_equal(table, _schoolbook_exponents(p, n))
+    # the trace lands in GF(p) and is additive: tr(a x^2 + b x) = tr(a x^2) + tr(b x)
+    assert table.max() < p
+    assert np.array_equal(table, (table[:, :1, :] + table[None, 0, :, :]) % p)
 
 
-def test_build_field_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_field(4, 1)  # not prime
-    with pytest.raises(ValueError):
-        build_field(6, 1)
-    with pytest.raises(ValueError):
-        build_field(2, 7)  # 128 > 64
-    with pytest.raises(ValueError):
-        build_field(2, 0)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_galois_ring_phase_exponents_match_the_frobenius_trace(n):
+    table = phase_exponents(2, n)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, GaloisRingTrace(n, first_basic_primitive_lift(n)).phase_exponents())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_galois_ring_teichmuller(n):
-    ring = GaloisRing4(n)
-    trace = GaloisRingTrace(ring)
-    d = 2**n
-    t = ring.teichmuller
-    assert t.shape == (d, n) and not t.flags.writeable
-    assert not t[0].any() and np.array_equal(t[1], np.eye(1, n, dtype=int)[0])
-    # the nonzero part is the cyclic group of order d-1
-    assert len(np.unique(t, axis=0)) == d
-    table = ring.phase_exponents()
-    for x, e in enumerate(t):
-        assert trace(e) in (0, 1, 2, 3)
-        assert table[1, 0, x] == trace(e)  # (T[1] + 2 T[0]) * T[x] = T[x]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_galois_ring_modulus_is_the_first_basic_primitive_lift(n):
-    assert GaloisRing4(n).modulus == first_basic_primitive_lift(n)
-
-
-def test_galois_ring_trace_additive_small():
-    ring = GaloisRing4(3)
-    trace = GaloisRingTrace(ring)
-    t = ring.teichmuller
+def test_galois_ring_trace_is_z4_linear():
+    trace = GaloisRingTrace(3, first_basic_primitive_lift(3))
+    t = trace.teichmuller
     for a in t[:4]:
         for b in t[:4]:
-            lhs = trace((a + b) % 4)
-            rhs = (trace(a) + trace(b)) % 4
-            assert lhs == rhs
+            assert trace(trace.add(a, b)) == (trace(a) + trace(b)) % 4
     # the table form of Z4-linearity: tr((a + 2b) x) = tr(a x) + 2 tr(b x)
-    table = ring.phase_exponents().astype(int)
+    table = phase_exponents(2, 3).astype(int)
     assert np.array_equal(table, (table[:, :1, :] + 2 * table[None, :, 0, :]) % 4)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_galois_ring_phase_table_matches_frobenius_trace(n):
-    ring = GaloisRing4(n)
-    table = ring.phase_exponents()
-    assert table.dtype == np.uint8
-    assert np.array_equal(table, GaloisRingTrace(ring).phase_exponents())
+@pytest.mark.parametrize("p,n", [(4, 1), (6, 1), (1, 2), (2, 7), (2, 0), (67, 1)])
+def test_phase_exponents_reject_bad_input(p, n):
+    with pytest.raises(ValueError):
+        phase_exponents(p, n)

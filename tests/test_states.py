@@ -45,6 +45,17 @@ def test_superposition_refuses_non_finite_or_overflowing_amplitudes(a):
             make_pure_superposition(0, 1, *args, 2)
 
 
+@pytest.mark.parametrize("a, b", [(1e-170, 0), (0, 1e-160), (1e-160, 1e-160j), (5e-324, 0)])
+def test_superposition_refuses_amplitudes_whose_norm_underflows(a, b):
+    with pytest.raises(ValueError, match=r"\|a\|\^2 \+ \|b\|\^2 = .* underflows"):
+        make_pure_superposition(0, 1, a, b, 2)
+
+
+def test_superposition_refuses_two_zero_amplitudes_as_both_zero():
+    with pytest.raises(ValueError, match="^amplitudes a and b are both zero$"):
+        make_pure_superposition(0, 1, 0, -0.0j, 2)
+
+
 def test_superposition_takes_every_amplitude_whose_norm_is_finite():
     rho = make_pure_superposition(0, 1, 1e154, 1e-170, 2)  # |a|^2 = 1e308
     assert rho[0, 0] == pytest.approx(1.0) and rho[1, 1] == 0.0
