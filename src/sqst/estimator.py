@@ -51,7 +51,7 @@ def plan_samples(epsilon: float, delta: float, m_elements: int = 1) -> int:
     ceil(2*ln(4*M/delta)/eps^2) with an exact fix-up at the integer boundary.
     """
     _check_plan_args(epsilon, delta, m_elements)
-    n = max(1, math.ceil(_copies(lambda: 2.0 * math.log(4.0 * m_elements / delta)
+    n = max(1, math.ceil(_copies(lambda: 2.0 * (math.log(4.0 * m_elements) - math.log(delta))
                                  / epsilon / epsilon,  # epsilon**2 overflows for huge epsilon
                                  epsilon=epsilon, delta=delta, elements=m_elements)))
     while hoeffding_tail(n, epsilon, m_elements) > delta:
@@ -74,7 +74,7 @@ def plan_samples_general(epsilon: float, delta: float, k_bound: float, d: int,
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     x = _copies(lambda: 2.0 * (k_bound * (d + 1) / epsilon) ** 2
-                * math.log(4.0 * m_operators / delta),
+                * (math.log(4.0 * m_operators) - math.log(delta)),
                 epsilon=epsilon, delta=delta, k_bound=k_bound, d=d, operators=m_operators)
     return max(1, math.floor(x))
 
@@ -181,16 +181,16 @@ def _estimate(record: RecordStream | RecordCounts, i: int, j: int, value, epsilo
               delta) -> SelectiveEstimate:
     """Attach the Hoeffding guarantee for record.n copies to a folded value.
 
-    The bound prints as a float to 6 significant digits; below the float range
-    it is the exact tail rounded up.  It says nothing sharper about the modulus.
+    The bound prints as the exact tail, capped at 1, rounded up to 6 significant
+    digits.  It says nothing sharper about the modulus.
     """
+    from decimal import Decimal
     _check_plan_args(epsilon, delta)
     n = record.n
     if epsilon is None:  # the radius at delta, 0.01 if not given
         epsilon = math.sqrt(2.0 * math.log(4.0 / (delta or 0.01)) / n)
-    bound = min(1, hoeffding_tail(n, epsilon))
-    shown = (f"{float(bound):.6g}" if float(bound) >= sys.float_info.min else
-             bound_text(bound, f"the bound for n={n} at epsilon={epsilon}"))
+    shown = bound_text(min(hoeffding_tail(n, epsilon), Decimal(1)),
+                       f"the bound for n={n} at epsilon={epsilon}")
     text = f"Pr[max(|Re error|, |Im error|) >= {epsilon:.6g}] <= {shown} (Hoeffding, n={n})"
     return SelectiveEstimate(i=i, j=j, value=value, n=n, epsilon=epsilon, delta=delta,
                              guarantee=text)

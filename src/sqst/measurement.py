@@ -25,11 +25,14 @@ Record files exist in two formats sharing one header line
   label 1 to 5 ASCII digits of a value <= 65535, each line ended by LF or
   CRLF, the final line's newline optional.  Nothing else is accepted: no
   signs, spaces, underscores or empty lines.  Text is written and parsed in
-  blocks with numpy, never line by line in Python: a first pass over the
-  chunks checks the bytes are ASCII and counts the lines, a second parses
-  each chunk's whole lines and carries its partial last line on;
+  blocks with numpy, never line by line in Python: each chunk's whole lines
+  are parsed and counted, and its partial last line is carried on;
 * binary: the header line NUL-padded to 128 bytes, then n little-endian
   (uint16 m, uint16 k) pairs.
+
+A file is read once, front to back: the header first, then the body block by
+block (ASCII, then grammar, then label ranges), raising the first fault in
+file order.
 
 The ``mub`` field fingerprints the basis family that produced the record;
 `check_family` is the one place that refuses a record or distribution whose
@@ -185,6 +188,9 @@ class RecordHeader:
     def __post_init__(self):
         if self.n < 1:
             raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
+        cells = self.mode.basis_count(self.d) * self.d
+        if cells > 0xFFFF:
+            raise RecordFormatError(f"d={self.d} {self.mode.value} record has {cells} cells, over 65535")
 
 
 def _fields(header: RecordHeader) -> dict:
@@ -222,15 +228,10 @@ class RecordCounts(RecordHeader):
 
 
 def count_cells(blocks, size: int) -> np.ndarray:
-    """The multiplicity of each of size cells over one or more blocks, one bincount per block.
-
-    The table is made from the first block: a file's labels are checked before
-    it arrives, so an absurd header d allocates nothing.
-    """
-    counts = None
+    """The multiplicity of each of size cells over the blocks, one bincount per block."""
+    counts = np.zeros(size, dtype=np.intp)
     for block in blocks:
-        part = np.bincount(block, minlength=size)
-        counts = part if counts is None else np.add(counts, part, out=counts)
+        counts += np.bincount(block, minlength=size)
     return counts
 
 
@@ -264,29 +265,19 @@ def check_family(source, family: MubFamily, mode: PovmMode) -> None:
 def _label_cells(blocks, d: int, mode: PovmMode):
     """Yield the uint16 cells (m - first_basis) * d + k of file labels given as (ms, ks) blocks.
 
-    Blocks are decoded as they arrive, in uint16 arithmetic exact for labels in
-    range.  The ranges are checked on the label extrema, and a fault is raised
-    only after the last block, so a grammar fault in a later block wins over a
-    range fault in an earlier one; no block is yielded from the first range
-    fault on.
+    Each block's labels are range-checked, then decoded in uint16 arithmetic,
+    exact since the header holds the table to 65535 cells.
     """
     first, count = mode.first_basis, mode.basis_count(d)
-    m_lo, m_hi, k_hi = first, first, 0
-    in_range = count * d <= 0xFFFF  # else refused below, once the labels are checked
     for ms, ks in blocks:
-        m_lo, m_hi, k_hi = min(m_lo, ms.min()), max(m_hi, ms.max()), max(k_hi, ks.max())
-        in_range = in_range and first <= m_lo and m_hi < first + count and k_hi < d
-        if in_range:
-            cells = np.subtract(ms, first, dtype=np.uint16, casting="unsafe")
-            cells *= np.uint16(d)
-            np.add(cells, ks, out=cells, casting="unsafe")
-            yield cells
-    if m_lo < first or m_hi >= first + count:
-        raise RecordFormatError(f"basis label outside {first}..{first + count - 1} for mode {mode.value}")
-    if k_hi >= d:
-        raise RecordFormatError(f"outcome label outside 0..{d - 1}")
-    if count * d > 0xFFFF:
-        raise RecordFormatError(f"d={d} {mode.value} record has {count * d} cells, over 65535")
+        if ms.min() < first or ms.max() >= first + count:
+            raise RecordFormatError(f"basis label outside {first}..{first + count - 1} for mode {mode.value}")
+        if ks.max() >= d:
+            raise RecordFormatError(f"outcome label outside 0..{d - 1}")
+        cells = np.subtract(ms, first, dtype=np.uint16, casting="unsafe")
+        cells *= np.uint16(d)
+        np.add(cells, ks, out=cells, casting="unsafe")
+        yield cells
 
 
 def _shard_sizes(n: int, shards: int) -> list:
@@ -324,15 +315,16 @@ def _header_line(record: RecordHeader) -> str:
     )
 
 
-def _parse_header(line: str):
+def _parse_header(line: str) -> RecordHeader:
     m = _HEADER_RE.match(line.strip())
     if not m:
         raise RecordFormatError(f"corrupt record header: {line[:60]!r}")
     d, mode, seed, n, fp = m.groups()
     try:
-        return int(d), PovmMode(mode), int(seed), int(n), fp
+        d, seed, n = int(d), int(seed), int(n)
     except ValueError as exc:  # an integer field longer than int() accepts
         raise RecordFormatError(f"corrupt record header: {exc}") from exc
+    return RecordHeader(d=d, mode=PovmMode(mode), seed=seed, n=n, mub_fingerprint=fp)
 
 
 def write_record(record: RecordStream, path, binary: bool = False) -> None:
@@ -384,16 +376,14 @@ def read_record(path) -> RecordCounts:
 
 
 def _open_record(fh, path) -> tuple:
-    """(header, cell blocks) of the open record file fh.
+    """(header, cell blocks) of the open record file fh, read once, front to back.
 
-    The header is made once the body is checked against its n, so a size or
-    line-count fault wins over the refusal of n < 1.
+    The header is read and checked now; the blocks check the body as they read it.
     """
     head = fh.read(_HEADER_BLOCK)
     if not head:
         raise RecordFormatError(f"{path}: empty record file")
-    parsed, labels = (_open_binary if b"\x00" in head else _open_text)(fh, head, path)
-    header = RecordHeader(*parsed)
+    header, labels = (_open_binary if b"\x00" in head else _open_text)(fh, head, path)
     return header, _label_cells(labels, header.d, header.mode)
 
 
@@ -402,14 +392,13 @@ def _open_binary(fh, head: bytes, path) -> tuple:
     if pad.strip(b"\x00"):
         raise RecordFormatError(f"{path}: garbage in binary header padding")
     try:
-        parsed = _parse_header(line.decode("ascii"))
+        header = _parse_header(line.decode("ascii"))
     except UnicodeDecodeError as exc:
         raise RecordFormatError(f"{path}: undecodable header") from exc
-    n = parsed[3]
     body = max(0, os.fstat(fh.fileno()).st_size - _HEADER_BLOCK)
-    if body != 4 * n:
-        raise RecordFormatError(f"{path}: body holds {body} bytes, header says n={n}")
-    return parsed, _binary_blocks(fh)
+    if body != 4 * header.n:
+        raise RecordFormatError(f"{path}: body holds {body} bytes, header says n={header.n}")
+    return header, _binary_blocks(fh)
 
 
 def _binary_blocks(fh):
@@ -421,45 +410,41 @@ def _binary_blocks(fh):
 
 
 def _open_text(fh, head: bytes, path) -> tuple:
-    """Check every byte is ASCII, then the header, then the line count, one chunk at a time."""
-    header, newlines, body, chunk, last = b"", 0, 0, head, b""
-    while chunk:
-        if not chunk.isascii():
-            raise RecordFormatError(f"{path}: not an ASCII record file")
-        if not header.endswith(b"\n"):
-            cut = chunk.find(b"\n") + 1 or len(chunk)
-            header, chunk = header + chunk[:cut], chunk[cut:]
-        newlines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-        body += len(chunk)
-        last = chunk[-1:] or last
-        chunk = fh.read(_CHUNK_BYTES)
-    parsed = _parse_header(header.decode("ascii"))
-    lines = newlines + (body > 0 and last != b"\n")
-    if lines != parsed[3]:
-        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={parsed[3]}")
-    fh.seek(len(header))
-    return parsed, _text_blocks(fh, path)
+    """The header of a text record, read up to its LF, and the label blocks of the body after it."""
+    line = chunk = head
+    while b"\n" not in chunk and (chunk := fh.read(_CHUNK_BYTES)):
+        line += chunk
+    cut = line.find(b"\n") + 1 or len(line)
+    if not line[:cut].isascii():
+        raise RecordFormatError(f"{path}: not an ASCII record file")
+    header = _parse_header(line[:cut].decode("ascii"))
+    return header, _text_blocks(fh, line[cut:], header.n, path)
 
 
-def _text_blocks(fh, path):
-    """Labels (m, k) of the text body from fh's position on, the whole lines of one chunk at a time.
+def _text_blocks(fh, carry: bytes, n: int, path):
+    """Labels (m, k) of the text body, carry and then fh's bytes, the whole lines of one chunk at a time.
 
-    A chunk's partial last line is carried into the next chunk, so a line
-    longer than a chunk is parsed once it is whole.
+    A block is checked to be ASCII before it is parsed, and its lines are
+    counted; the partial last line is carried into the next chunk, so a line
+    longer than a chunk is parsed once it is whole.  At the end of the file
+    the count must be n.
     """
-    line, carry = 0, b""
+    lines = 0
     while True:
         chunk = fh.read(_CHUNK_BYTES)
         data = carry + chunk
         stop = data.rfind(b"\n") + 1 if chunk else len(data)  # at the end, the unended last line
-        if stop:
-            seg = np.frombuffer(data, dtype=np.uint8, count=stop)
-            m, k = _parse_text_block(seg, path, line + 2)
+        block, carry = data[:stop], data[stop:]
+        if not block.isascii():
+            raise RecordFormatError(f"{path}: not an ASCII record file")
+        if block:
+            m, k = _parse_text_block(np.frombuffer(block, dtype=np.uint8), path, lines + 2)
             yield m, k
-            line += m.size
+            lines += m.size
         if not chunk:
-            return
-        carry = data[stop:]
+            break
+    if lines != n:
+        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={n}")
 
 
 def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:

@@ -77,6 +77,22 @@ def test_plan_general_prints_a_bound_below_the_float_range(capsys, k):
     assert 0 <= rhs.ln(wide) - log_bound <= 1e-5  # rounded up to 6 significant digits
 
 
+def test_plan_takes_a_delta_whose_ratio_to_the_elements_overflows(capsys):
+    # 4*M/delta overflows a float at delta = 1e-307 and M = 100; its logarithm does not
+    assert run("plan", "--epsilon", "0.1", "--delta", "1e-307", "--elements", "100",
+               "--format", "json") == 0
+    n = json.loads(capsys.readouterr().out)["n"]
+    assert n == 142_578
+    delta = decimal.Decimal(1e-307)
+    assert estimator.hoeffding_tail(n, 0.1, 100) <= delta < estimator.hoeffding_tail(n - 1, 0.1, 100)
+    assert run("plan", "--epsilon", "0.1", "--delta", "1e-307", "--elements", "100",
+               "--general", "--k-bound", "0.2", "--dim", "4", "--format", "json") == 0
+    n = json.loads(capsys.readouterr().out)["n"]
+    assert n == 142_577  # the floor of the inverse: K*(d+1) = 1 gives the element tail
+    tail = estimator.hoeffding_tail
+    assert tail(n + 1, 0.1, 100, 0.2, 4) <= delta <= tail(n, 0.1, 100, 0.2, 4)
+
+
 def test_plan_invalid_epsilon_fails(capsys):
     assert run("plan", "--epsilon", "0", "--delta", "0.01") == 1
     assert "error:" in capsys.readouterr().err

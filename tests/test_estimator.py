@@ -460,6 +460,20 @@ def test_guarantee_states_what_hoeffding_proves(fam2):
                              "(Hoeffding, n=119830)")
 
 
+@pytest.mark.parametrize("n, epsilon, shown", [
+    (119_849, 0.01, "0.00999016"),  # the tail is 0.0099901503..., so rounding to nearest undercuts it
+    (100, 0.01, "1"),  # a tail above 1, capped
+    (1_000, 0.2, "8.24462E-9"),
+])
+def test_guarantee_rounds_the_tail_up(fam2, n, epsilon, shown):
+    record = _counted(2, PovmMode.OFFDIAG, fam2.fingerprint(), np.zeros(n))
+    est = estimate_element(record, fam2, 0, 1, epsilon=epsilon)
+    assert est.guarantee == (f"Pr[max(|Re error|, |Im error|) >= {epsilon}] <= {shown} "
+                             f"(Hoeffding, n={n})")
+    tail = hoeffding_tail(n, epsilon)
+    assert min(tail, 1) <= decimal.Decimal(shown) <= min(tail, 1) * (1 + decimal.Decimal("1e-5"))
+
+
 def test_hoeffding_tail_is_the_float_formula_within_the_float_range():
     for n, eps, m in [(119_830, 0.01, 1), (1_199, 0.1, 1), (175_282, 0.01, 16), (10, 0.3, 2)]:
         assert float(hoeffding_tail(n, eps, m)) == pytest.approx(

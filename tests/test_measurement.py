@@ -550,7 +550,7 @@ def test_bad_line_in_a_later_block_is_named(many_path, tmp_path):
             read_record(bad)
 
 
-def test_grammar_fault_in_a_later_block_wins_over_an_earlier_range_fault(many_path, tmp_path):
+def test_range_fault_in_an_earlier_block_wins_over_a_later_grammar_fault(many_path, tmp_path):
     _, path = many_path
     data = path.read_bytes()
     late = 2 * 65_536 + 7  # in the third parse block
@@ -560,7 +560,7 @@ def test_grammar_fault_in_a_later_block_wins_over_an_earlier_range_fault(many_pa
     with pytest.raises(RecordFormatError, match="basis label outside 1..9"):
         read_record(tmp_path / "range.txt")
     (tmp_path / "both.txt").write_bytes(_corrupt_line(data, late))
-    with pytest.raises(RecordFormatError, match=rf"bad outcome line {late + 2}: 'x"):
+    with pytest.raises(RecordFormatError, match="basis label outside 1..9"):
         read_record(tmp_path / "both.txt")
 
 
@@ -589,7 +589,7 @@ def test_lines_outside_the_grammar_rejected(tmp_path, line):
 def test_lone_carriage_return_is_not_a_line_end(tmp_path):
     path = tmp_path / "r.txt"
     path.write_bytes((_header(2, "offdiag", 2) + "\n2,0\r3,1\n").encode("ascii"))
-    with pytest.raises(RecordFormatError, match="1 outcome lines"):
+    with pytest.raises(RecordFormatError, match="bad outcome line 2"):
         read_record(path)
 
 
@@ -685,11 +685,112 @@ def test_read_record_agrees_with_counting_the_decoded_cells(tmp_path, monkeypatc
         "lf.txt", "crlf.txt", "no_final_lf.txt", "crlf_no_final_lf.txt", "long_lines.txt",
         "lf.bin"}
     assert outcomes["crlf.txt"] == outcomes["lf.bin"] == outcomes["long_lines.txt"]
-    assert outcomes["non_ascii_and_bad_header.txt"][1].endswith("not an ASCII record file")
-    assert "bad outcome line" in outcomes["range_then_grammar_fault.txt"][1]
+    assert outcomes["non_ascii_and_bad_header.txt"][1].startswith("corrupt record header")
+    # the earlier fault, unless one chunk holds both: within a block grammar comes before range
+    one_block = paths["range_then_grammar_fault.txt"].stat().st_size <= chunk
+    assert outcomes["range_then_grammar_fault.txt"][1].startswith(
+        f"{paths['range_then_grammar_fault.txt']}: bad outcome line" if one_block else
+        "basis label outside 2..5")
     assert "bad outcome line 2997: '2,0000" in outcomes["overlong_line.txt"][1]
     assert outcomes["range_fault.txt"][1].startswith("basis label outside 2..5")
     assert outcomes["n0.bin"][1] == "a record needs at least one outcome, header says n=0"
+
+
+class _ReadOnce:
+    """A binary file wrapper that counts the bytes read and refuses to seek."""
+
+    def __init__(self, fh):
+        self.fh, self.bytes_read = fh, 0
+
+    def read(self, size=-1):
+        data = self.fh.read(size)
+        self.bytes_read += len(data)
+        return data
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def seek(self, *args):
+        raise AssertionError("the reader seeks")
+
+
+@pytest.mark.parametrize("chunk", [7, 65_536])
+@pytest.mark.parametrize("name", ["lf.txt", "crlf_no_final_lf.txt", "long_lines.txt", "lf.bin"])
+def test_a_record_file_is_read_once_front_to_back(tmp_path, monkeypatch, chunk, name):
+    paths = _reader_cases(tmp_path)
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
+    pairs = np.frombuffer(paths["lf.bin"].read_bytes()[128:], dtype="<u2").reshape(-1, 2)
+    expected = (pairs[:, 0] - 2) * 4 + pairs[:, 1]  # d=4 offdiag, bases 2..5
+    with open(paths[name], "rb") as raw:
+        fh = _ReadOnce(raw)
+        header, blocks = measurement._open_record(fh, paths[name])
+        assert fh.bytes_read == measurement._HEADER_BLOCK  # the header line, and no body line
+        decoded = np.concatenate(list(blocks))
+        assert fh.bytes_read == raw.tell() == paths[name].stat().st_size
+    assert header.n == decoded.size and np.array_equal(decoded, expected)
+
+
+_EARLY, _LATE = 3, 2995  # body lines of the 3000-line record, in different parse blocks
+_NON_ASCII, _GRAMMAR, _BASIS, _OUTCOME = b"2,\xe9", b"2;1", b"1,0", b"2,4"
+_MESSAGES = {_NON_ASCII: "not an ASCII record file", _GRAMMAR: "bad outcome line {}: '2;1'",
+             _BASIS: "basis label outside 2..5", _OUTCOME: "outcome label outside 0..3"}
+
+
+def _replace_lines(data: bytes, lines: dict) -> bytes:
+    """data with body line i (counted from 0 after the header) replaced by lines[i]."""
+    rows = data.split(b"\n")
+    for i, line in lines.items():
+        rows[i + 1] = line
+    return b"\n".join(rows)
+
+
+@pytest.mark.parametrize("first, second", [(_NON_ASCII, _GRAMMAR), (_GRAMMAR, _NON_ASCII),
+                                           (_GRAMMAR, _BASIS), (_BASIS, _GRAMMAR),
+                                           (_NON_ASCII, _BASIS), (_BASIS, _NON_ASCII),
+                                           (_OUTCOME, _BASIS), (_BASIS, _OUTCOME)],
+                         ids=lambda line: line.decode("latin-1"))
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_the_earlier_of_two_body_faults_is_raised(tmp_path, monkeypatch, chunk, first, second):
+    text = _reader_cases(tmp_path)["lf.txt"].read_bytes()
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "two_faults.txt"
+    path.write_bytes(_replace_lines(text, {_EARLY: first, _LATE: second}))
+    with pytest.raises(RecordFormatError, match=_MESSAGES[first].format(_EARLY + 2)):
+        read_record(path)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_a_header_fault_wins_over_any_body_fault_and_the_line_count_comes_last(
+        tmp_path, monkeypatch, chunk):
+    paths = _reader_cases(tmp_path)
+    text, binary = paths["lf.txt"].read_bytes(), paths["lf.bin"].read_bytes()
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
+    short = text[:text.rindex(b"\n", 0, -1) + 1]  # 2999 of its 3000 lines
+    faulty = [_replace_lines(text, {_EARLY: line}) for line in (*_MESSAGES, b"")] + [short]
+
+    def under(header, data):  # the body of data under another header line
+        return header.encode("ascii") + b"\n" + data.split(b"\n", 1)[1]
+
+    cases = {
+        "corrupt record header": [b"#SQST v9" + data[8:] for data in faulty],
+        "90000 cells, over 65535": [under(_header(300, "offdiag", 3000), data) for data in faulty],
+        # a header of n = 0 over a body of lines or pairs
+        "at least one outcome, header says n=0": [
+            under(_header(4, "offdiag", 0), text),
+            (_header(4, "offdiag", 0) + "\n").encode("ascii").ljust(128, b"\x00") + binary[128:]],
+        # the binary body size is checked on the header, before a pair is read
+        "body holds 11996 bytes": [binary[:128] + b"\x01\x00" + binary[130:-4]],
+        # the line count is checked at the end of the file, so any body fault comes first
+        **{_MESSAGES[line].format(i + 2): [_replace_lines(short, {i: line})]
+           for line in _MESSAGES for i in (_EARLY, 2990)},
+        "2999 outcome lines, header says n=3000": [short],
+    }
+    path = tmp_path / "faults"
+    for message, files in cases.items():
+        for data in files:
+            path.write_bytes(data)
+            with pytest.raises(RecordFormatError, match=message):
+                read_record(path)
 
 
 def test_read_record_is_a_read_only_table_with_the_header_fields(tmp_path):
