@@ -260,9 +260,8 @@ def _csv_cell(value) -> str:
 
 
 def cmd_tomography(args) -> int:
-    if args.project != "maxnorm" and (args.tol is not None or args.no_trace_constraint):
-        raise ValueError(f"--tol and --no-trace-constraint apply only to --project maxnorm, "
-                         f"not {args.project}")
+    if args.project != "maxnorm" and args.tol is not None:
+        raise ValueError(f"--tol applies only to --project maxnorm, not {args.project}")
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     offdiag = measurement.read_record(args.record)
     diag = measurement.read_record(args.diag_record)
@@ -272,15 +271,14 @@ def cmd_tomography(args) -> int:
     payload = {"d": linear.d}
     if args.project == "none":
         rho = linear.matrix
-        psd = states.density_fault(rho, enforce_trace=False) is None
+        psd = states.density_fault(rho) is None  # rho_L's trace is 1 to rounding
         payload.update({"method": "none", "t_star": None, "converged": True, "psd": psd})
         if not psd:
             _say(args, "linear estimate is not positive semidefinite (expected; use --project)")
     else:
         tol = {} if args.tol is None else {"tol": args.tol}
         result = (tomography.project_psd_clip(linear) if args.project == "clip" else
-                  tomography.project_psd_maxnorm(linear, enforce_trace=not args.no_trace_constraint,
-                                                 **tol))
+                  tomography.project_psd_maxnorm(linear, **tol))
         rho = result.rho
         payload.update({"method": result.method, "t_star": result.t_star,
                         "converged": result.converged, "iterations": result.iterations,
@@ -527,8 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", choices=["maxnorm", "clip", "none"], default="maxnorm")
     p.add_argument("--tol", type=float, default=None,
                    help="certified max-norm gap (maxnorm only; default 1e-6)")
-    p.add_argument("--no-trace-constraint", action="store_true",
-                   help="project onto the PSD cone only (drop tr=1)")
     p.add_argument("--truth", help="known state for the error report")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)

@@ -181,17 +181,22 @@ def _estimate(record: RecordStream | RecordCounts, i: int, j: int, value, epsilo
               delta) -> SelectiveEstimate:
     """Attach the Hoeffding guarantee for record.n copies to a folded value.
 
-    The bound prints as the exact tail, capped at 1, rounded up to 6 significant
-    digits.  It says nothing sharper about the modulus.
+    epsilon prints as its shortest round-trip repr, and the bound as the exact
+    tail at that float, capped at 1, rounded up to 6 significant digits.  It
+    says nothing sharper about the modulus.
     """
     from decimal import Decimal
     _check_plan_args(epsilon, delta)
     n = record.n
-    if epsilon is None:  # the radius at delta, 0.01 if not given
-        epsilon = math.sqrt(2.0 * math.log(4.0 / (delta or 0.01)) / n)
+    if epsilon is None:  # the radius at delta (0.01 if not given), stepped up to a tail <= delta
+        target = delta or 0.01
+        epsilon = math.sqrt(2.0 * math.log(4.0 / target) / n)
+        while hoeffding_tail(n, epsilon) > target:
+            epsilon = math.nextafter(epsilon, math.inf)
     shown = bound_text(min(hoeffding_tail(n, epsilon), Decimal(1)),
                        f"the bound for n={n} at epsilon={epsilon}")
-    text = f"Pr[max(|Re error|, |Im error|) >= {epsilon:.6g}] <= {shown} (Hoeffding, n={n})"
+    text = (f"Pr[max(|Re error|, |Im error|) >= {float(epsilon)!r}] <= {shown} "
+            f"(Hoeffding, n={n})")
     return SelectiveEstimate(i=i, j=j, value=value, n=n, epsilon=epsilon, delta=delta,
                              guarantee=text)
 

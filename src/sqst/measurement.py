@@ -59,6 +59,7 @@ _HEADER_BLOCK = 128
 _BLOCK = 8_192
 _CHUNK_BYTES = 1 << 16  # bytes per read of a record file
 _MAX_DIGITS = 5  # digits of the largest uint16 label
+_QUOTE_BYTES = 40  # the most of a bad body line that its error message quotes
 
 
 class PovmMode(enum.Enum):
@@ -411,9 +412,10 @@ def _binary_blocks(fh):
 
 def _open_text(fh, head: bytes, path) -> tuple:
     """The header of a text record, read up to its LF, and the label blocks of the body after it."""
-    line = chunk = head
-    while b"\n" not in chunk and (chunk := fh.read(_CHUNK_BYTES)):
-        line += chunk
+    parts = [head]  # joined once: adding each chunk to the line would copy it each time
+    while b"\n" not in parts[-1] and (chunk := fh.read(_CHUNK_BYTES)):
+        parts.append(chunk)
+    line = b"".join(parts)
     cut = line.find(b"\n") + 1 or len(line)
     if not line[:cut].isascii():
         raise RecordFormatError(f"{path}: not an ASCII record file")
@@ -426,8 +428,9 @@ def _text_blocks(fh, carry: bytes, n: int, path):
 
     A block is checked to be ASCII before it is parsed, and its lines are
     counted; the partial last line is carried into the next chunk, so a line
-    longer than a chunk is parsed once it is whole.  At the end of the file
-    the count must be n.
+    longer than a chunk is parsed once it is whole.  A carry longer than any
+    quote (and its CR) is no valid line, so it is refused at once, as the
+    parse would.  At the end of the file the count must be n.
     """
     lines = 0
     while True:
@@ -441,6 +444,10 @@ def _text_blocks(fh, carry: bytes, n: int, path):
             m, k = _parse_text_block(np.frombuffer(block, dtype=np.uint8), path, lines + 2)
             yield m, k
             lines += m.size
+        if len(carry) > _QUOTE_BYTES + 1:
+            if not carry.isascii():
+                raise RecordFormatError(f"{path}: not an ASCII record file")
+            raise _bad_line(path, lines + 2, carry)
         if not chunk:
             break
     if lines != n:
@@ -493,5 +500,11 @@ def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
     bad |= np.bincount(np.searchsorted(ends, commas), minlength=ends.size) != 1
     bad[np.searchsorted(ends, stray)] = True
     i = int(bad.argmax())
-    text = seg[starts[i]:stops[i]].tobytes().decode("ascii")
-    raise RecordFormatError(f"{path}: bad outcome line {first_line + i}: {text!r}")
+    raise _bad_line(path, first_line + i, seg[starts[i]:stops[i]])
+
+
+def _bad_line(path, number: int, line) -> RecordFormatError:
+    """The grammar fault of file line number, quoting at most _QUOTE_BYTES of its bytes."""
+    more = "..." if len(line) > _QUOTE_BYTES else ""
+    text = bytes(line[:_QUOTE_BYTES]).decode("ascii")
+    return RecordFormatError(f"{path}: bad outcome line {number}: {text!r}{more}")

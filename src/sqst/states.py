@@ -42,13 +42,13 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "ma
     return m
 
 
-def density_fault(m: np.ndarray, enforce_trace: bool = True) -> str | None:
+def density_fault(m: np.ndarray) -> str | None:
     """Why Hermitian m is not a state, or None: the one valid-state rule.
 
-    No eigenvalue below -EIGEN_TOL and, with enforce_trace, |tr m - 1| <= TRACE_TOL.
+    |tr m - 1| <= TRACE_TOL and no eigenvalue below -EIGEN_TOL.
     """
     tr = complex(np.trace(m))
-    if enforce_trace and abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > TRACE_TOL:
         return f"state trace {tr} differs from 1 by more than {TRACE_TOL:.1e}"
     lo = float(np.linalg.eigvalsh(m).min())
     if lo < -EIGEN_TOL:

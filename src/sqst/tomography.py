@@ -5,8 +5,7 @@ records (off-diagonal + computational).  It is Hermitian by construction but
 not necessarily positive, so it gets projected onto the density-matrix set
 under the max norm:
 
-    minimize t  subject to  |rho_L - Y|_ij <= t for all (i, j),  Y PSD
-    (and tr Y = 1 by default; pass enforce_trace=False for the cone only).
+    minimize t  subject to  |rho_L - Y|_ij <= t for all (i, j),  Y PSD,  tr Y = 1.
 
 The optimum is the saddle point min_Y max_{sum|Z_ij| <= 1} Re<Z, rho_L - Y>.
 The solver takes Chambolle-Pock primal-dual steps between the state set
@@ -97,10 +96,10 @@ def _simplex(w: np.ndarray) -> np.ndarray:
     return np.clip(w - theta, 0.0, None)
 
 
-def _project_density(y: np.ndarray, enforce_trace: bool) -> np.ndarray:
+def _project_density(y: np.ndarray) -> np.ndarray:
+    """Frobenius projection onto the density matrices: the spectrum onto the simplex."""
     w, v = np.linalg.eigh(y)
-    w = _simplex(w) if enforce_trace else np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    return (v * _simplex(w)) @ v.conj().T
 
 
 def _project_l1_ball(z: np.ndarray) -> np.ndarray:
@@ -126,47 +125,38 @@ def project_psd_clip(rho_l) -> ProjectionResult:
                             converged=True, method="eigen-clip")
 
 
-def _dual_bound(z: np.ndarray, x: np.ndarray, enforce_trace: bool) -> float:
-    """Lower bound min_Y Re<Z, X - Y> on the optimal distance, for Hermitian Z in the ball."""
-    if enforce_trace:
-        return float(np.vdot(z, x).real - np.linalg.eigvalsh(z)[-1])
-    w, v = np.linalg.eigh(z)
-    z_neg = (v * np.minimum(w, 0.0)) @ v.conj().T
-    return float(np.vdot(z_neg, x).real / max(1.0, np.abs(z_neg).sum()))
-
-
-def project_psd_maxnorm(rho_l, tol: float = 1e-6, enforce_trace: bool = True) -> ProjectionResult:
+def project_psd_maxnorm(rho_l, tol: float = 1e-6) -> ProjectionResult:
     """Closest valid state to rho_L in the max norm, certified to within tol.
 
     Chambolle-Pock steps (sigma = STEP_DUAL, tau = STEP_PRIMAL, K = -I) on the
     saddle point of the module docstring.  The best primal iterate is returned
-    with its distance t_star; every CHECK_EVERY steps the dual iterate may raise
-    the lower bound, and the solver stops once gap = t_star - bound <= tol, or
-    after MAX_ITERATIONS steps with converged=False.
+    with its distance t_star.  Every CHECK_EVERY steps the dual iterate Z may
+    raise the lower bound to min over states Y of Re<Z, X - Y>, which is
+    Re<Z, X> - lambda_max(Z); the solver stops once gap = t_star - bound <= tol,
+    or after MAX_ITERATIONS steps with converged=False.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     x = _hermitian_input(rho_l)
-    if density_fault(x, enforce_trace) is None:
+    if density_fault(x) is None:
         return ProjectionResult(rho=x, t_star=0.0, iterations=0, converged=True,
                                 method="maxnorm-sdp", gap=0.0)
 
-    # start from the eigen-clip repair (cone-only mode: plain clip, no renormalize)
-    y = project_psd_clip(x).rho if enforce_trace else _project_density(x, False)
+    y = project_psd_clip(x).rho
     y_bar, z = y, np.zeros_like(x)
     best, best_f = y, max_norm(y - x)
     # a unit-trace state misses some diagonal entry by at least |tr X - 1| / d
-    lower = float(abs(np.trace(x).real - 1.0)) / x.shape[0] if enforce_trace else 0.0
+    lower = float(abs(np.trace(x).real - 1.0)) / x.shape[0]
     for it in range(1, MAX_ITERATIONS + 1):
         z = _project_l1_ball(z + STEP_DUAL * (x - y_bar))
         z = (z + z.conj().T) / 2
-        y_new = _project_density(y + STEP_PRIMAL * z, enforce_trace)
+        y_new = _project_density(y + STEP_PRIMAL * z)
         y_bar, y = 2 * y_new - y, y_new
         f = max_norm(y - x)
         if f < best_f:
             best, best_f = y, f
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
-            lower = max(lower, _dual_bound(z, x, enforce_trace))
+            lower = max(lower, float(np.vdot(z, x).real - np.linalg.eigvalsh(z)[-1]))
             if best_f - lower <= tol:
                 break
     gap = best_f - lower

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -386,11 +387,10 @@ def test_tomography_rejects_bad_tol(record_pair, tol, capsys):
 
 
 @pytest.mark.parametrize("project", ["clip", "none"])
-@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--no-trace-constraint"]])
-def test_tomography_rejects_solver_flags_without_maxnorm(record_pair, project, flag, capsys):
+def test_tomography_rejects_solver_flags_without_maxnorm(record_pair, project, capsys):
     off, diag = record_pair
     assert run("tomography", "--record", off, "--diag-record", diag,
-               "--project", project, *flag, "--quiet") == 1
+               "--project", project, "--tol", "1e-3", "--quiet") == 1
     assert "maxnorm" in capsys.readouterr().err
 
 
@@ -706,8 +706,8 @@ OPTIONS = {
                 "--povm --record-format --shards",
     "estimate": "--out --quiet --record --diag-record --element --truth --epsilon --delta "
                 "--format",
-    "tomography": "--out --quiet --record --diag-record --project --tol --no-trace-constraint "
-                  "--truth --epsilon --delta",
+    "tomography": "--out --quiet --record --diag-record --project --tol --truth --epsilon "
+                  "--delta",
     "reproduce-fig2": "--seed --out --quiet --dims --trials --epsilon --delta --workers",
     "bounds-check": "--seed --quiet --dim --trials --format",
     "operator-estimate": "--seed --out --quiet --record --operator --extreme --phases --truth",
@@ -720,7 +720,17 @@ def test_each_subcommand_takes_exactly_its_options():
     taken = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
              - {"--help"} for name, p in sub.choices.items()}
     assert taken == {name: set(flags.split()) for name, flags in OPTIONS.items()}
-    assert sum(map(len, taken.values())) == 65
+    assert sum(map(len, taken.values())) == 64
+
+
+def test_every_flag_in_the_readme_command_line_section_is_taken():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    taken = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
+    assert named and named <= taken, named - taken
 
 
 @pytest.mark.parametrize("argv, flag", [

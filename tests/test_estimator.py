@@ -474,6 +474,33 @@ def test_guarantee_rounds_the_tail_up(fam2, n, epsilon, shown):
     assert min(tail, 1) <= decimal.Decimal(shown) <= min(tail, 1) * (1 + decimal.Decimal("1e-5"))
 
 
+def test_derived_radius_guarantees_delta_itself(fam2):
+    # sqrt(2*log(4/delta)/n) lands a hair below the exact radius at n = 20,000
+    record = _counted(2, PovmMode.OFFDIAG, fam2.fingerprint(), np.zeros(20_000))
+    est = estimate_element(record, fam2, 0, 1, delta=0.01)
+    assert est.guarantee.endswith(" <= 0.01 (Hoeffding, n=20000)")
+    assert hoeffding_tail(20_000, est.epsilon) <= 0.01
+    assert hoeffding_tail(20_000, math.nextafter(est.epsilon, 0)) > 0.01
+
+
+def test_every_printed_guarantee_is_proved(fam2):
+    rng = philox_rng(20)
+    for _ in range(300):
+        n = int(rng.integers(1, 10**7))
+        record = RecordCounts(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
+                              mub_fingerprint=fam2.fingerprint(), counts=np.array([[n, 0], [0, 0]]))
+        given = {"epsilon": float(10 ** rng.uniform(-4, -0.3))} if rng.random() < 0.5 else {}
+        if rng.random() < 0.5:
+            given["delta"] = float(10 ** rng.uniform(-12, -0.01))
+        est = estimate_element(record, fam2, 0, 1, **given)
+        epsilon, rest = est.guarantee.removeprefix("Pr[max(|Re error|, |Im error|) >= ").split("]")
+        bound = decimal.Decimal(rest.split(" <= ")[1].split(" ")[0])
+        assert float(epsilon) == est.epsilon
+        assert min(hoeffding_tail(n, float(epsilon)), 1) <= bound
+        if "epsilon" not in given:  # the derived radius: the tail itself is at most delta
+            assert hoeffding_tail(n, est.epsilon) <= given.get("delta", 0.01)
+
+
 def test_hoeffding_tail_is_the_float_formula_within_the_float_range():
     for n, eps, m in [(119_830, 0.01, 1), (1_199, 0.1, 1), (175_282, 0.01, 16), (10, 0.3, 2)]:
         assert float(hoeffding_tail(n, eps, m)) == pytest.approx(

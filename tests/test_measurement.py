@@ -730,6 +730,24 @@ def test_a_record_file_is_read_once_front_to_back(tmp_path, monkeypatch, chunk, 
     assert header.n == decoded.size and np.array_equal(decoded, expected)
 
 
+@pytest.mark.parametrize("chunk", [7, 4096, measurement._CHUNK_BYTES])
+@pytest.mark.parametrize("zeros", [100, 1 << 20, 8 << 20])
+def test_an_overlong_line_is_refused_at_once_and_quoted_short(tmp_path, monkeypatch, chunk,
+                                                              zeros):
+    # a 100-zero line ended by LF is parsed whole in one 64 KiB chunk and carried at 7 bytes
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
+    head = (_header(4, "offdiag", 1) + "\n").encode("ascii")
+    path = tmp_path / "one_line.txt"
+    path.write_bytes(head + b"2," + b"0" * zeros + b"\n" * (zeros == 100))
+    with open(path, "rb") as raw:
+        fh = _ReadOnce(raw)
+        with pytest.raises(RecordFormatError) as exc:
+            measurement.counted(*measurement._open_record(fh, path))
+        assert fh.bytes_read <= len(head) + 2 * max(chunk, measurement._HEADER_BLOCK)
+    assert str(exc.value) == f"{path}: bad outcome line 2: '2,{'0' * 38}'..."
+    assert len(str(exc.value)) < 200
+
+
 _EARLY, _LATE = 3, 2995  # body lines of the 3000-line record, in different parse blocks
 _NON_ASCII, _GRAMMAR, _BASIS, _OUTCOME = b"2,\xe9", b"2;1", b"1,0", b"2,4"
 _MESSAGES = {_NON_ASCII: "not an ASCII record file", _GRAMMAR: "bad outcome line {}: '2;1'",

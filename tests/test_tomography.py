@@ -7,9 +7,9 @@ from oracles import (maxnorm_projection_grid_d2, maxnorm_projection_grid_d3,
                      random_nonpsd_matrix)
 import sqst.tomography as tomography
 from sqst.estimator import fold_diagonal, fold_element
-from sqst.measurement import PovmMode, outcome_distribution, sample_record
+from sqst.measurement import PovmMode, RecordCounts, outcome_distribution, sample_record
 from sqst.mub import build_mub
-from sqst.states import density_fault, max_norm, random_density
+from sqst.states import TRACE_TOL, density_fault, max_norm, philox_rng, random_density
 from sqst.tomography import (assemble_linear_estimate, error_report, project_psd_clip,
                              project_psd_maxnorm, trace_norm_budget)
 
@@ -82,6 +82,21 @@ def test_assembly_matches_per_pair_folds_at_d64():
     assert np.abs(matrix[upper] - folded[upper]).max() <= 1e-12
     assert np.abs(matrix.T[upper] - folded[upper].conj()).max() <= 1e-12
     assert np.abs(np.diag(matrix) - np.diag(folded)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 64])
+def test_linear_estimate_has_unit_trace_to_rounding(d):
+    # rho_L's diagonal is the computational frequencies, so `--project none`
+    # reports psd through the one state rule, trace check included
+    family = build_mub(d)
+    rng = philox_rng(7, d)
+    for n in (1, 7, 300_000):
+        records = [RecordCounts(d=d, mode=mode, seed=0, n=n, mub_fingerprint=family.fingerprint(),
+                                counts=rng.multinomial(n, rng.dirichlet(np.ones(bases * d)))
+                                .reshape(bases, d))
+                   for mode, bases in ((PovmMode.OFFDIAG, d), (PovmMode.COMPUTATIONAL, 1))]
+        linear = assemble_linear_estimate(*records, family)
+        assert abs(np.trace(linear.matrix) - 1.0) <= 1e-13 < TRACE_TOL
 
 
 def test_assembly_mode_and_fingerprint_checks(fam4):
@@ -165,30 +180,24 @@ def test_maxnorm_never_beaten_by_clip():
         assert project_psd_maxnorm(x).t_star <= project_psd_clip(x).t_star + 1e-6
 
 
-def test_maxnorm_without_trace_constraint():
-    # PSD but trace 1.4: feasible as-is for the cone-only problem, t = 0.2
-    # once the unit-trace constraint is on (shave 0.4 across two diagonals)
+def test_maxnorm_restores_the_trace_of_a_psd_input():
+    # PSD but trace 1.4: t = 0.2 once 0.4 is shaved across the two diagonals
     x = np.diag([0.9, 0.5]).astype(complex)
-    cone = project_psd_maxnorm(x, enforce_trace=False)
-    assert cone.t_star == 0.0
-    assert np.array_equal(cone.rho, x)
-    full = project_psd_maxnorm(x, enforce_trace=True)
-    assert full.t_star == pytest.approx(0.2, abs=1e-3)
-    assert np.trace(full.rho).real == pytest.approx(1.0, abs=1e-9)
+    result = project_psd_maxnorm(x)
+    assert result.t_star == pytest.approx(0.2, abs=1e-3)
+    assert np.trace(result.rho).real == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("enforce_trace", [True, False])
 @pytest.mark.parametrize("d", [4, 8, 16])
-def test_maxnorm_certifies_its_gap(d, enforce_trace):
+def test_maxnorm_certifies_its_gap(d):
     tol = 1e-6
     for seed in range(500, 503):
         x = random_nonpsd_matrix(d, seed)
-        result = project_psd_maxnorm(x, tol=tol, enforce_trace=enforce_trace)
+        result = project_psd_maxnorm(x, tol=tol)
         assert result.converged and result.iterations >= 1
         assert result.gap <= tol
-        assert density_fault(result.rho, enforce_trace) is None
-        if enforce_trace:
-            assert result.t_star <= project_psd_clip(x).t_star + tol
+        assert density_fault(result.rho) is None
+        assert result.t_star <= project_psd_clip(x).t_star + tol
 
 
 def test_maxnorm_iteration_cap_reports_unconverged(monkeypatch):
