@@ -101,19 +101,19 @@ class AliasTable:
         if total <= 0:
             raise ValueError("probabilities sum to zero")
         k = probs.size
-        scaled = probs * (k / total)
-        self.prob = np.ones(k)
-        self.alias = np.arange(k)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
+        scaled = (probs * (k / total)).tolist()  # Python floats: the same doubles, cheaper to index
+        prob, alias = [1.0] * k, list(range(k))
+        small = [i for i, s in enumerate(scaled) if s < 1.0]
+        large = [i for i, s in enumerate(scaled) if s >= 1.0]
         while small and large:
             lo = small.pop()
             hi = large.pop()
-            self.prob[lo] = scaled[lo]
-            self.alias[lo] = hi
+            prob[lo] = scaled[lo]
+            alias[lo] = hi
             scaled[hi] -= 1.0 - scaled[lo]
             (small if scaled[hi] < 1.0 else large).append(hi)
         # leftovers are all (numerically) 1
+        self.prob, self.alias = np.array(prob), np.array(alias, dtype=np.intp)
 
     def blocks(self, rng: np.random.Generator, size: int):
         """Yield size cells as intp arrays of at most _BLOCK copies each.

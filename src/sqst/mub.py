@@ -18,13 +18,13 @@ fixed so that measurement records are reproducible across builds.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import MAX_FIELD_ORDER, factor_prime_power, phase_exponents
+from .states import save_complex_json
 
 _BLOCK_COEFFS = 32_768  # coefficients per block of a contraction's operand: 512 KiB of complex128
 
@@ -185,12 +185,5 @@ def projector_sum(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def mub_to_json(family: MubFamily) -> dict:
-    """JSON-ready dict: {d, bases: [[[ [re, im] per coeff ] per vector ] per basis]}."""
-    v = family.vectors
-    return {"d": family.d, "bases": np.stack([v.real, v.imag], axis=-1).tolist()}
-
-
 def save_mub(family: MubFamily, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mub_to_json(family), fh)
+    save_complex_json(path, family.d, "bases", family.vectors)

@@ -183,9 +183,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def save_matrix(m: np.ndarray, path) -> None:
+def save_complex_json(path, d: int, key: str, parts: np.ndarray) -> None:
+    """Write {"d": d, key: parts as [re, im] pairs}, a part at a time through json.dumps (C encoder)."""
     with open(path, "w") as fh:
-        json.dump(matrix_to_json(m), fh)
+        fh.write(f'{{"d": {d}, "{key}": [')
+        for k, part in enumerate(parts):
+            fh.write((", " if k else "") + json.dumps(np.stack([part.real, part.imag], -1).tolist()))
+        fh.write("]}")
+
+
+def save_matrix(m: np.ndarray, path) -> None:
+    m = np.asarray(m, dtype=np.complex128)
+    save_complex_json(path, m.shape[0], "rows", m)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -26,6 +26,39 @@ def cells(source) -> np.ndarray:
         return np.concatenate(list(blocks))  # _label_cells' own uint16 cells
 
 
+def vose_tables(probs: np.ndarray) -> tuple:
+    """(prob, alias) of the Vose alias method, built on numpy float64 scalars one cell at a time.
+
+    The reference for `AliasTable`, which runs the same loop on Python floats:
+    equal tables mean the same rounding step for step.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    k = probs.size
+    scaled = probs * (k / probs.sum())
+    prob = np.ones(k)
+    alias = np.arange(k)
+    small = [i for i in range(k) if scaled[i] < 1.0]
+    large = [i for i in range(k) if scaled[i] >= 1.0]
+    while small and large:
+        lo = small.pop()
+        hi = large.pop()
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] -= 1.0 - scaled[lo]
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    return prob, alias
+
+
+def two_support_offdiag_probs(family, i: int, j: int, a: complex, b: complex) -> np.ndarray:
+    """Offdiag-mode Born probabilities of the pure state a|i> + b|j>, |a|^2 + |b|^2 = 1.
+
+    <k,m|psi> has two terms, so each of the d*d cells costs O(1):
+    |a conj(v_mk[i]) + b conj(v_mk[j])|^2 / d, flat in (basis, outcome) order.
+    """
+    v = family.vectors[1:]
+    return (np.abs(a * v[:, :, i].conj() + b * v[:, :, j].conj()) ** 2 / family.d).ravel()
+
+
 def smallest_n_satisfying(epsilon: float, delta: float, m: int) -> int:
     """Integer scan for the smallest n with 4*m*exp(-n*eps^2/2) <= delta."""
     n = 1

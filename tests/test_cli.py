@@ -127,6 +127,13 @@ def test_mub_pass_and_export(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_mub_out_writes_the_family_json(tmp_path):
+    out = tmp_path / "fam.json"
+    assert run("mub", "--dim", "4", "--out", str(out), "--quiet") == 0
+    v = build_mub(4).vectors
+    assert out.read_bytes() == json.dumps({"d": 4, "bases": np.stack([v.real, v.imag], -1).tolist()}).encode()
+
+
 def test_mub_rejects_non_prime_power(capsys):
     assert run("mub", "--dim", "6") == 1
     assert "prime power" in capsys.readouterr().err

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cells, smallest_n_satisfying
+from oracles import cells, smallest_n_satisfying, two_support_offdiag_probs
 from sqst import measurement
 from sqst.estimator import (bound_text, count_table, decompose_operator, estimate_diagonal,
                             estimate_element, extreme_operator, fold_diagonal, fold_element,
-                            fold_mean, hoeffding_tail, outcome_counts, plan_samples,
+                            fold, fold_mean, hoeffding_tail, outcome_counts, plan_samples,
                             plan_samples_general, record_counts)
 from sqst.measurement import (FingerprintMismatch, PovmMode, RecordCounts, RecordHeader,
                               counted, outcome_distribution, sample_record)
@@ -138,6 +138,81 @@ def test_unbiasedness_over_many_records(fam2):
     estimates = np.array(estimates)
     se = estimates.std() / math.sqrt(len(estimates))
     assert abs(estimates.mean() - 0.5) <= 5 * se
+
+
+# ---------------------------------------------------------------------------
+# exact second moments
+#
+# An estimate folds n i.i.d. weights w of mean mu, so E|est - mu|^2 = s2 / n with
+# s2 = E|w - mu|^2 known exactly from the state.  Each z = |est - mu|^2 / (s2 / n)
+# has mean 1, and, with |w - mu| <= r, variance at most 2 + r^2 / (n s2): the
+# fourth moment of a sum of n centred terms is n E|w - mu|^4 + n(n - 1) (2 s2^2 +
+# |E(w - mu)^2|^2).  So the mean of T independent z lies within five standard
+# errors, 5 sqrt(sum of the bounds) / T (0.22 at T = 1000), of 1.
+
+MOMENT_DIMS = [2, 4, 8, 16, 32, 64]
+MOMENT_TRIALS = 1000
+
+
+def _check_unit_mean_square(z, bounds, what: str) -> None:
+    band = 5 * math.sqrt(sum(bounds)) / len(z)
+    assert abs(np.mean(z) - 1.0) <= band, f"{what}: mean of z {np.mean(z):.4f}, band {band:.4f}"
+
+
+@pytest.mark.parametrize("d", MOMENT_DIMS)
+def test_two_support_probabilities_are_the_born_distribution(d):
+    family, rng = build_mub(d), philox_rng(91, d)
+    for _ in range(3):
+        i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a, b = (a, b) / np.hypot(abs(a), abs(b))
+        dist = outcome_distribution(make_pure_superposition(i, j, a, b, d), family,
+                                    PovmMode.OFFDIAG)
+        assert np.abs(two_support_offdiag_probs(family, i, j, a, b) - dist.probs).max() <= 1e-12
+
+
+def test_mean_square_error_is_the_exact_second_moment():
+    rng = philox_rng(92)
+    n = plan_samples(0.01, 0.01)  # fig-2's 119,830 copies
+    for d in MOMENT_DIMS:  # fig-2's element states: a|i> + b|j>
+        family, z, bounds = build_mub(d), [], []
+        for _ in range(MOMENT_TRIALS):
+            i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a, b = (a, b) / np.hypot(abs(a), abs(b))
+            mu = a * b.conjugate()
+            table = rng.multinomial(n, two_support_offdiag_probs(family, i, j, a, b))
+            est = complex(fold(table.reshape(d, d), n, eta_table(family, i, j)))
+            s2 = 1 - abs(mu) ** 2
+            z.append(abs(est - mu) ** 2 * n / s2)
+            bounds.append(2 + (1 + abs(mu)) ** 2 / (n * s2))
+        _check_unit_mean_square(z, bounds, f"element, d={d}")
+    for d in MOMENT_DIMS:  # diagonals of a full-rank state, i = trial mod d
+        p = random_density(d, d, seed=93 + d).diagonal().real.copy()
+        tables = rng.multinomial(n, p, size=MOMENT_TRIALS)
+        z, bounds = [], []
+        for t, table in enumerate(tables):
+            i = t % d
+            est = float(fold(table.reshape(1, d), n, np.eye(1, d, i)))
+            s2 = p[i] * (1 - p[i])
+            z.append((est - p[i]) ** 2 * n / s2)
+            bounds.append(2 + max(p[i], 1 - p[i]) ** 2 / (n * s2))
+        _check_unit_mean_square(z, bounds, f"diagonal, d={d}")
+    d = 4  # criterion 9's extreme operators at its planned copy count
+    k = 1.0 / (d + 1)
+    n = plan_samples_general(0.05, 0.01, k, d)
+    family, z, bounds = build_mub(d), [], []
+    for t in range(MOMENT_TRIALS):
+        coeffs = extreme_operator(rng.uniform(0, 2 * np.pi, (d + 1, d)), k, family)
+        rho = random_density(d, 1 + t % d, seed=int(rng.integers(1 << 32)))
+        probs = outcome_distribution(rho, family, PovmMode.FULL).probs
+        table = rng.multinomial(n, probs).reshape(d + 1, d)
+        est = coeffs.identity_coeff + (d + 1) * complex(fold(table, n, coeffs.coeffs))
+        mu = complex(np.trace(rho @ coeffs.reconstruct(family))) - coeffs.identity_coeff
+        s2 = (d + 1) ** 2 * float((probs * np.abs(coeffs.coeffs.ravel()) ** 2).sum()) - abs(mu) ** 2
+        z.append(abs(est - coeffs.identity_coeff - mu) ** 2 * n / s2)
+        bounds.append(2 + ((d + 1) * np.abs(coeffs.coeffs).max() + abs(mu)) ** 2 / (n * s2))
+    _check_unit_mean_square(z, bounds, "extreme operator, d=4")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cells
+from oracles import cells, vose_tables
 from sqst import measurement
 from sqst.estimator import outcome_counts, record_counts
 from sqst.measurement import (AliasTable, FingerprintMismatch, PovmMode, RecordFormatError,
@@ -95,6 +95,28 @@ def test_alias_table_rejects_bad_weights():
         AliasTable(np.array([0.0, 0.0]))
     with pytest.raises(ValueError, match="uint16"):
         AliasTable(np.ones(65_537))
+
+
+def _alias_weights():
+    """Over 200 seeded weight vectors: the edge cases, then random ones with zero cells."""
+    dominant = np.full(64, 1e-9)
+    dominant[17] = 1.0
+    yield from (np.array([0.3]), np.array([0.25, 0.75]), np.array([1.0, 0.0]), np.ones(7),
+                np.full(4096, 3.0), dominant, np.arange(4096.0))
+    rng = philox_rng(21)
+    for k in rng.integers(1, 4097, size=200):
+        w = rng.random(k) ** 3
+        w[rng.random(k) < 0.2] = 0.0
+        w[rng.integers(k)] += 1e-3  # never all zero
+        yield w
+
+
+def test_alias_table_matches_the_scalar_vose_construction():
+    for w in _alias_weights():
+        table = AliasTable(w)
+        prob, alias = vose_tables(w)
+        assert table.prob.dtype == prob.dtype and table.alias.dtype == alias.dtype
+        assert np.array_equal(table.prob, prob) and np.array_equal(table.alias, alias)
 
 
 def _chi2_threshold(df: int, alpha: float = 1e-6) -> float:

@@ -260,6 +260,27 @@ def test_json_round_trip(tmp_path):
     assert loaded.fingerprint() == family.fingerprint()
 
 
+def _whole_document(family: MubFamily) -> bytes:
+    v = family.vectors
+    return json.dumps({"d": family.d, "bases": np.stack([v.real, v.imag], -1).tolist()}).encode()
+
+
+# sha256 of the d=64 family file as the streaming json.dump encoder wrote it
+PINNED_MUB64_FILE_SHA256 = "68068f6ea053365e95ed4d6b3caacf3df5ca4d27b9c375daa652e4d241599067"
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 28) if factor_prime_power(d)])
+def test_save_mub_writes_the_whole_document_bytes(tmp_path, d):
+    family = build_mub(d)
+    save_mub(family, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_bytes() == _whole_document(family)
+
+
+def test_save_mub_d64_bytes_are_pinned(tmp_path):
+    save_mub(build_mub(64), tmp_path / "f.json")
+    assert hashlib.sha256((tmp_path / "f.json").read_bytes()).hexdigest() == PINNED_MUB64_FILE_SHA256
+
+
 def test_fingerprint_stability_and_discrimination():
     f2a, f2b, f3 = build_mub(2), build_mub(2), build_mub(3)
     assert f2a.fingerprint() == f2b.fingerprint()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -210,6 +211,21 @@ def test_matrix_json_round_trip(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(m, path)
     assert np.allclose(load_matrix(path), m, atol=0)
+
+
+def _extreme_entries() -> np.ndarray:
+    """Negative zeros, subnormals and +-1e300 (complex(): -0.0 + 5e-324j would drop the sign)."""
+    return np.array([[complex(-0.0, 5e-324), complex(1e300, -0.0)],
+                     [complex(-1e300, 2.5e-310), complex(-0.0, -1e300)]])
+
+
+@pytest.mark.parametrize("m", [random_density(64, 4, seed=5), _extreme_entries(),
+                               np.array([[1.0 + 0.0j]])], ids=["d64", "extremes", "1x1"])
+def test_save_matrix_writes_the_c_encoder_bytes_and_loads_exactly(tmp_path, m):
+    path = tmp_path / "m.json"
+    save_matrix(m, path)
+    assert path.read_bytes() == json.dumps(matrix_to_json(m)).encode()
+    assert np.array_equal(load_matrix(path), m)  # subnormals and 1e300 exactly; -0.0 == 0.0
 
 
 def test_matrix_json_validation():
