@@ -205,27 +205,24 @@ def cmd_estimate(args) -> int:
     if not args.element:
         raise ValueError("give at least one --element i,j")
     elements = [_parse_element(e) for e in args.element]
-    estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
-    offdiag = diag = None
-    if args.record:
-        offdiag = measurement.read_record(args.record)
-    if args.diag_record:
-        diag = measurement.read_record(args.diag_record)
-    some = offdiag or diag
-    if some is None:
+    estimator._check_plan_args(args.epsilon, args.delta)  # flags before the records are read
+    if not (args.record or args.diag_record):
         raise ValueError("give --record (off-diagonal) and/or --diag-record")
-    family = _family(some.d)
-    truth = parse_state(args.truth, some.d) if args.truth else None
+    for i, j in elements:
+        if i == j and not args.diag_record:
+            raise ValueError(f"element {i},{i} is diagonal: needs --diag-record")
+        if i != j and not args.record:
+            raise ValueError(f"element {i},{j} is off-diagonal: needs --record")
+    offdiag = measurement.read_record(args.record) if args.record else None
+    diag = measurement.read_record(args.diag_record) if args.diag_record else None
+    family = _family((offdiag or diag).d)
+    truth = parse_state(args.truth, family.d) if args.truth else None
 
     results = []
     for i, j in elements:
         if i == j:
-            if diag is None:
-                raise ValueError(f"element {i},{i} is diagonal: needs --diag-record")
             est = estimator.estimate_diagonal(diag, family, i, args.epsilon, args.delta)
         else:
-            if offdiag is None:
-                raise ValueError(f"element {i},{j} is off-diagonal: needs --record")
             est = estimator.estimate_element(offdiag, family, i, j, args.epsilon, args.delta)
         row = {"i": est.i, "j": est.j, "re": complex(est.value).real,
                "im": complex(est.value).imag, "n": est.n,
@@ -419,8 +416,10 @@ def _schatten_monotone_ok(d: int, seed: int, trials: int = 50) -> bool:
 def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        with open(rest) as fh:
-            return np.asarray(json.load(fh), dtype=np.float64)  # extreme_operator checks it
+        phases = states.number_array(states.load_json(rest))
+        if phases is None:
+            raise ValueError(f"phase file {rest} is not an array of numbers")
+        return phases  # extreme_operator checks its shape and values
     if kind == "random":
         phase_seed = int(rest) if rest else seed
         rng = philox_rng(phase_seed, _PHASE_STREAM)

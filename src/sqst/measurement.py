@@ -21,12 +21,11 @@ Record files exist in two formats sharing one header line
 
     #SQST v1 d=<d> mode=<mode> seed=<seed> n=<n> mub=<16 hex chars>
 
-* text: the header line, then a body of exactly n lines ``<m>,<k>``, each
-  label 1 to 5 ASCII digits of a value <= 65535, each line ended by LF or
-  CRLF, the final line's newline optional.  Nothing else is accepted: no
-  signs, spaces, underscores or empty lines.  Text is written and parsed in
-  blocks with numpy, never line by line in Python: each chunk's whole lines
-  are parsed and counted, and its partial last line is carried on;
+* text: the header line, with its LF at most _HEADER_LINE_BYTES, then exactly n
+  body lines ``<m>,<k>`` (`_LINE`: labels of 1 to 5 ASCII digits, <= 65535), each
+  ended by LF or CRLF, the last one's optional; no signs, spaces or empty lines.
+  Text is written and parsed in numpy blocks, a chunk's whole lines at a time.  The
+  parser only accepts; `_body_fault` reads a refused block line by line to name its fault;
 * binary: the header line NUL-padded to 128 bytes, then n little-endian
   (uint16 m, uint16 k) pairs.
 
@@ -60,6 +59,8 @@ _BLOCK = 8_192
 _CHUNK_BYTES = 1 << 16  # bytes per read of a record file
 _MAX_DIGITS = 5  # digits of the largest uint16 label
 _QUOTE_BYTES = 40  # the most of a bad body line that its error message quotes
+_HEADER_LINE_BYTES = 1 << 16  # the longest text header line, LF included; a valid one is under 9 KB
+_LINE = re.compile(rb"(\d{1,5}),(\d{1,5})")  # a text body line, without its LF or CRLF
 
 
 class PovmMode(enum.Enum):
@@ -317,7 +318,7 @@ def _header_line(record: RecordHeader) -> str:
 
 
 def _parse_header(line: str) -> RecordHeader:
-    m = _HEADER_RE.match(line.strip())
+    m = len(line) <= _HEADER_LINE_BYTES and _HEADER_RE.match(line.strip())  # _open_text cuts one past it
     if not m:
         raise RecordFormatError(f"corrupt record header: {line[:60]!r}")
     d, mode, seed, n, fp = m.groups()
@@ -411,12 +412,13 @@ def _binary_blocks(fh):
 
 
 def _open_text(fh, head: bytes, path) -> tuple:
-    """The header of a text record, read up to its LF, and the label blocks of the body after it."""
-    parts = [head]  # joined once: adding each chunk to the line would copy it each time
-    while b"\n" not in parts[-1] and (chunk := fh.read(_CHUNK_BYTES)):
+    """The header of a text record, read up to its LF or past _HEADER_LINE_BYTES, and the body's blocks."""
+    parts, size = [head], len(head)  # joined once: adding each chunk to the line would copy it each time
+    while b"\n" not in parts[-1] and size <= _HEADER_LINE_BYTES and (chunk := fh.read(_CHUNK_BYTES)):
         parts.append(chunk)
+        size += len(chunk)
     line = b"".join(parts)
-    cut = line.find(b"\n") + 1 or len(line)
+    cut = min(line.find(b"\n") + 1 or len(line), _HEADER_LINE_BYTES + 1)
     if not line[:cut].isascii():
         raise RecordFormatError(f"{path}: not an ASCII record file")
     header = _parse_header(line[:cut].decode("ascii"))
@@ -426,11 +428,9 @@ def _open_text(fh, head: bytes, path) -> tuple:
 def _text_blocks(fh, carry: bytes, n: int, path):
     """Labels (m, k) of the text body, carry and then fh's bytes, the whole lines of one chunk at a time.
 
-    A block is checked to be ASCII before it is parsed, and its lines are
-    counted; the partial last line is carried into the next chunk, so a line
-    longer than a chunk is parsed once it is whole.  A carry longer than any
-    quote (and its CR) is no valid line, so it is refused at once, as the
-    parse would.  At the end of the file the count must be n.
+    Each block's lines are parsed and counted, and its partial last line is carried into the
+    next chunk.  A carry longer than any quote (and its CR) is no valid line: its fault is
+    raised at once.  At the end of the file the count must be n.
     """
     lines = 0
     while True:
@@ -438,16 +438,12 @@ def _text_blocks(fh, carry: bytes, n: int, path):
         data = carry + chunk
         stop = data.rfind(b"\n") + 1 if chunk else len(data)  # at the end, the unended last line
         block, carry = data[:stop], data[stop:]
-        if not block.isascii():
-            raise RecordFormatError(f"{path}: not an ASCII record file")
         if block:
             m, k = _parse_text_block(np.frombuffer(block, dtype=np.uint8), path, lines + 2)
             yield m, k
             lines += m.size
         if len(carry) > _QUOTE_BYTES + 1:
-            if not carry.isascii():
-                raise RecordFormatError(f"{path}: not an ASCII record file")
-            raise _bad_line(path, lines + 2, carry)
+            raise _body_fault(carry, path, lines + 2)
         if not chunk:
             break
     if lines != n:
@@ -457,10 +453,8 @@ def _text_blocks(fh, carry: bytes, n: int, path):
 def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
     """int32 labels (m, k) of the whole ``m,k`` lines in seg, whose first is file line first_line.
 
-    Offsets are int32 and local to the block.  A block of only digits, commas
-    and LFs has no CR to strip, and one whose digit runs are all 1 to 4 long
-    has no label too long or over 0xFFFF.  Only a block that breaks the
-    grammar maps its commas and stray bytes to lines, to name its first bad line.
+    It only accepts: any other block raises the fault `_body_fault` names.  Offsets are
+    int32 and local to the block.  A block of only digits, commas and LFs has no CR to strip.
     """
     line_end = np.empty(seg.size + 1, dtype=bool)  # each LF, and the block's end if it has none
     is_newline = np.equal(seg, ord("\n"), out=line_end[:-1])
@@ -468,43 +462,46 @@ def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
     digits = seg - np.uint8(ord("0"))  # wraps every non-digit byte above 9
     is_comma = seg == ord(",")
     allowed = (digits <= 9) | is_comma | is_newline
-    clean = bool(allowed.all())
     ends = np.flatnonzero(line_end).astype(np.int32)
     starts = np.empty_like(ends)
     starts[0], starts[1:] = 0, ends[:-1] + 1
     stops = ends
-    if not clean:
+    if not allowed.all():  # a line's content ends before the CR of its CRLF
         crlf = (ends > starts) & (ends < seg.size) & (seg.take(ends - 1) == ord("\r"))
-        stops = ends - crlf  # a line's content ends before the CR of its CRLF
-    comma = commas = np.flatnonzero(is_comma).astype(np.int32)
-    one_each = commas.size == ends.size and bool(((commas >= starts) & (commas < ends)).all())
-    if not one_each:  # comma i is line i's only when the commas interleave the line ends
-        comma = np.zeros_like(ends)
-        comma[np.searchsorted(ends, commas)] = commas  # meaningful on lines with one comma
-    m_len, k_len = comma - starts, stops - comma - 1
-    m, k = digits.take(comma - 1).astype(np.int32), digits.take(stops - 1).astype(np.int32)
-    longest = int(max(m_len.max(), k_len.max()))
-    for place in range(1, min(_MAX_DIGITS, longest)):
-        scale = np.int32(10**place)  # the values are right for runs of 1 to _MAX_DIGITS digits
-        m += np.where(place < m_len, digits.take(comma - 1 - place), np.uint8(0)) * scale
-        k += np.where(place < k_len, digits.take(stops - 1 - place), np.uint8(0)) * scale
-    if clean and one_each and longest < _MAX_DIGITS and m_len.min() > 0 and k_len.min() > 0:
-        return m, k
-    bad = (m_len < 1) | (m_len > _MAX_DIGITS) | (k_len < 1) | (k_len > _MAX_DIGITS)
-    bad |= (m > 0xFFFF) | (k > 0xFFFF)
-    if not clean:
+        stops = ends - crlf
         allowed[stops[crlf]] = True
-    stray = np.flatnonzero(~allowed)
-    if one_each and not stray.size and not bad.any():
-        return m, k
-    bad |= np.bincount(np.searchsorted(ends, commas), minlength=ends.size) != 1
-    bad[np.searchsorted(ends, stray)] = True
-    i = int(bad.argmax())
-    raise _bad_line(path, first_line + i, seg[starts[i]:stops[i]])
+    comma = np.flatnonzero(is_comma).astype(np.int32)
+    # each line holds one comma when the commas interleave the line ends
+    if comma.size == ends.size and allowed.all() and ((comma >= starts) & (comma < ends)).all():
+        m_len, k_len = comma - starts, stops - comma - 1
+        longest = int(max(m_len.max(), k_len.max()))
+        if min(m_len.min(), k_len.min()) > 0 and longest <= _MAX_DIGITS:
+            m, k = digits.take(comma - 1).astype(np.int32), digits.take(stops - 1).astype(np.int32)
+            for place in range(1, longest):
+                m += np.where(place < m_len, digits.take(comma - 1 - place), 0) * np.int32(10**place)
+                k += np.where(place < k_len, digits.take(stops - 1 - place), 0) * np.int32(10**place)
+            if longest < _MAX_DIGITS or max(m.max(), k.max()) <= 0xFFFF:  # 4 digits are <= 9999
+                return m, k
+    raise _body_fault(seg.tobytes(), path, first_line)
 
 
-def _bad_line(path, number: int, line) -> RecordFormatError:
+def _body_fault(block: bytes, path, first_line: int) -> RecordFormatError | None:
+    """The first fault of a text body block, whose first line is file line first_line, or None.
+
+    The grammar's reference, a line at a time: a non-ASCII byte comes first, then the
+    first line, without its LF and the CR of a CRLF, outside _LINE or over 0xFFFF.
+    """
+    if not block.isascii():
+        return RecordFormatError(f"{path}: not an ASCII record file")
+    lines = re.split(rb"\r?\n", block)  # an unended last line keeps its CR
+    for i, line in enumerate(lines[:-1] if block.endswith(b"\n") else lines):
+        match = _LINE.fullmatch(line)
+        if not match or max(int(match[1]), int(match[2])) > 0xFFFF:
+            return _bad_line(path, first_line + i, line)
+
+
+def _bad_line(path, number: int, line: bytes) -> RecordFormatError:
     """The grammar fault of file line number, quoting at most _QUOTE_BYTES of its bytes."""
     more = "..." if len(line) > _QUOTE_BYTES else ""
-    text = bytes(line[:_QUOTE_BYTES]).decode("ascii")
+    text = line[:_QUOTE_BYTES].decode("ascii")
     return RecordFormatError(f"{path}: bad outcome line {number}: {text!r}{more}")

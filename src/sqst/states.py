@@ -175,12 +175,26 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"d": m.shape[0], "rows": np.stack([m.real, m.imag], axis=-1).tolist()}
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["d"])
-    arr = np.asarray(obj["rows"], dtype=np.float64)
+def number_array(obj) -> np.ndarray | None:
+    """obj as a float64 array when it is a rectangular nest of JSON numbers, else None."""
+    try:
+        arr = np.asarray(obj)
+    except ValueError:  # a ragged nest
+        return None
+    return arr.astype(np.float64) if arr.dtype.kind in "iuf" else None
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of {"d": d, "rows": d x d [re, im] pairs}, bit for bit (-0.0 too); ValueError otherwise."""
+    d = obj.get("d") if isinstance(obj, dict) else None
+    if type(d) is not int or d < 1:  # a JSON integer: not 2.5, 1e400 or true
+        raise ValueError('malformed matrix JSON: need an object with an integer "d" >= 1')
+    arr = number_array(obj.get("rows"))
+    if arr is None:
+        raise ValueError('malformed matrix JSON: "rows" is not an array of numbers')
     if arr.shape != (d, d, 2):
         raise ValueError(f"malformed matrix JSON: expected shape {(d, d, 2)}, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(np.complex128)[..., 0]
 
 
 def save_complex_json(path, d: int, key: str, parts: np.ndarray) -> None:
@@ -197,6 +211,14 @@ def save_matrix(m: np.ndarray, path) -> None:
     save_complex_json(path, m.shape[0], "rows", m)
 
 
-def load_matrix(path) -> np.ndarray:
+def load_json(path):
+    """The JSON document in the file at path; ValueError for one nested too deep to decode."""
     with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from exc
+
+
+def load_matrix(path) -> np.ndarray:
+    return matrix_from_json(load_json(path))

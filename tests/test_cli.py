@@ -266,6 +266,20 @@ def test_estimate_diagonal_needs_diag_record(record_pair, capsys):
     assert "diag-record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--element", "0,1"], "give --record (off-diagonal) and/or --diag-record"),
+    (["--record", "{absent}", "--element", "0,1", "--element", "1,1"],
+     "element 1,1 is diagonal: needs --diag-record"),
+    (["--diag-record", "{absent}", "--element", "0,0", "--element", "1,0"],
+     "element 1,0 is off-diagonal: needs --record"),
+])
+def test_estimate_checks_its_record_flags_before_reading_a_record(tmp_path, capsys, flags,
+                                                                  message):
+    absent = str(tmp_path / "absent.txt")  # reading it would fail with another message
+    assert run("estimate", *[f.format(absent=absent) for f in flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_estimate_requires_elements(record_pair):
     off, diag = record_pair
     assert run("estimate", "--record", off, "--diag-record", diag) == 1
@@ -827,3 +841,60 @@ def test_out_of_range_numbers_exit_1_without_a_traceback(argv, tmp_path, capsys)
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert "NaN" not in captured.out  # no value printed, NaN least of all
     assert not captured.out and not (tmp_path / "r.txt").exists()
+
+
+# every flag that names an input file, with valid inputs ({tmp}) around the damaged one ({bad})
+_FILE_FLAGS = {
+    "simulate --state": ["simulate", "--dim", "2", "--copies", "10", "--out", "{tmp}/r.txt",
+                         "--state", "file:{bad}"],
+    "estimate --truth": ["estimate", "--record", "{tmp}/rec.offdiag.txt", "--element", "0,1",
+                         "--truth", "file:{bad}"],
+    "tomography --truth": ["tomography", "--record", "{tmp}/rec.offdiag.txt",
+                           "--diag-record", "{tmp}/rec.diag.txt", "--truth", "file:{bad}"],
+    "operator-estimate --truth": ["operator-estimate", "--record", "{tmp}/full.txt",
+                                  "--extreme", "0.2", "--truth", "file:{bad}"],
+    "operator-estimate --operator": ["operator-estimate", "--record", "{tmp}/full.txt",
+                                     "--operator", "file:{bad}"],
+    "operator-estimate --phases": ["operator-estimate", "--record", "{tmp}/full.txt",
+                                   "--extreme", "0.2", "--phases", "file:{bad}"],
+    "estimate --record": ["estimate", "--record", "{bad}", "--element", "0,1"],
+    "estimate --diag-record": ["estimate", "--diag-record", "{bad}", "--element", "0,0"],
+    "tomography --record": ["tomography", "--record", "{bad}", "--diag-record", "{tmp}/rec.diag.txt"],
+    "tomography --diag-record": ["tomography", "--record", "{tmp}/rec.offdiag.txt",
+                                 "--diag-record", "{bad}"],
+    "operator-estimate --record": ["operator-estimate", "--record", "{bad}", "--extreme", "0.2"],
+}
+_DAMAGED_INPUTS = {
+    "empty": b"",
+    "binary_junk": bytes(range(256)) * 3,
+    "non_object": b"[1, 2]",
+    "missing_key": b'{"rows": [[[1, 0]]]}',
+    "huge_number": b'{"d": 1e400, "rows": []}',
+    "ragged": b"[[1, 2], [3]]",
+    "ragged_object": b'{"d": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, {}]]]}',
+    "deep": b"[" * 5000 + b"]" * 5000,
+    "unended_text_record": b"#SQST v1 d=2 mode=offdiag seed=1 n=1 mub=0123456789abcdef" + b"1" * 70_000,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("inputs")
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--povm", "both",
+               "--out", str(tmp / "rec"), "--quiet") == 0
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--povm", "full",
+               "--out", str(tmp / "full.txt"), "--quiet") == 0
+    for name, data in _DAMAGED_INPUTS.items():
+        (tmp / name).write_bytes(data)
+    return tmp
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGED_INPUTS))
+@pytest.mark.parametrize("flag", list(_FILE_FLAGS))
+def test_a_damaged_input_file_exits_1_with_one_error_line(valid_inputs, capsys, flag, damage):
+    argv = [a.format(tmp=valid_inputs, bad=valid_inputs / damage) for a in _FILE_FLAGS[flag]]
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (valid_inputs / "r.txt").exists()

@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 import tracemalloc
 from dataclasses import dataclass, field
@@ -856,3 +857,130 @@ def test_read_record_memory_does_not_grow_with_n(tmp_path):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 500_000
+
+
+# ---------------------------------------------------------------------------
+# the accept-only parser against the reference grammar
+
+
+def _random_block(rng) -> bytes:
+    """A text body block: LF or CRLF lines, 5-digit labels and 65535/65536 among them, an
+    unended last line now and then, and zero to three random edits."""
+    lines = [rng.choice(_FORMS) % (rng.choice(_LABELS), rng.choice(_LABELS))
+             for _ in range(rng.randint(1, 8))]
+    newline = rng.choice([b"\n", b"\r\n"])
+    block = bytearray(newline.join(lines) + rng.choice([newline, b""]))
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        at, piece = rng.randrange(len(block) + 1), rng.choice(_EDITS)
+        block[at:at + rng.randint(0, 2)] = piece
+    return bytes(block)
+
+
+_FORMS = [b"%d,%d", b"%d,%d", b"%05d,%d", b"%d,%05d"]
+_LABELS = [0, 1, 2, 3, 5, 9, 10, 63, 99, 100, 999, 1_000, 9_999, 10_000, 12_345, 65_535] * 3 + [
+    65_536, 99_999]
+_EDITS = [b"", b"0", b"7", b",", b"\r", b"\n", b"\r\n", b" ", b"-", b"x", b"\xe9", b"65536", b"123456"]
+
+
+def test_the_parser_accepts_exactly_the_blocks_without_a_reference_fault():
+    rng = random.Random(22)
+    outcomes = {"accepted": 0, "refused": 0}
+    for _ in range(20_000):
+        block = _random_block(rng)
+        if not block:
+            continue
+        fault = measurement._body_fault(block, "r.txt", 2)
+        try:
+            m, k = measurement._parse_text_block(np.frombuffer(block, dtype=np.uint8), "r.txt", 2)
+        except RecordFormatError as exc:
+            assert fault is not None and str(exc) == str(fault), block
+            outcomes["refused"] += 1
+        else:
+            assert fault is None, block
+            labels = [(int(a), int(b)) for a, b in measurement._LINE.findall(block)]
+            assert list(zip(m.tolist(), k.tolist())) == labels, block
+            outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 4_000, outcomes
+
+
+_BODY = [b"2,0", b"3,1", b"4,2", b"5,3", b"2,1"]  # d=4 offdiag, file lines 2 to 6
+
+
+def _with_lines(**lines) -> bytes:
+    """The LF body of _BODY with file line l<i> replaced by lines['l<i>']."""
+    rows = list(_BODY)
+    for name, line in lines.items():
+        rows[int(name[1:]) - 2] = line
+    return b"\n".join(rows) + b"\n"
+
+
+_HEAD = (_header(4, "offdiag", 5) + "\n").encode("ascii")
+_DAMAGED = {  # the message of each damaged file, the same before the parser only accepted
+    "empty": (b"", "{path}: empty record file"),
+    "garbage_header": (b"hello\n" + _with_lines(), "corrupt record header: 'hello\\n'"),
+    "non_ascii_header": (_HEAD.replace(b"cd", b"c\xe9") + _with_lines(),
+                         "{path}: not an ASCII record file"),
+    "unended_header": (_HEAD[:-1] + b"1" * 70_000,
+                       "corrupt record header: "
+                       "'#SQST v1 d=4 mode=offdiag seed=0 n=5 mub=0123456789abcdef111'"),
+    "zero_copies": (_HEAD.replace(b"n=5", b"n=0") + _with_lines(),
+                    "a record needs at least one outcome, header says n=0"),
+    "non_ascii_line": (_HEAD + _with_lines(l4=b"2,\xe9"), "{path}: not an ASCII record file"),
+    "sign": (_HEAD + _with_lines(l3=b"+2,0"), "{path}: bad outcome line 3: '+2,0'"),
+    "leading_space": (_HEAD + _with_lines(l3=b" 2,0"), "{path}: bad outcome line 3: ' 2,0'"),
+    "trailing_space": (_HEAD + _with_lines(l3=b"2,0 "), "{path}: bad outcome line 3: '2,0 '"),
+    "semicolon": (_HEAD + _with_lines(l3=b"2;0"), "{path}: bad outcome line 3: '2;0'"),
+    "empty_line": (_HEAD + _with_lines(l5=b""), "{path}: bad outcome line 5: ''"),
+    "no_outcome": (_HEAD + _with_lines(l2=b"2,"), "{path}: bad outcome line 2: '2,'"),
+    "no_basis": (_HEAD + _with_lines(l2=b",0"), "{path}: bad outcome line 2: ',0'"),
+    "three_labels": (_HEAD + _with_lines(l6=b"2,0,1"), "{path}: bad outcome line 6: '2,0,1'"),
+    "six_digits": (_HEAD + _with_lines(l4=b"000002,0"), "{path}: bad outcome line 4: '000002,0'"),
+    "over_uint16": (_HEAD + _with_lines(l4=b"65536,0"), "{path}: bad outcome line 4: '65536,0'"),
+    "double_cr": (_HEAD + _with_lines().replace(b"\n", b"\r\n").replace(b"3,1\r", b"3,1\r\r"),
+                  "{path}: bad outcome line 3: '3,1\\r'"),
+    "unended_cr": (_HEAD + _with_lines()[:-1] + b"\r", "{path}: bad outcome line 6: '2,1\\r'"),
+    "lone_cr": (_HEAD + _with_lines().replace(b"3,1\n", b"3,1\r"),
+                "{path}: bad outcome line 3: '3,1\\r4,2'"),
+    "overlong": (_HEAD + _with_lines(l3=b"2," + b"0" * 100),
+                 "{path}: bad outcome line 3: '2,00000000000000000000000000000000000000'..."),
+    "non_ascii_after_grammar_in_one_block": (_HEAD + _with_lines(l3=b"2;0", l6=b"\xe9"),
+                                             "{path}: not an ASCII record file"),
+    "basis_range": (_HEAD + _with_lines(l5=b"65535,0"), "basis label outside 2..5 for mode offdiag"),
+    "outcome_range": (_HEAD + _with_lines(l5=b"2,4"), "outcome label outside 0..3"),
+    "one_line_short": (_HEAD + _with_lines()[:-4], "{path}: 4 outcome lines, header says n=5"),
+    "one_line_more": (_HEAD + _with_lines() + b"2,2\n", "{path}: 6 outcome lines, header says n=5"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DAMAGED))
+def test_each_damaged_file_gets_its_exact_message(tmp_path, name):
+    data, message = _DAMAGED[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(data)
+    with pytest.raises(RecordFormatError) as exc:
+        read_record(path)
+    assert str(exc.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096, measurement._CHUNK_BYTES])
+def test_a_header_line_past_its_bound_is_refused_once_the_bound_is_read(tmp_path, monkeypatch,
+                                                                        chunk):
+    monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
+    head, bound = _header(4, "offdiag", 1), measurement._HEADER_LINE_BYTES
+    cases = {  # trailing spaces keep a header valid, while its line, LF included, fits the bound
+        "at_bound.txt": head.ljust(bound - 1) + "\n2,0\n",
+        "past_bound.txt": head.ljust(bound) + "\n2,0\n",
+        "no_lf.txt": head + "1" * (4 << 20),
+    }
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data.encode("ascii"))
+        with open(path, "rb") as raw:
+            fh = _ReadOnce(raw)
+            try:
+                outcome = measurement.counted(*measurement._open_record(fh, path)).n
+            except RecordFormatError as exc:
+                outcome = str(exc)
+            assert fh.bytes_read <= measurement._HEADER_BLOCK + bound + chunk, name
+        expected = 1 if name == "at_bound.txt" else f"corrupt record header: {data[:60]!r}"
+        assert outcome == expected, name

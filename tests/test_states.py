@@ -225,7 +225,7 @@ def test_save_matrix_writes_the_c_encoder_bytes_and_loads_exactly(tmp_path, m):
     path = tmp_path / "m.json"
     save_matrix(m, path)
     assert path.read_bytes() == json.dumps(matrix_to_json(m)).encode()
-    assert np.array_equal(load_matrix(path), m)  # subnormals and 1e300 exactly; -0.0 == 0.0
+    assert load_matrix(path).tobytes() == m.tobytes()  # every bit: subnormals, 1e300 and -0.0
 
 
 def test_matrix_json_validation():
@@ -233,6 +233,26 @@ def test_matrix_json_validation():
     obj["d"] = 3
     with pytest.raises(ValueError, match="malformed"):
         matrix_from_json(obj)
+
+
+_ROWS = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '{"rows": [[[1, 0]]]}', '{"d": 1e400, "rows": []}', '{"d": 2.5, "rows": %s}' % _ROWS,
+    '{"d": true, "rows": [[[1, 0]]]}', '{"d": 0, "rows": []}', '{"d": -1, "rows": []}',
+    '{"d": 2}', '{"d": 2, "rows": [[[1, 0], [0, 0]], [[0, 0]]]}',
+    '{"d": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, {}]]]}',
+    '{"d": 2, "rows": [[["1", 0], [0, 0]], [[0, 0], [0, 0]]]}',
+    '{"d": 1, "rows": [[[true, false]]]}', '{"d": 1, "rows": [[[1, 0, 0]]]}',
+])
+def test_matrix_json_is_an_integer_d_and_d_by_d_pairs_of_numbers(text):
+    with pytest.raises(ValueError, match="^malformed matrix JSON: "):
+        matrix_from_json(json.loads(text))
+
+
+def test_matrix_json_takes_json_integers_anywhere_in_its_rows():
+    assert matrix_from_json({"d": 2, "rows": _ROWS}).tobytes() == np.diag([1, 0j]).tobytes()
 
 
 def test_philox_streams_are_independent_and_reproducible():
