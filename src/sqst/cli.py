@@ -262,6 +262,7 @@ def cmd_tomography(args) -> int:
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     offdiag = measurement.read_record(args.record)
     diag = measurement.read_record(args.diag_record)
+    truth = parse_state(args.truth, offdiag.d) if args.truth else None  # before the solve
     family = _family(offdiag.d)
     linear = tomography.assemble_linear_estimate(offdiag, diag, family,
                                                  args.epsilon, args.delta)
@@ -281,8 +282,7 @@ def cmd_tomography(args) -> int:
                         "converged": result.converged, "iterations": result.iterations,
                         "gap": result.gap})
     payload["rho"] = states.matrix_to_json(rho)
-    if args.truth:
-        truth = parse_state(args.truth, linear.d)
+    if truth is not None:
         report = tomography.error_report(truth, rho)
         payload["error_report"] = {"max_norm": report.max_norm,
                                    "frobenius_norm": report.frobenius_norm,
@@ -402,9 +402,8 @@ def cmd_bounds_check(args) -> int:
 def _schatten_monotone_ok(d: int, seed: int, trials: int = 50) -> bool:
     ps = [1, 1.5, 2, 4, np.inf]
     for trial in range(trials):
-        e = states.random_hermitian(d, philox_rng(seed, 7000, trial))
-        vals = [states.schatten_norm(e, p) for p in ps]
-        if any(vals[a] < vals[a + 1] - 1e-10 * max(d, 1) for a in range(len(ps) - 1)):
+        vals = states.schatten_norms(states.random_hermitian(d, philox_rng(seed, 7000, trial)), ps)
+        if any(lo < hi - 1e-10 * max(d, 1) for lo, hi in zip(vals, vals[1:])):
             return False
     return True
 
@@ -438,17 +437,19 @@ def cmd_operator_estimate(args) -> int:
     family = _family(record.d)
     if args.operator is not None:
         matrix = states.load_matrix(args.operator.partition(":")[2])
-        coeffs = estimator.decompose_operator(matrix, family)
     else:
         phases = _load_phases("random" if args.phases is None else args.phases, record.d,
                               args.seed)
+    truth = parse_state(args.truth, record.d) if args.truth else None  # before the fold
+    if args.operator is not None:
+        coeffs = estimator.decompose_operator(matrix, family)
+    else:
         coeffs = estimator.extreme_operator(phases, args.extreme, family)
         matrix = coeffs.reconstruct(family)
     value = estimator.fold_mean(record, family, coeffs)
     payload = {"d": record.d, "n": record.n, "k_bound": coeffs.k_bound,
                "estimate": _complex_pair(value), "trace": _complex_pair(coeffs.trace)}
-    if args.truth:
-        truth = parse_state(args.truth, record.d)
+    if truth is not None:
         exact = complex(np.trace(truth @ matrix))
         payload["truth_mean"] = _complex_pair(exact)
         payload["abs_error"] = abs(value - exact)

@@ -3,8 +3,8 @@
 Matrices are plain complex numpy arrays; the functions here validate the
 structural invariants (Hermiticity to 1e-12, unit trace, positive spectrum)
 instead of wrapping arrays in classes.  `require_hermitian` is the one
-Hermitian check: states (presets and files) and projection inputs all pass
-through it, so a non-finite or non-Hermitian matrix fails in one place.
+Hermitian check: states (presets and files), projection inputs and norms all
+pass through it, so a non-finite or non-Hermitian matrix fails in one place.
 """
 
 from __future__ import annotations
@@ -106,24 +106,19 @@ def random_hermitian(d: int, seed_or_rng) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def schatten_norm(h: np.ndarray, p) -> float:
-    """Schatten p-norm: p=1 trace, p=2 Frobenius, p=inf operator norm.
+def schatten_norms(h: np.ndarray, ps) -> list:
+    """Schatten p-norms of Hermitian h, one per p: p=1 trace, p=2 Frobenius, p=inf operator.
 
-    Computed on the singular values; for Hermitian input these are the
-    absolute eigenvalues, which is the cheaper path taken here.
+    The singular values of a Hermitian matrix are its absolute eigenvalues, so
+    every norm comes from one eigvalsh, after the one Hermitian check.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {h.shape}")
-    if p != np.inf and p < 1:
-        raise ValueError(f"Schatten norm needs p >= 1, got {p}")
-    if np.abs(h - h.conj().T).max() <= HERMITIAN_TOL:
-        s = np.abs(np.linalg.eigvalsh(h))
-    else:
-        s = np.linalg.svd(h, compute_uv=False)
-    if p == np.inf:
-        return float(s.max(initial=0.0))
-    return float((s**p).sum() ** (1.0 / p))
+    h = require_hermitian(h)
+    for p in ps:
+        if p < 1:
+            raise ValueError(f"Schatten norm needs p >= 1, got {p}")
+    s = np.abs(np.linalg.eigvalsh(h))
+    return [float(s.max(initial=0.0)) if p == np.inf else float((s**p).sum() ** (1.0 / p))
+            for p in ps]
 
 
 def max_norm(m: np.ndarray) -> float:
@@ -155,11 +150,9 @@ class NormChainReport:
 
 def check_norm_chain(e: np.ndarray) -> NormChainReport:
     """Evaluate the max/Frobenius/trace norm chain for a Hermitian error matrix."""
-    e = require_hermitian(e)
-    d = e.shape[0]
+    fro, tr = schatten_norms(e, (2, 1))  # through require_hermitian
+    d = len(e)
     mx = max_norm(e)
-    fro = schatten_norm(e, 2)
-    tr = schatten_norm(e, 1)
     slacks = (
         fro - mx,
         d * mx - fro,
@@ -176,12 +169,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def number_array(obj) -> np.ndarray | None:
-    """obj as a float64 array when it is a rectangular nest of JSON numbers, else None."""
-    try:
-        arr = np.asarray(obj)
-    except ValueError:  # a ragged nest
+    """obj as a float64 array when it is a rectangular nest of JSON numbers (not true/false), else None."""
+    arr = np.asarray(obj, dtype=object)  # a ragged nest keeps its lists as entries
+    if not set(map(type, arr.ravel().tolist())) <= {int, float}:
         return None
-    return arr.astype(np.float64) if arr.dtype.kind in "iuf" else None
+    try:
+        return arr.astype(np.float64)  # an integer as the float it rounds to
+    except OverflowError:  # an integer past the float range
+        return None
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -212,12 +207,14 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_json(path):
-    """The JSON document in the file at path; ValueError for one nested too deep to decode."""
+    """The JSON document in the file at path; a ValueError naming the file when it cannot be decoded."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from exc
+        except ValueError as exc:  # empty, not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_matrix(path) -> np.ndarray:

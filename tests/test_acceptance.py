@@ -20,7 +20,7 @@ from sqst.estimator import (decompose_operator, extreme_operator, fold_element, 
 from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub, verify_mub
 from sqst.states import (check_norm_chain, max_norm, philox_rng, random_density,
-                         random_hermitian, schatten_norm)
+                         random_hermitian, schatten_norms)
 from sqst.tomography import (assemble_linear_estimate, project_psd_clip,
                              project_psd_maxnorm)
 
@@ -134,7 +134,7 @@ def test_criterion_6_norm_chain():
             if not report.passed:
                 _report(6, "norm chain", False, f"d={d} trial={trial}")
             if trial % 5 == 0:  # Schatten monotonicity on a fifth of the draws
-                vals = [schatten_norm(e, p) for p in ps]
+                vals = schatten_norms(e, ps)
                 monotone_ok = monotone_ok and all(
                     vals[a] >= vals[a + 1] - 1e-12 * d for a in range(len(ps) - 1))
     elapsed = time.time() - start
@@ -204,7 +204,7 @@ def test_criterion_8_full_tomography_budget():
         if max_norm(linear.matrix - rho) <= eps:
             event_hits += 1
             projected = project_psd_maxnorm(linear)
-            trace_ok = trace_ok and schatten_norm(rho - projected.rho, 1) <= nu
+            trace_ok = trace_ok and schatten_norms(rho - projected.rho, [1])[0] <= nu
     frac = event_hits / runs
     elapsed = time.time() - start
     ok = frac >= 0.95 and trace_ok and elapsed < 300.0

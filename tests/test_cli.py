@@ -873,6 +873,13 @@ _DAMAGED_INPUTS = {
     "ragged": b"[[1, 2], [3]]",
     "ragged_object": b'{"d": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, {}]]]}',
     "deep": b"[" * 5000 + b"]" * 5000,
+    "non_utf8": b"\xfe\xff[1, 2]",
+    # true is not a number, and an integer past the float range is refused; in the
+    # matrix and in the phase layout, so each file reaches its own parser's check
+    "boolean_matrix": b'{"d": 2, "rows": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+    "boolean_phases": b"[[true, 0], [0, 0], [0, 0]]",
+    "huge_integer_matrix": b'{"d": 2, "rows": [[[1%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % (b"0" * 400),
+    "huge_integer_phases": b"[[1%s, 0], [0, 0], [0, 0]]" % (b"0" * 400),
     "unended_text_record": b"#SQST v1 d=2 mode=offdiag seed=1 n=1 mub=0123456789abcdef" + b"1" * 70_000,
 }
 
@@ -898,3 +905,38 @@ def test_a_damaged_input_file_exits_1_with_one_error_line(valid_inputs, capsys, 
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and not captured.out
     assert not (valid_inputs / "r.txt").exists()
+
+
+def test_a_decode_fault_names_the_file_it_is_in(valid_inputs, capsys):
+    assert run("operator-estimate", "--record", str(valid_inputs / "full.txt"),
+               "--operator", f"file:{valid_inputs / 'empty'}",
+               "--truth", f"file:{valid_inputs / 'non_object'}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {valid_inputs / 'empty'}: Expecting value") and err.count("\n") == 1
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("ran before the truth file was checked")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["tomography", "--record", "{tmp}/rec.offdiag.txt", "--diag-record", "{tmp}/rec.diag.txt"],
+     "sqst.tomography.project_psd_maxnorm"),
+    (["tomography", "--record", "{tmp}/rec.offdiag.txt", "--diag-record", "{tmp}/rec.diag.txt"],
+     "sqst.tomography.assemble_linear_estimate"),
+    (["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", "0.2"],
+     "sqst.estimator.extreme_operator"),
+    (["operator-estimate", "--record", "{tmp}/full.txt", "--operator", "file:{tmp}/eye.json"],
+     "sqst.estimator.decompose_operator"),
+    (["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", "0.2"],
+     "sqst.estimator.fold_mean"),
+], ids=lambda v: v.rpartition(".")[2] if isinstance(v, str) else v[0])
+def test_a_bad_truth_file_fails_before_any_estimate_is_made(valid_inputs, monkeypatch, capsys,
+                                                           argv, stage):
+    save_matrix(np.eye(2, dtype=complex), valid_inputs / "eye.json")
+    monkeypatch.setattr(stage, _refuse)
+    argv = [a.format(tmp=valid_inputs) for a in argv]
+    assert run(*argv, "--truth", f"file:{valid_inputs / 'boolean_matrix'}") == 1
+    captured = capsys.readouterr()
+    assert captured.err == 'error: malformed matrix JSON: "rows" is not an array of numbers\n'
+    assert not captured.out

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sqst.states import (check_norm_chain, load_matrix, make_pure_superposition,
-                         matrix_from_json, matrix_to_json, max_norm, philox_rng,
+from sqst import states
+from sqst.states import (check_norm_chain, load_json, load_matrix, make_pure_superposition,
+                         matrix_from_json, matrix_to_json, max_norm, number_array, philox_rng,
                          random_density, random_hermitian, require_density,
-                         require_hermitian, save_matrix, schatten_norm)
+                         require_hermitian, save_matrix, schatten_norms)
 
 
 def test_plus_state_offdiagonal():
@@ -136,24 +138,56 @@ def test_non_finite_entries_rejected(bad):
 
 def test_schatten_hand_values():
     e = np.diag([1.0, -1.0]).astype(complex)
-    assert schatten_norm(e, 1) == pytest.approx(2.0)
-    assert schatten_norm(e, 2) == pytest.approx(math.sqrt(2.0))
-    assert schatten_norm(e, np.inf) == pytest.approx(1.0)
-    assert schatten_norm(np.zeros((3, 3), dtype=complex), 1.7) == 0.0
+    assert schatten_norms(e, [1, 2, np.inf]) == pytest.approx([2.0, math.sqrt(2.0), 1.0])
+    assert schatten_norms(np.zeros((3, 3), dtype=complex), [1.7]) == [0.0]
+    assert schatten_norms(e, []) == []
 
 
 def test_schatten_rejects_p_below_one():
-    with pytest.raises(ValueError):
-        schatten_norm(np.eye(2, dtype=complex), 0.5)
+    with pytest.raises(ValueError, match="p >= 1, got 0.5"):
+        schatten_norms(np.eye(2, dtype=complex), [2, 0.5])
 
 
 def test_schatten_monotone_in_p():
     ps = [1, 1.5, 2, 4, np.inf]
     for seed in range(20):
-        e = random_hermitian(5, seed)
-        vals = [schatten_norm(e, p) for p in ps]
+        vals = schatten_norms(random_hermitian(5, seed), ps)
         for a in range(len(ps) - 1):
             assert vals[a] >= vals[a + 1] - 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+def test_schatten_norms_and_norm_chain_agree_with_the_svd_norms(d):
+    for seed in range(5):
+        e = random_hermitian(d, philox_rng(21, d, seed))
+        svd = [np.linalg.norm(e, "nuc"), np.linalg.norm(e, "fro"), np.linalg.norm(e, 2)]
+        tol = 1e-12 * svd[0]
+        assert schatten_norms(e, [1, 2, np.inf]) == pytest.approx(svd, rel=0, abs=tol)
+        report = check_norm_chain(e)
+        assert [report.trace_norm, report.frobenius_norm] == pytest.approx(svd[:2], rel=0, abs=tol)
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.array([[0, 1], [0, 0]], dtype=complex), "^matrix is not Hermitian: max deviation"),
+    (np.zeros((2, 3)), r"^matrix must be square, got shape \(2, 3\)"),
+    (np.zeros(4), r"^matrix must be square, got shape \(4,\)"),
+    (np.diag([np.nan, 0.0]), "^matrix has non-finite entries"),
+], ids=["non_hermitian", "non_square", "vector", "nan"])
+def test_schatten_norms_and_norm_chain_refuse_what_require_hermitian_refuses(m, message):
+    with pytest.raises(ValueError, match=message):
+        require_hermitian(m)
+    with pytest.raises(ValueError, match=message):
+        schatten_norms(m, [1])
+    with pytest.raises(ValueError, match=message):
+        check_norm_chain(m)
+
+
+def test_norm_chain_takes_one_spectrum(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(states.np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    assert check_norm_chain(random_hermitian(8, 3)).passed
+    assert len(calls) == 1
 
 
 def test_max_norm_values():
@@ -245,6 +279,10 @@ _ROWS = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
     '{"d": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, {}]]]}',
     '{"d": 2, "rows": [[["1", 0], [0, 0]], [[0, 0], [0, 0]]]}',
     '{"d": 1, "rows": [[[true, false]]]}', '{"d": 1, "rows": [[[1, 0, 0]]]}',
+    # a boolean among numbers, and an integer past the float range
+    '{"d": 2, "rows": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+    '{"d": 2, "rows": [[[1, 0], [0, 0.5]], [[0, -0.5], [false, 0]]]}',
+    '{"d": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400),
 ])
 def test_matrix_json_is_an_integer_d_and_d_by_d_pairs_of_numbers(text):
     with pytest.raises(ValueError, match="^malformed matrix JSON: "):
@@ -253,6 +291,31 @@ def test_matrix_json_is_an_integer_d_and_d_by_d_pairs_of_numbers(text):
 
 def test_matrix_json_takes_json_integers_anywhere_in_its_rows():
     assert matrix_from_json({"d": 2, "rows": _ROWS}).tobytes() == np.diag([1, 0j]).tobytes()
+
+
+def test_an_integer_past_int64_reads_as_the_float_it_rounds_to():
+    big = 10**30 + 1  # past int64, and not a float exactly
+    text = '{"d": 1, "rows": [[[%d, -%d]]]}' % (big, 2**64 + 1)
+    assert matrix_from_json(json.loads(text))[0, 0] == complex(float("1e30"), -float(2**64))
+    assert number_array(json.loads("[%d, 1]" % big)).tolist() == [1e30, 1.0]
+
+
+@pytest.mark.parametrize("text", ["[1%s, 0]" % ("0" * 400), "[0, -1%s]" % ("0" * 309),
+                                  "[[true, 0]]", "[false]", "[1, null]", '["1"]', "[[1], [2, 3]]"])
+def test_number_array_refuses_booleans_and_integers_past_the_float_range(text):
+    assert number_array(json.loads(text)) is None
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "Expecting value"),
+    (b'{"d": 2,', "Expecting property name"),
+    (b"\xfe\xff[]", "'utf-8' codec can't decode byte 0xfe"),
+], ids=["empty", "bad_json", "non_utf8"])
+def test_load_json_names_the_file_in_every_decode_fault(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        load_json(path)
 
 
 def test_philox_streams_are_independent_and_reproducible():
