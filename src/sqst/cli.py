@@ -309,7 +309,7 @@ def _fig2_trial(task) -> tuple:
     amp /= np.linalg.norm(amp)
     rho = states.make_pure_superposition(i, j, amp[0], amp[1], d)
     dist = measurement.outcome_distribution(rho, family, PovmMode.OFFDIAG)
-    counts = measurement.count_cells(dist.alias.blocks(rng, n), d * d).reshape(d, d)
+    counts = measurement.count_cells(measurement.AliasTable(dist.probs).blocks(rng, n), d * d).reshape(d, d)
     estimate = estimator.fold(counts, n, mub.eta_table(family, i, j))
     return d, trial, abs(complex(estimate) - complex(rho[i, j]))
 

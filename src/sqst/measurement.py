@@ -8,14 +8,14 @@ In memory an outcome is one cell index (m - first_basis) * d + k into the
 (basis, outcome) count table; the labels (m, k) exist only in record files.
 
 No estimate reads the order of outcomes, only the count table, so no ordered
-record is kept in memory.  A record is a `RecordStream` (what `sample_record`
-returns: the sharded alias draw, made anew on each pass), a file, or a
-`RecordCounts` table, all sharing one `RecordHeader`.  Cells flow in blocks of
-at most _BLOCK, so no temporary grows with n: `write_record` writes a stream
-to a file, and `counted` counts a stream (`estimator.record_counts`) or a file
-(`read_record`, whose labels are read in _CHUNK_BYTES chunks and made cells by
-`_label_cells`, the one place that does so).  So `sqst simulate` and the
-commands that estimate hold no n-long array.
+record is kept in memory.  A record is a `RecordStream` (what `sample_record` returns:
+the sharded draw of the one `AliasTable` it holds, made anew on each pass; an
+`OutcomeDistribution` is the Born table alone), a file, or a `RecordCounts` table, all
+sharing one `RecordHeader`.  Cells flow in blocks of at most _BLOCK, so no temporary
+grows with n: `write_record` writes a stream to a file, and `counted` counts a stream
+(`estimator.record_counts`) or a file (`read_record`, whose labels are read in
+_CHUNK_BYTES chunks and made cells by `_label_cells`, the one place that does so).  So
+`sqst simulate` and the commands that estimate hold no n-long array.
 
 Record files exist in two formats sharing one header line
 
@@ -140,22 +140,19 @@ class OutcomeDistribution:
 
     probs is stored flat in (basis, outcome) row-major order, so entry
     (m - mode.first_basis) * d + k is the weight of outcome k of basis m;
-    alias.blocks draws these flat cell indices a block at a time.
+    it carries no sampler: each draw builds an `AliasTable(probs)` over these cells.
     """
 
     mode: PovmMode
     d: int
     probs: np.ndarray = field(repr=False)
     mub_fingerprint: str
-    alias: AliasTable = field(repr=False)
 
     def sample_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size uint16 cells drawn from rng, in draw order."""
+        """size uint16 cells drawn from rng, in draw order, through a table built for this draw."""
         cells = np.empty(size, dtype=np.uint16)
-        start = 0
-        for block in self.alias.blocks(rng, size):
+        for start, block in zip(range(0, size, _BLOCK), AliasTable(self.probs).blocks(rng, size)):
             cells[start:start + block.size] = block
-            start += block.size
         return cells
 
 
@@ -173,8 +170,7 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
     vecs = family.vectors[first - 1 : first - 1 + mode.basis_count(d)]
     born = born_weights(vecs, rho).real
     probs = np.clip(born, 0.0, None).reshape(-1) / mode.basis_count(d)
-    return OutcomeDistribution(mode=mode, d=d, probs=probs,
-                               mub_fingerprint=family.fingerprint(), alias=AliasTable(probs))
+    return OutcomeDistribution(mode=mode, d=d, probs=probs, mub_fingerprint=family.fingerprint())
 
 
 @dataclass(frozen=True)
@@ -204,17 +200,17 @@ def _fields(header: RecordHeader) -> dict:
 class RecordStream(RecordHeader):
     """A sampled record, the one `sample_record(dist, n, seed, shards)` returns.
 
-    It holds the distribution, not the cells: each pass over `cell_blocks`
-    draws them again, shard s from the Philox stream (seed, s), in shard order,
-    as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK.
+    It holds the distribution's alias table, built once, not the cells: each pass over
+    `cell_blocks` draws them again, shard s from the Philox stream (seed, s), in shard
+    order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK.
     """
 
-    dist: OutcomeDistribution = field(repr=False)
+    table: AliasTable = field(repr=False)
     shards: int
 
     def cell_blocks(self):
         for s, size in enumerate(_shard_sizes(self.n, self.shards)):
-            yield from self.dist.alias.blocks(philox_rng(self.seed, s), size)
+            yield from self.table.blocks(philox_rng(self.seed, s), size)
 
 
 @dataclass(frozen=True)
@@ -302,7 +298,7 @@ def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1)
     """
     _shard_sizes(n, shards)
     return RecordStream(d=dist.d, mode=dist.mode, seed=seed, n=n,
-                        mub_fingerprint=dist.mub_fingerprint, dist=dist, shards=shards)
+                        mub_fingerprint=dist.mub_fingerprint, table=AliasTable(dist.probs), shards=shards)
 
 
 _HEADER_RE = re.compile(

@@ -99,9 +99,8 @@ def random_density(d: int, rank: int, seed: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_hermitian(d: int, seed_or_rng) -> np.ndarray:
-    """Gaussian Hermitian matrix, for fuzzing the norm inequalities."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else philox_rng(seed_or_rng)
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian Hermitian matrix drawn from rng, for fuzzing the norm inequalities."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
 
@@ -218,4 +217,9 @@ def load_json(path):
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_json(load_json(path))
+    """The matrix of the JSON file at path; every decode or layout fault names the file."""
+    obj = load_json(path)
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

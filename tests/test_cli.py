@@ -843,9 +843,10 @@ def test_out_of_range_numbers_exit_1_without_a_traceback(argv, tmp_path, capsys)
     assert not captured.out and not (tmp_path / "r.txt").exists()
 
 
-# every flag that names an input file, with valid inputs ({tmp}) around the damaged one ({bad})
+# every flag that names an input file, with valid inputs ({tmp}) around the damaged one ({bad});
+# a command that writes does so under {out}, a folder of the case's own
 _FILE_FLAGS = {
-    "simulate --state": ["simulate", "--dim", "2", "--copies", "10", "--out", "{tmp}/r.txt",
+    "simulate --state": ["simulate", "--dim", "2", "--copies", "10", "--out", "{out}/r.txt",
                          "--state", "file:{bad}"],
     "estimate --truth": ["estimate", "--record", "{tmp}/rec.offdiag.txt", "--element", "0,1",
                          "--truth", "file:{bad}"],
@@ -898,21 +899,29 @@ def valid_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("damage", list(_DAMAGED_INPUTS))
 @pytest.mark.parametrize("flag", list(_FILE_FLAGS))
-def test_a_damaged_input_file_exits_1_with_one_error_line(valid_inputs, capsys, flag, damage):
-    argv = [a.format(tmp=valid_inputs, bad=valid_inputs / damage) for a in _FILE_FLAGS[flag]]
+def test_a_damaged_input_file_exits_1_with_one_error_line(valid_inputs, tmp_path, capsys, flag,
+                                                          damage):
+    argv = [a.format(tmp=valid_inputs, bad=valid_inputs / damage, out=tmp_path)
+            for a in _FILE_FLAGS[flag]]
     assert run(*argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and not captured.out
-    assert not (valid_inputs / "r.txt").exists()
+    assert not any(tmp_path.iterdir())
 
 
-def test_a_decode_fault_names_the_file_it_is_in(valid_inputs, capsys):
+@pytest.mark.parametrize("operator, truth, bad, fault", [
+    ("empty", "non_object", "empty", "Expecting value"),
+    ("boolean_matrix", "eye.json", "boolean_matrix", "malformed matrix JSON"),  # decodable, not a matrix
+    ("eye.json", "boolean_matrix", "boolean_matrix", "malformed matrix JSON"),
+])
+def test_a_decode_fault_names_the_file_it_is_in(valid_inputs, capsys, operator, truth, bad, fault):
+    save_matrix(np.eye(2, dtype=complex), valid_inputs / "eye.json")
     assert run("operator-estimate", "--record", str(valid_inputs / "full.txt"),
-               "--operator", f"file:{valid_inputs / 'empty'}",
-               "--truth", f"file:{valid_inputs / 'non_object'}") == 1
+               "--operator", f"file:{valid_inputs / operator}",
+               "--truth", f"file:{valid_inputs / truth}") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {valid_inputs / 'empty'}: Expecting value") and err.count("\n") == 1
+    assert err.startswith(f"error: {valid_inputs / bad}: {fault}") and err.count("\n") == 1
 
 
 def _refuse(*_args, **_kwargs):
@@ -938,5 +947,6 @@ def test_a_bad_truth_file_fails_before_any_estimate_is_made(valid_inputs, monkey
     argv = [a.format(tmp=valid_inputs) for a in argv]
     assert run(*argv, "--truth", f"file:{valid_inputs / 'boolean_matrix'}") == 1
     captured = capsys.readouterr()
-    assert captured.err == 'error: malformed matrix JSON: "rows" is not an array of numbers\n'
+    assert captured.err == (f"error: {valid_inputs / 'boolean_matrix'}: "
+                            'malformed matrix JSON: "rows" is not an array of numbers\n')
     assert not captured.out

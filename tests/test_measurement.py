@@ -187,13 +187,54 @@ def test_sampling_memory_is_bounded_by_a_block():
 
 def test_a_sampled_record_holds_no_cells():
     dist = outcome_distribution(random_density(64, 4, 1), build_mub(64), PovmMode.OFFDIAG)
-    tracemalloc.start()
-    try:
-        record = sample_record(dist, 10**9, seed=11)  # 2 GB as uint16 cells
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert record.n == 10**9 and peak < 10_000
+    peaks = []
+    for n in (1, 10**9):  # 10**9 copies are 2 GB as uint16 cells
+        tracemalloc.start()
+        try:
+            record = sample_record(dist, n, seed=11)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a record builds and holds its alias table, whose size does not depend on n
+    assert record.n == 10**9 and peaks[1] < peaks[0] + 10_000
+
+
+@pytest.fixture
+def alias_builds(monkeypatch):
+    """The cell count K of every `AliasTable` built while the test runs, in order."""
+    builds = []
+    init = AliasTable.__init__
+
+    def counted_init(table, probs):
+        builds.append(np.asarray(probs).size)
+        init(table, probs)
+
+    monkeypatch.setattr(AliasTable, "__init__", counted_init)
+    return builds
+
+
+@pytest.mark.parametrize("mode", list(PovmMode))
+def test_a_distribution_builds_no_alias_table_and_each_ordered_draw_one(fam3, alias_builds, mode):
+    dist = outcome_distribution(random_density(3, 2, 4), fam3, mode)
+    assert alias_builds == [] and not hasattr(dist, "alias")
+    dist.sample_cells(philox_rng(1, 0), 10)
+    dist.sample_cells(philox_rng(1, 0), 10)
+    assert alias_builds == [dist.probs.size] * 2
+
+
+@pytest.mark.parametrize("shards", [1, 2, 5])
+def test_a_stream_builds_one_alias_table_for_all_its_shards_and_passes(fam3, alias_builds,
+                                                                       tmp_path, shards):
+    dist = outcome_distribution(random_density(3, 2, 4), fam3, PovmMode.OFFDIAG)
+    n = 2 * measurement._BLOCK + 5
+    record = sample_record(dist, n, seed=8, shards=shards)
+    assert alias_builds == [dist.probs.size]
+    first, again = cells(record), cells(record)  # two passes, every shard drawn in each
+    write_record(record, tmp_path / "r.bin", binary=True)
+    assert record_counts(record).counts.sum() == n
+    assert alias_builds == [dist.probs.size] and np.array_equal(first, again)
+    sample_record(dist, n, seed=9, shards=shards)
+    assert alias_builds == [dist.probs.size] * 2  # one per stream
 
 
 def test_sharded_sampling_memory_matches_one_shard():

@@ -109,7 +109,7 @@ def test_eigen_pauli_x():
 
 def test_eigen_reconstruction_fuzz():
     for seed in range(10):
-        h = random_hermitian(6, seed)
+        h = random_hermitian(6, philox_rng(seed))
         w, v = np.linalg.eigh(require_hermitian(h))
         assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-10
         assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
@@ -151,7 +151,7 @@ def test_schatten_rejects_p_below_one():
 def test_schatten_monotone_in_p():
     ps = [1, 1.5, 2, 4, np.inf]
     for seed in range(20):
-        vals = schatten_norms(random_hermitian(5, seed), ps)
+        vals = schatten_norms(random_hermitian(5, philox_rng(seed)), ps)
         for a in range(len(ps) - 1):
             assert vals[a] >= vals[a + 1] - 1e-12
 
@@ -186,7 +186,7 @@ def test_norm_chain_takes_one_spectrum(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(states.np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
-    assert check_norm_chain(random_hermitian(8, 3)).passed
+    assert check_norm_chain(random_hermitian(8, philox_rng(3))).passed
     assert len(calls) == 1
 
 
@@ -224,7 +224,7 @@ def test_norm_chain_all_ones_matrix():
 def test_norm_chain_fuzz():
     for seed in range(60):
         d = 2 + seed % 31
-        assert check_norm_chain(random_hermitian(d, seed)).passed
+        assert check_norm_chain(random_hermitian(d, philox_rng(seed))).passed
 
 
 def test_norm_chain_fails_on_any_slack_below_tolerance():
