@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import estimator, measurement, mub, states, tomography
+from . import estimator, fields, measurement, mub, states, tomography
 from .measurement import PovmMode
 from .states import philox_rng
 
@@ -94,9 +94,10 @@ def _complex_pair(z: complex) -> dict:
 
 
 def cmd_plan(args) -> int:
-    if args.general:
-        if args.k_bound is None or args.dim is None:
-            raise ValueError("--general needs --k-bound and --dim")
+    general = args.k_bound is not None
+    if general != (args.dim is not None):
+        raise ValueError("the bounded-operator planner needs both --k-bound and --dim")
+    if general:
         n = estimator.plan_samples_general(args.epsilon, args.delta, args.k_bound,
                                            args.dim, args.elements)
         # n is the paper's floor of the inverse, so its bound can sit just above delta
@@ -106,14 +107,12 @@ def cmd_plan(args) -> int:
         ineq = (f"4*{args.elements}*exp(-n*{args.epsilon}^2 / "
                 f"(2*{args.k_bound}^2*({args.dim}+1)^2)) <= {bound}")
     else:
-        if args.k_bound is not None or args.dim is not None:
-            raise ValueError("--k-bound and --dim apply only with --general")
         n = estimator.plan_samples(args.epsilon, args.delta, args.elements)
         ineq = f"4*{args.elements}*exp(-n*{args.epsilon}^2/2) <= {args.delta}"
     if args.format == "json":
         payload = {"n": n, "epsilon": args.epsilon, "delta": args.delta,
                    "elements": args.elements, "inequality": ineq}
-        if args.general:
+        if general:
             payload.update({"k_bound": args.k_bound, "d": args.dim})
         _emit(json.dumps(payload) + "\n", args.out)
     else:
@@ -376,6 +375,8 @@ def cmd_reproduce_fig2(args) -> int:
 def cmd_bounds_check(args) -> int:
     if args.dim < 1:
         raise ValueError(f"dimension must be >= 1, got {args.dim}")
+    if args.dim > fields.MAX_FIELD_ORDER:  # before a d x d matrix is drawn
+        raise ValueError(f"dimension {args.dim} exceeds maximum {fields.MAX_FIELD_ORDER}")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     worst_slack = math.inf
@@ -479,9 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--elements", type=int, default=1)
-    p.add_argument("--general", action="store_true",
-                   help="bounded-operator planner (needs --k-bound and --dim)")
-    p.add_argument("--k-bound", type=float, default=None)
+    p.add_argument("--k-bound", type=float, default=None,
+                   help="coefficient bound K: with --dim, the bounded-operator planner")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_plan)

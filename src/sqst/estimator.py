@@ -183,7 +183,8 @@ def _estimate(record: RecordStream | RecordCounts, i: int, j: int, value, epsilo
 
     epsilon prints as its shortest round-trip repr, and the bound as the exact
     tail at that float, capped at 1, rounded up to 6 significant digits.  It
-    says nothing sharper about the modulus.
+    says nothing sharper about the modulus.  A given delta below that tail is
+    refused: no estimate carries a delta its record does not prove.
     """
     from decimal import Decimal
     _check_plan_args(epsilon, delta)
@@ -193,8 +194,11 @@ def _estimate(record: RecordStream | RecordCounts, i: int, j: int, value, epsilo
         epsilon = math.sqrt(2.0 * math.log(4.0 / target) / n)
         while hoeffding_tail(n, epsilon) > target:
             epsilon = math.nextafter(epsilon, math.inf)
-    shown = bound_text(min(hoeffding_tail(n, epsilon), Decimal(1)),
-                       f"the bound for n={n} at epsilon={epsilon}")
+    tail = min(hoeffding_tail(n, epsilon), Decimal(1))
+    shown = bound_text(tail, f"the bound for n={n} at epsilon={epsilon}")
+    if delta is not None and tail > Decimal(delta):  # a derived epsilon is stepped to delta
+        raise ValueError(f"--epsilon {epsilon!r} and --delta {delta!r} disagree: the bound "
+                         f"for n={n} is {shown}, above delta")
     text = (f"Pr[max(|Re error|, |Im error|) >= {float(epsilon)!r}] <= {shown} "
             f"(Hoeffding, n={n})")
     return SelectiveEstimate(i=i, j=j, value=value, n=n, epsilon=epsilon, delta=delta,

@@ -51,6 +51,7 @@ from .mub import MubFamily, born_weights
 from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128
+MAX_CELLS = 1 << 16  # the most (basis, outcome) cells a uint16 cell index numbers
 # Copies per block of every n-long cell stream (drawn, counted or written): each
 # float64 or intp temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so
 # blocks reuse heap memory rather than fault fresh pages in.  The cells do not
@@ -87,14 +88,14 @@ class AliasTable:
 
     A draw takes one uniform u per copy (Walker's one-uniform form): the
     integer part of u * K picks the column, the fractional part decides
-    between the column and its alias.  Cells are uint16, so K <= 65536.
+    between the column and its alias.  Cells are uint16, so K <= MAX_CELLS.
     """
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("need a nonempty 1-D probability vector")
-        if probs.size > 1 << 16:
+        if probs.size > MAX_CELLS:
             raise ValueError(f"{probs.size} cells do not fit uint16 cell indices")
         if probs.min() < 0:
             raise ValueError("negative probability")
@@ -127,7 +128,7 @@ class AliasTable:
             u = rng.random(min(_BLOCK, size - start))
             u *= k
             col = u.astype(np.intp)
-            np.minimum(col, k - 1, out=col)  # a guard: u * K < K for every u < 1 and K <= 65536
+            np.minimum(col, k - 1, out=col)  # a guard: u * K < K for every u < 1 and K <= MAX_CELLS
             u -= col  # the fractional part: the acceptance uniform
             swap = np.flatnonzero(u >= self.prob[col])
             col[swap] = self.alias[col[swap]]
@@ -187,8 +188,8 @@ class RecordHeader:
         if self.n < 1:
             raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
         cells = self.mode.basis_count(self.d) * self.d
-        if cells > 0xFFFF:
-            raise RecordFormatError(f"d={self.d} {self.mode.value} record has {cells} cells, over 65535")
+        if cells > MAX_CELLS:
+            raise RecordFormatError(f"d={self.d} {self.mode.value} record has {cells} cells, over {MAX_CELLS}")
 
 
 def _fields(header: RecordHeader) -> dict:
@@ -264,7 +265,7 @@ def _label_cells(blocks, d: int, mode: PovmMode):
     """Yield the uint16 cells (m - first_basis) * d + k of file labels given as (ms, ks) blocks.
 
     Each block's labels are range-checked, then decoded in uint16 arithmetic,
-    exact since the header holds the table to 65535 cells.
+    exact since the header holds the table to MAX_CELLS cells: no cell exceeds 0xFFFF.
     """
     first, count = mode.first_basis, mode.basis_count(d)
     for ms, ks in blocks:

@@ -164,13 +164,6 @@ def project_psd_maxnorm(rho_l, tol: float = 1e-6) -> ProjectionResult:
                             method="maxnorm-sdp", gap=gap)
 
 
-def trace_norm_budget(epsilon: float, d: int) -> float:
-    """Trace-norm error nu implied by a max-norm error epsilon: nu = sqrt(d^3)*eps."""
-    if epsilon <= 0 or d < 1:
-        raise ValueError("epsilon and d must be positive")
-    return math.sqrt(d**3) * epsilon
-
-
 def error_report(truth: np.ndarray, estimate) -> NormChainReport:
     """Max, Frobenius and trace norms of truth - estimate, with their inequality chain."""
     t = np.asarray(truth, dtype=np.complex128)

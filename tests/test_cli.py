@@ -43,7 +43,7 @@ def test_plan_multi_element(capsys):
 
 
 def test_plan_general_json(capsys):
-    assert run("plan", "--epsilon", "0.05", "--delta", "0.01", "--general",
+    assert run("plan", "--epsilon", "0.05", "--delta", "0.01",
                "--k-bound", "0.2", "--dim", "4", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 4793
@@ -54,7 +54,7 @@ def test_plan_general_prints_a_true_inequality(capsys):
     # the bound n reaches, rounded up, not delta
     for eps, delta, k, d in itertools.product([0.01, 0.05, 0.1], [0.01, 0.05],
                                               [0.1, 0.2], [2, 4, 8, 16]):
-        assert run("plan", "--epsilon", str(eps), "--delta", str(delta), "--general",
+        assert run("plan", "--epsilon", str(eps), "--delta", str(delta),
                    "--k-bound", str(k), "--dim", str(d), "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
         lhs, rhs = payload["inequality"].split(" <= ")
@@ -67,7 +67,7 @@ def test_plan_general_prints_a_true_inequality(capsys):
 @pytest.mark.parametrize("k", [1e-4, 1e-8])
 def test_plan_general_prints_a_bound_below_the_float_range(capsys, k):
     # n = 1 is right, but its bound 4*exp(-n*eps^2/(2*K^2*(d+1)^2)) underflows a float
-    assert run("plan", "--epsilon", "0.1", "--delta", "0.1", "--general",
+    assert run("plan", "--epsilon", "0.1", "--delta", "0.1",
                "--k-bound", str(k), "--dim", "4", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 1
@@ -87,7 +87,7 @@ def test_plan_takes_a_delta_whose_ratio_to_the_elements_overflows(capsys):
     delta = decimal.Decimal(1e-307)
     assert estimator.hoeffding_tail(n, 0.1, 100) <= delta < estimator.hoeffding_tail(n - 1, 0.1, 100)
     assert run("plan", "--epsilon", "0.1", "--delta", "1e-307", "--elements", "100",
-               "--general", "--k-bound", "0.2", "--dim", "4", "--format", "json") == 0
+               "--k-bound", "0.2", "--dim", "4", "--format", "json") == 0
     n = json.loads(capsys.readouterr().out)["n"]
     assert n == 142_577  # the floor of the inverse: K*(d+1) = 1 gives the element tail
     tail = estimator.hoeffding_tail
@@ -110,7 +110,7 @@ def test_plan_takes_one_copy_for_a_huge_finite_epsilon(tmp_path, capsys):
 
 
 def test_plan_general_needs_dim(capsys):
-    assert run("plan", "--epsilon", "0.1", "--delta", "0.1", "--general") == 1
+    assert run("plan", "--epsilon", "0.1", "--delta", "0.1", "--k-bound", "0.2") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +330,26 @@ def test_estimate_prints_a_bound_below_the_float_range(tmp_path, capsys):
         assert rhs < decimal.Decimal("1e-308")
         log_bound = wide.ln(4) - wide.divide(10**6 * decimal.Decimal(eps)**2, 2)
         assert 0 <= rhs.ln(wide) - log_bound <= 1e-5  # rounded up to 6 significant digits
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_estimate_refuses_a_delta_its_record_does_not_prove(tmp_path, capsys, fmt):
+    prefix, out = tmp_path / "rec", tmp_path / "est"
+    assert run("simulate", "--dim", "4", "--state", "random:2,5", "--copies", "1000",
+               "--povm", "both", "--out", str(prefix), "--quiet") == 0
+    records = ["--record", f"{prefix}.offdiag.txt", "--diag-record", f"{prefix}.diag.txt"]
+    for element in ("0,1", "2,2"):
+        # the tail at 0.01 for n = 1000 is 4*exp(-0.05), far above 0.01
+        assert run("estimate", *records, "--element", element, "--epsilon", "0.01",
+                   "--delta", "0.01", "--format", fmt, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: --epsilon 0.01 and --delta 0.01 disagree: the bound for n=1000 is 1, "
+            "above delta\n")
+        assert not out.exists()
+    # 4*exp(-20) <= 0.01: the pair is proved
+    assert run("estimate", *records, "--element", "0,1", "--epsilon", "0.2",
+               "--delta", "0.01", "--format", fmt) == 0
+    assert "1000" in capsys.readouterr().out
 
 
 def _header(mode, n, d=2):
@@ -571,6 +591,18 @@ def test_bounds_check_rejects_dimension_below_one(dim, capsys):
     assert capsys.readouterr().err == f"error: dimension must be >= 1, got {dim}\n"
 
 
+@pytest.mark.parametrize("dim", ["65", "100000"])
+def test_bounds_check_refuses_a_dimension_past_64_before_drawing(dim, capsys):
+    tracemalloc.start()
+    try:
+        assert run("bounds-check", "--dim", dim, "--trials", "1") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: dimension {dim} exceeds maximum 64\n"
+    assert peak < 2 * 65 * 65 * 16  # under two 65 x 65 complex matrices: none was drawn
+
+
 def test_bounds_check_json(capsys):
     assert run("bounds-check", "--dim", "4", "--trials", "10", "--seed", "1",
                "--format", "json") == 0
@@ -721,7 +753,7 @@ def test_format_only_where_it_is_read(argv, capsys):
 
 # every option each subcommand accepts: a new flag needs a deliberate edit here
 OPTIONS = {
-    "plan": "--out --epsilon --delta --elements --general --k-bound --dim --format",
+    "plan": "--out --epsilon --delta --elements --k-bound --dim --format",
     "mub": "--out --quiet --dim --tol --format",
     "simulate": "--seed --out --quiet --dim --state --copies --epsilon --delta --elements "
                 "--povm --record-format --shards",
@@ -741,7 +773,7 @@ def test_each_subcommand_takes_exactly_its_options():
     taken = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
              - {"--help"} for name, p in sub.choices.items()}
     assert taken == {name: set(flags.split()) for name, flags in OPTIONS.items()}
-    assert sum(map(len, taken.values())) == 64
+    assert sum(map(len, taken.values())) == 63
 
 
 def test_every_flag_in_the_readme_command_line_section_is_taken():
@@ -761,6 +793,9 @@ def test_every_flag_in_the_readme_command_line_section_is_taken():
     (["estimate", "--record", "r.txt", "--element", "0,1"], ["--seed", "1"]),
     (["tomography", "--record", "r.txt", "--diag-record", "d.txt"], ["--seed", "1"]),
     (["bounds-check", "--dim", "2", "--trials", "1"], ["--out", "f.json"]),
+    # --k-bound and --dim select the bounded-operator planner: there is no switch for it
+    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--k-bound", "0.2", "--dim", "4"],
+     ["--general"]),
 ])
 def test_flags_a_subcommand_never_reads_exit_2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -770,9 +805,8 @@ def test_flags_a_subcommand_never_reads_exit_2(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--k-bound", "0.2", "--dim", "4"],
-     ["--k-bound", "--general"]),
-    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--dim", "4"], ["--dim", "--general"]),
+    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--k-bound", "0.2"], ["--k-bound", "--dim"]),
+    (["plan", "--epsilon", "0.05", "--delta", "0.01", "--dim", "4"], ["--dim", "--k-bound"]),
     (["simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--elements", "3",
       "--out", "{tmp}/r.txt"], ["--elements", "--copies"]),
     (["operator-estimate", "--record", "{tmp}/full.txt", "--operator", "file:{tmp}/op.json",
@@ -808,7 +842,7 @@ _HUGE = "1" + "0" * 400  # an --elements count past the float range
     ["simulate", "--dim", "2", "--state", "mixed", "--epsilon", "1e-300", "--delta", "0.1",
      "--out", "{tmp}/r.txt"],
     ["reproduce-fig2", "--dims", "2", "--trials", "1", "--epsilon", "1e-300"],
-    *(["plan", "--epsilon", "0.1", "--delta", "0.1", "--general", "--k-bound", k, "--dim", "4"]
+    *(["plan", "--epsilon", "0.1", "--delta", "0.1", "--k-bound", k, "--dim", "4"]
       for k in ("inf", "1e200", "nan", "1e-300", "1e-160")),  # the last two: bounds that underflow
     *(["operator-estimate", "--record", "{tmp}/full.txt", "--extreme", k]
       for k in ("nan", "inf", "1e308")),
@@ -829,6 +863,8 @@ _HUGE = "1" + "0" * 400  # an --elements count past the float range
     *(["simulate", "--dim", "2", "--state", f"superposition:0,1,{a},0", "--copies", "10",
        "--out", "{tmp}/r.txt"] for a in ("1e-170", "1e-160")),  # |a|^2 underflows
     ["mub", "--dim", "1000000007"],  # refused before it is factored
+    # refused before a d x d matrix is drawn: 100000 asked numpy for 74.5 GiB
+    *(["bounds-check", "--dim", d, "--trials", "1"] for d in ("65", "100000")),
 ], ids=lambda argv: " ".join(a for a in argv if "{tmp}" not in a)[:60])
 def test_out_of_range_numbers_exit_1_without_a_traceback(argv, tmp_path, capsys):
     for mode in ("full", "offdiag"):

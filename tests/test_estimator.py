@@ -559,6 +559,7 @@ def test_derived_radius_guarantees_delta_itself(fam2):
 
 def test_every_printed_guarantee_is_proved(fam2):
     rng = philox_rng(20)
+    refusals = 0
     for _ in range(300):
         n = int(rng.integers(1, 10**7))
         record = RecordCounts(d=2, mode=PovmMode.OFFDIAG, seed=0, n=n,
@@ -566,6 +567,13 @@ def test_every_printed_guarantee_is_proved(fam2):
         given = {"epsilon": float(10 ** rng.uniform(-4, -0.3))} if rng.random() < 0.5 else {}
         if rng.random() < 0.5:
             given["delta"] = float(10 ** rng.uniform(-12, -0.01))
+        if "epsilon" in given and "delta" in given:  # a pair is refused unless it is proved
+            refused = hoeffding_tail(n, given["epsilon"]) > given["delta"]
+            refusals += refused
+            if refused:
+                with pytest.raises(ValueError, match=f"^--epsilon .* disagree: the bound for n={n} "):
+                    estimate_element(record, fam2, 0, 1, **given)
+                continue
         est = estimate_element(record, fam2, 0, 1, **given)
         epsilon, rest = est.guarantee.removeprefix("Pr[max(|Re error|, |Im error|) >= ").split("]")
         bound = decimal.Decimal(rest.split(" <= ")[1].split(" ")[0])
@@ -573,6 +581,7 @@ def test_every_printed_guarantee_is_proved(fam2):
         assert min(hoeffding_tail(n, float(epsilon)), 1) <= bound
         if "epsilon" not in given:  # the derived radius: the tail itself is at most delta
             assert hoeffding_tail(n, est.epsilon) <= given.get("delta", 0.01)
+    assert 0 < refusals < 75  # a quarter of the draws give both flags, some of them unproved
 
 
 def test_hoeffding_tail_is_the_float_formula_within_the_float_range():

@@ -98,6 +98,20 @@ def test_alias_table_rejects_bad_weights():
         AliasTable(np.ones(65_537))
 
 
+def test_a_record_header_and_an_alias_table_share_one_cell_limit(tmp_path):
+    # 65536 cells: a d=256 offdiag table, whose last cell decodes exactly in uint16 arithmetic
+    AliasTable(np.ones(measurement.MAX_CELLS))
+    path = tmp_path / "r.txt"
+    path.write_text(f"{_header(256, 'offdiag', 2)}\n257,255\n2,0\n")
+    counts = read_record(path).counts
+    assert counts.shape == (256, 256) and counts[255, 255] == counts[0, 0] == 1
+    # one cell more is refused by both
+    with pytest.raises(ValueError, match="65537 cells do not fit uint16"):
+        AliasTable(np.ones(65_537))
+    with pytest.raises(RecordFormatError, match="65537 cells, over 65536"):
+        RecordHeader(d=65_537, mode=PovmMode.COMPUTATIONAL, seed=0, n=1, mub_fingerprint="0" * 16)
+
+
 def _alias_weights():
     """Over 200 seeded weight vectors: the edge cases, then random ones with zero cells."""
     dominant = np.full(64, 1e-9)
@@ -855,7 +869,7 @@ def test_a_header_fault_wins_over_any_body_fault_and_the_line_count_comes_last(
 
     cases = {
         "corrupt record header": [b"#SQST v9" + data[8:] for data in faulty],
-        "90000 cells, over 65535": [under(_header(300, "offdiag", 3000), data) for data in faulty],
+        "90000 cells, over 65536": [under(_header(300, "offdiag", 3000), data) for data in faulty],
         # a header of n = 0 over a body of lines or pairs
         "at least one outcome, header says n=0": [
             under(_header(4, "offdiag", 0), text),

@@ -1,6 +1,7 @@
 """Checks over the source of the sqst package itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqst"
@@ -34,3 +35,69 @@ def test_the_json_encoder_check_sees_every_spelling():
                      "json.dump(1, f)\nj.dump(1, f)\ndump(1, f)\nd(1, f)\n"
                      "json.dumps(1)\njson.load(f)\njson.loads('1')\n")
     assert _json_dump_calls(tree) == [4, 5, 6, 7]
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _public_definitions(tree: ast.Module) -> list:
+    """(qualified name, node) of each public top-level function or class and public method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m) for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
+
+
+def _named(node: ast.AST) -> Counter:
+    """How often each name appears under node: as a Name, an Attribute, an import alias
+    (by its last dotted part and its asname) or a string constant."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names.update({n.name.rpartition(".")[2], n.asname} - {None})
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names[n.value] += 1
+    return names
+
+
+def _uncalled(package: dict, others: list) -> list:
+    """'module.name' of each public definition of package (module name -> tree) that is
+    named nowhere but inside itself, in package or in the others' trees."""
+    named = sum((_named(tree) for tree in [*package.values(), *others]), Counter())
+    return sorted(f"{module}.{qualified}" for module, tree in package.items()
+                  for qualified, node in _public_definitions(tree)
+                  if named[node.name] == _named(node)[node.name])
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # API that only its own unit test calls is deleted, not kept for the test
+    package = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    others = [ast.parse(p.read_text(), str(p)) for p in sorted(PERFBENCH.glob("*.py"))
+              if not p.name.startswith("test_")]
+    assert package and others
+    assert _uncalled(package, others) == []
+
+
+def test_the_caller_check_sees_every_spelling_and_only_callers():
+    package = {
+        "a": ast.parse("def used_by_name(): pass\ndef used_by_attr(): pass\n"
+                       "def used_by_import(): pass\ndef used_by_string(): pass\n"
+                       "def only_tested(): pass\ndef recursive(): return recursive()\n"
+                       "def _private(): pass\n"
+                       "class Kept:\n    def method(self): pass\n    def unused(self): pass\n"
+                       "    def _hidden(self): pass\n"),
+        "b": ast.parse("from .a import used_by_import as u\nimport a\n"
+                       "used_by_name()\na.used_by_attr()\nKept().method()\n"),
+    }
+    others = [ast.parse("wrap(owner, 'used_by_string')\n")]
+    tests = ast.parse("from a import only_tested\nonly_tested()\nKept().unused()\n")
+    assert _uncalled(package, others) == ["a.Kept.unused", "a.only_tested", "a.recursive"]
+    assert _uncalled(package, [*others, tests]) == ["a.recursive"]

@@ -11,7 +11,7 @@ from sqst.measurement import PovmMode, RecordCounts, outcome_distribution, sampl
 from sqst.mub import build_mub
 from sqst.states import TRACE_TOL, density_fault, max_norm, philox_rng, random_density
 from sqst.tomography import (assemble_linear_estimate, error_report, project_psd_clip,
-                             project_psd_maxnorm, trace_norm_budget)
+                             project_psd_maxnorm)
 
 
 @pytest.fixture(scope="module")
@@ -251,19 +251,7 @@ def test_projection_does_not_worsen_failure_rate():
 
 
 # ---------------------------------------------------------------------------
-# budgets and reports
-
-
-def test_trace_norm_budget_values():
-    assert trace_norm_budget(0.01, 4) == pytest.approx(0.08)
-    assert trace_norm_budget(0.3, 1) == pytest.approx(0.3)
-
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        trace_norm_budget(0.0, 4)
-    with pytest.raises(ValueError):
-        trace_norm_budget(0.1, 0)
+# error reports
 
 
 def test_error_report_zero_for_equal_states():
