@@ -274,7 +274,7 @@ def _label_cells(blocks, d: int, mode: PovmMode):
         if ks.max() >= d:
             raise RecordFormatError(f"outcome label outside 0..{d - 1}")
         cells = np.subtract(ms, first, dtype=np.uint16, casting="unsafe")
-        cells *= np.uint16(d)
+        cells *= np.uint16(d & 0xFFFF)  # d = 2**16 is computational: its one m - first_basis is 0
         np.add(cells, ks, out=cells, casting="unsafe")
         yield cells
 

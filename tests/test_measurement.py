@@ -105,9 +105,14 @@ def test_a_record_header_and_an_alias_table_share_one_cell_limit(tmp_path):
     path.write_text(f"{_header(256, 'offdiag', 2)}\n257,255\n2,0\n")
     counts = read_record(path).counts
     assert counts.shape == (256, 256) and counts[255, 255] == counts[0, 0] == 1
-    # one cell more is refused by both
-    with pytest.raises(ValueError, match="65537 cells do not fit uint16"):
-        AliasTable(np.ones(65_537))
+    # 65536 cells as a d = 2**16 computational table, a d past uint16, in both formats
+    path.write_text(f"{_header(65536, 'computational', 1)}\n1,65535\n")
+    (tmp_path / "r.bin").write_bytes((_header(65536, "computational", 1) + "\n").encode("ascii")
+                                     .ljust(128, b"\x00") + np.array([1, 65535], dtype="<u2").tobytes())
+    for name in ("r.txt", "r.bin"):
+        counts = read_record(tmp_path / name).counts
+        assert counts.shape == (1, 65536) and counts[0, 65535] == counts.sum() == 1
+    # one cell more is refused by both (AliasTable: test_alias_table_rejects_bad_weights)
     with pytest.raises(RecordFormatError, match="65537 cells, over 65536"):
         RecordHeader(d=65_537, mode=PovmMode.COMPUTATIONAL, seed=0, n=1, mub_fingerprint="0" * 16)
 
