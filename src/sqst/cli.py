@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -308,9 +309,17 @@ def _fig2_trial(task) -> tuple:
     amp /= np.linalg.norm(amp)
     rho = states.make_pure_superposition(i, j, amp[0], amp[1], d)
     dist = measurement.outcome_distribution(rho, family, PovmMode.OFFDIAG)
-    counts = measurement.count_cells(measurement.AliasTable(dist.probs).blocks(rng, n), d * d).reshape(d, d)
+    counts = measurement.AliasTable(dist.probs).counts(rng, n).reshape(d, d)
     estimate = estimator.fold(counts, n, mub.eta_table(family, i, j))
     return d, trial, abs(complex(estimate) - complex(rho[i, j]))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the machine's where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
 
 
 def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
@@ -319,7 +328,8 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
 
     Returns (copies per trial, rows sorted by (d, trial), per-dimension
     summaries).  Per-trial Philox streams (seed, d, trial) make the output
-    independent of worker scheduling.
+    independent of worker scheduling; at most one worker process runs per
+    usable CPU, however many are asked for.
     """
     for k, d in enumerate(dims):  # validate before spawning workers
         if d in dims[:k]:
@@ -331,6 +341,7 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = estimator.plan_samples(epsilon, delta, 1)
     tasks = [(d, t, seed, n) for d in dims for t in range(trials)]
+    workers = min(workers, _usable_cpus())  # a pool starts all its workers at its first task
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only here: ~25 ms of start-up
 
@@ -536,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per usable CPU; the rows do not depend on it")
     p.set_defaults(func=cmd_reproduce_fig2)
 
     p = sub.add_parser("bounds-check", parents=[seed, quiet],

@@ -5,11 +5,12 @@ Every estimate is the same linear fold of a (basis, outcome) table:
     fold(table, total, weights) = (table * weights).sum() / total
 
 where the table is a record's outcome counts with total n, or an exact
-distribution's probabilities with total 1.  Counts come from one counter,
-`measurement.counted`, fed by a record file (`measurement.read_record`) or a
-sampled record stream (`record_counts`).  `count_table` is the one way to get
-the table (it draws and counts a stream on each call), and it checks mode,
-dimension and MUB fingerprint on the way.  Only the weights differ: eta_ij
+distribution's probabilities with total 1.  A record file is counted as it is
+read (`measurement.read_record`), and a sampled record stream as it is drawn,
+without ordering its cells (`record_counts`); both give the same table for the
+same record.  `count_table` is the one way to get the table (it draws and
+counts a stream on each call), and it checks mode, dimension and MUB
+fingerprint on the way.  Only the weights differ: eta_ij
 for an off-diagonal element, a unit vector for a diagonal, (d+1)-scaled
 projector coefficients for an operator mean.  So any element, or any
 operator in the bounded manifold, can be re-estimated from the same record
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import (OutcomeDistribution, PovmMode, RecordCounts, RecordStream,
-                          check_family, counted)
+                          check_family)
 from .mub import MubFamily, born_weights, eta_table, projector_sum
 
 
@@ -141,7 +142,7 @@ def outcome_counts(record: RecordStream) -> np.ndarray:
 
 def record_counts(record: RecordStream) -> RecordCounts:
     """The stream's header and count table, drawn and counted once: fold it as often as needed."""
-    return counted(record, record.cell_blocks())
+    return record.counted()
 
 
 def count_table(source: RecordStream | RecordCounts | OutcomeDistribution,

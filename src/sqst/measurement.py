@@ -11,11 +11,14 @@ No estimate reads the order of outcomes, only the count table, so no ordered
 record is kept in memory.  A record is a `RecordStream` (what `sample_record` returns:
 the sharded draw of the one `AliasTable` it holds, made anew on each pass; an
 `OutcomeDistribution` is the Born table alone), a file, or a `RecordCounts` table, all
-sharing one `RecordHeader`.  Cells flow in blocks of at most _BLOCK, so no temporary
-grows with n: `write_record` writes a stream to a file, and `counted` counts a stream
-(`estimator.record_counts`) or a file (`read_record`, whose labels are read in
-_CHUNK_BYTES chunks and made cells by `_label_cells`, the one place that does so).  So
-`sqst simulate` and the commands that estimate hold no n-long array.
+sharing one `RecordHeader`.  Copies flow in blocks of at most _BLOCK, so no temporary
+grows with n.  One alias core decides each copy's (column, moved) pair from its double;
+`write_record` writes a stream's cells, ordered from those decisions, to a file, and
+`RecordStream.counted` (`estimator.record_counts`) counts the decisions of all its
+shards into one table without ordering them.  A file is counted by `counted`
+(`read_record`, whose labels are read in _CHUNK_BYTES chunks and made cells by
+`_label_cells`, the one place that does so).  So `sqst simulate` and the commands
+that estimate hold no n-long array.
 
 Record files exist in two formats sharing one header line
 
@@ -86,9 +89,13 @@ class PovmMode(enum.Enum):
 class AliasTable:
     """Vose alias method: O(n) setup, O(1) draws, deterministic construction.
 
-    A draw takes one uniform u per copy (Walker's one-uniform form): the
-    integer part of u * K picks the column, the fractional part decides
-    between the column and its alias.  Cells are uint16, so K <= MAX_CELLS.
+    A draw takes one uniform u per copy (Walker's one-uniform form): with v = u * K,
+    the integer part of v picks the column c, and v >= threshold[c] moves the copy
+    to the column's alias.  threshold[c] is the least double >= c + prob[c], so the
+    decision is the exact one v - c >= prob[c] of Walker's fractional part.  One
+    core makes these (column, moved) decisions a block at a time; `blocks` turns
+    them into the ordered cells and `counts` counts them without ordering them.
+    Cells are uint16, so K <= MAX_CELLS.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -116,23 +123,49 @@ class AliasTable:
             (small if scaled[hi] < 1.0 else large).append(hi)
         # leftovers are all (numerically) 1
         self.prob, self.alias = np.array(prob), np.array(alias, dtype=np.intp)
+        columns = np.arange(k, dtype=np.float64)
+        self.threshold = columns + self.prob
+        # sum - c is exact (Sterbenz), so it is below prob exactly where the sum rounded down
+        low = self.threshold - columns < self.prob
+        self.threshold[low] = np.nextafter(self.threshold[low], np.inf)
 
-    def blocks(self, rng: np.random.Generator, size: int):
-        """Yield size cells as intp arrays of at most _BLOCK copies each.
+    def _decided(self, draws):
+        """(col, moved) of each block of at most _BLOCK copies, for each (rng, size) of draws in turn.
 
-        Copy i uses the i-th double of rng, so the cells do not depend on the
-        block size, and the temporaries stay a block long whatever size is.
+        Copy i of a draw uses the i-th double u of its rng: col = floor(u * K), which is
+        below K for every u < 1 and K <= 2**53, and moved = u * K >= threshold[col].  So
+        the decisions do not depend on the block size, and the temporaries stay a block long.
         """
         k = self.prob.size
-        for start in range(0, size, _BLOCK):
-            u = rng.random(min(_BLOCK, size - start))
-            u *= k
-            col = u.astype(np.intp)
-            np.minimum(col, k - 1, out=col)  # a guard: u * K < K for every u < 1 and K <= MAX_CELLS
-            u -= col  # the fractional part: the acceptance uniform
-            swap = np.flatnonzero(u >= self.prob[col])
-            col[swap] = self.alias[col[swap]]
-            yield col
+        for rng, size in draws:
+            for start in range(0, size, _BLOCK):
+                u = rng.random(min(_BLOCK, size - start))
+                u *= k
+                col = u.astype(np.intp)
+                yield col, u >= self.threshold.take(col)
+
+    def blocks(self, rng: np.random.Generator, size: int):
+        """Yield size cells drawn from rng, in draw order, as intp arrays of at most _BLOCK copies each."""
+        for col, moved in self._decided([(rng, size)]):
+            yield np.where(moved, self.alias.take(col), col)
+
+    def counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The multiplicity of each cell over size copies drawn from rng: the bincount of `blocks`."""
+        return self._counted([(rng, size)])
+
+    def _counted(self, draws) -> np.ndarray:
+        """The intp multiplicity of each cell over every copy of draws, in one table.
+
+        Each block is counted by (column, moved) in one bincount of col + K * moved,
+        without ordering its cells; the moved half goes to the aliases once, at the end.
+        """
+        k = self.prob.size
+        both = np.zeros(2 * k, dtype=np.intp)
+        for col, moved in self._decided(draws):
+            both += np.bincount(col + k * moved, minlength=2 * k)
+        counts = both[:k].copy()
+        np.add.at(counts, self.alias, both[k:])
+        return counts
 
 
 @dataclass(frozen=True)
@@ -203,15 +236,25 @@ class RecordStream(RecordHeader):
 
     It holds the distribution's alias table, built once, not the cells: each pass over
     `cell_blocks` draws them again, shard s from the Philox stream (seed, s), in shard
-    order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK.
+    order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK,
+    and each `counted` draws them again from the same doubles, counted but not ordered.
     """
 
     table: AliasTable = field(repr=False)
     shards: int
 
-    def cell_blocks(self):
+    def _draws(self):
+        """(rng, size) of each shard, in shard order."""
         for s, size in enumerate(_shard_sizes(self.n, self.shards)):
-            yield from self.table.blocks(philox_rng(self.seed, s), size)
+            yield philox_rng(self.seed, s), size
+
+    def cell_blocks(self):
+        for rng, size in self._draws():
+            yield from self.table.blocks(rng, size)
+
+    def counted(self) -> RecordCounts:
+        """The record's `RecordCounts`: every shard drawn and counted, unordered, into one table."""
+        return _with_counts(self, self.table._counted(self._draws()))
 
 
 @dataclass(frozen=True)
@@ -236,8 +279,12 @@ def count_cells(blocks, size: int) -> np.ndarray:
 
 def counted(header: RecordHeader, blocks) -> RecordCounts:
     """The `RecordCounts` of header whose cells are blocks."""
-    d = header.d
-    counts = count_cells(blocks, header.mode.basis_count(d) * d).reshape(-1, d)
+    return _with_counts(header, count_cells(blocks, header.mode.basis_count(header.d) * header.d))
+
+
+def _with_counts(header: RecordHeader, counts: np.ndarray) -> RecordCounts:
+    """The `RecordCounts` of header with the flat count table counts, made read-only."""
+    counts = counts.reshape(-1, header.d)
     counts.setflags(write=False)
     return RecordCounts(**_fields(header), counts=counts)
 

@@ -464,6 +464,39 @@ def test_fig2_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == par.read_bytes()
 
 
+@pytest.mark.parametrize("affinity, cpu_count, asked, started", [
+    ({0, 1, 2}, 8, 100_000, 3), ({0, 1, 2}, 8, 2, 2), (None, 4, 100_000, 4), (None, None, 5, None),
+    ({5}, 8, 3, None),
+])
+def test_fig2_starts_at_most_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count,
+                                                      asked, started):
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:  # records its size and maps in this process: no worker starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool, raising=False)
+    if affinity is None:  # no affinity call: the machine's CPU count, or 1 where unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    rows = reproduce_fig2([2, 3], 4, 0.1, 0.1, seed=5, workers=asked)
+    assert sizes == ([] if started is None else [started])
+    assert rows == reproduce_fig2([2, 3], 4, 0.1, 0.1, seed=5, workers=1)
+
+
 def _loaded_by_cli_import(*packages) -> str:
     """The modules of `packages` that `import sqst.cli` loads, in a fresh interpreter."""
     probe = ("import sys, sqst.cli; "

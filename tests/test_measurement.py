@@ -3,6 +3,7 @@ import random
 import statistics
 import tracemalloc
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,8 +189,67 @@ class _TopRng:
 
 @pytest.mark.parametrize("k", [1, 3, 5, 4096, 65_535, 65_536])
 def test_largest_uniform_draws_a_cell_inside_the_table(k):
-    (cells,) = AliasTable(np.arange(1.0, k + 1)).blocks(_TopRng(), 10)
+    table = AliasTable(np.arange(1.0, k + 1))
+    (cells,) = table.blocks(_TopRng(), 10)
     assert cells.max() < k
+    counts = table.counts(_TopRng(), 10)
+    assert counts.shape == (k,) and np.array_equal(counts, np.bincount(cells, minlength=k))
+
+
+def test_the_largest_uniform_times_any_cell_count_rounds_below_it():
+    # why the draw needs no guard: floor(u * K) < K for the largest u < 1 and every K
+    k = np.arange(1, measurement.MAX_CELLS + 1)
+    assert ((np.nextafter(1.0, 0.0) * k).astype(np.intp) < k).all()
+
+
+def test_each_threshold_is_the_least_double_at_or_above_its_column_plus_prob():
+    for w in _alias_weights():
+        table = AliasTable(w)
+        below = np.nextafter(table.threshold, -np.inf)
+        for c, (p, t, t_below) in enumerate(zip(table.prob.tolist(), table.threshold.tolist(),
+                                                below.tolist())):
+            exact = c + Fraction(p)
+            assert Fraction(t_below) < exact <= Fraction(t), (c, p, t)
+
+
+class _Doubles:
+    """A generator whose uniforms are the given doubles, in order."""
+
+    def __init__(self, u):
+        self.u, self.used = u, 0
+
+    def random(self, size):
+        self.used += size
+        return self.u[self.used - size:self.used].copy()
+
+
+def _walker_cells(table, u):
+    """The reference draw: a copy moves when the fractional part of u * K reaches prob."""
+    v = u * table.prob.size
+    col = np.floor(v).astype(np.intp)
+    return np.where(v - col >= table.prob[col], table.alias[col], col)
+
+
+def test_the_draw_decides_as_walkers_fractional_part():
+    for s, w in enumerate(_alias_weights()):
+        table = AliasTable(w)
+        u = philox_rng(s).random(2 * measurement._BLOCK + 17)
+        if w.size & (w.size - 1) == 0:  # K a power of two: u = t / K is exact, and u * K is t again
+            t = table.threshold[table.threshold < w.size]
+            u = np.concatenate([u, t / w.size, np.nextafter(t, 0.0) / w.size])
+        cells = np.concatenate(list(table.blocks(_Doubles(u), u.size)))
+        assert np.array_equal(cells, _walker_cells(table, u)), s
+        assert np.array_equal(table.counts(_Doubles(u), u.size), np.bincount(cells, minlength=w.size)), s
+
+
+@pytest.mark.parametrize("n", [1, 17, measurement._BLOCK, 2 * measurement._BLOCK + 17])
+def test_counting_a_draw_is_the_bincount_of_its_cells(n):
+    for s, w in enumerate(_alias_weights()):
+        table = AliasTable(w)
+        counts = table.counts(philox_rng(s), n)
+        ordered = np.concatenate(list(table.blocks(philox_rng(s), n)))
+        assert counts.dtype == np.intp, s
+        assert np.array_equal(counts, np.bincount(ordered, minlength=w.size)), s
 
 
 def test_sampling_memory_is_bounded_by_a_block():
