@@ -181,11 +181,12 @@ def cmd_simulate(args) -> int:
         if not args.out:
             raise ValueError("simulate needs --out")
         jobs = [(PovmMode(args.povm), args.seed, args.out)]
-    for mode, seed, path in jobs:
-        dist = measurement.outcome_distribution(rho, family, mode)
-        record = measurement.sample_record(dist, n, seed, shards=args.shards)
+    records = [(measurement.sample_record(measurement.outcome_distribution(rho, family, mode),
+                                          n, seed, shards=args.shards), path)
+               for mode, seed, path in jobs]  # every header is checked before any file is opened
+    for record, path in records:
         measurement.write_record(record, path, binary=binary)  # drawn as it is written
-        _say(args, f"wrote {path}: d={args.dim} mode={mode.value} n={n} seed={seed} "
+        _say(args, f"wrote {path}: d={args.dim} mode={record.mode.value} n={n} seed={record.seed} "
                    f"mub={record.mub_fingerprint}")
     return 0
 

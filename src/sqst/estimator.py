@@ -7,8 +7,8 @@ Every estimate is the same linear fold of a (basis, outcome) table:
 where the table is a record's outcome counts with total n, or an exact
 distribution's probabilities with total 1.  A record file is counted as it is
 read (`measurement.read_record`), and a sampled record stream as it is drawn,
-without ordering its cells (`record_counts`); both give the same table for the
-same record.  `count_table` is the one way to get the table (it draws and
+without ordering its cells (`RecordStream.counted`); both give the same table
+for the same record.  `count_table` is the one way to get the table (it draws and
 counts a stream on each call), and it checks mode, dimension and MUB
 fingerprint on the way.  Only the weights differ: eta_ij
 for an off-diagonal element, a unit vector for a diagonal, (d+1)-scaled
@@ -137,12 +137,7 @@ class SelectiveEstimate:
 
 def outcome_counts(record: RecordStream) -> np.ndarray:
     """Multiplicity of each (basis, outcome) cell, drawn anew, shaped (bases, d), read-only."""
-    return record_counts(record).counts
-
-
-def record_counts(record: RecordStream) -> RecordCounts:
-    """The stream's header and count table, drawn and counted once: fold it as often as needed."""
-    return record.counted()
+    return record.counted().counts
 
 
 def count_table(source: RecordStream | RecordCounts | OutcomeDistribution,

@@ -49,6 +49,15 @@ def factor_prime_power(d: int):
     return (p, n) if m == 1 else None
 
 
+def field_order(d: int) -> tuple:
+    """(p, n) with d = p^n <= MAX_FIELD_ORDER, the dimensions a basis family serves; else ValueError."""
+    if d > MAX_FIELD_ORDER:  # before factoring: the trial division runs up to d
+        raise ValueError(f"dimension {d} exceeds maximum {MAX_FIELD_ORDER}")
+    if (pn := factor_prime_power(d)) is None:
+        raise ValueError(f"dimension {d} is not a prime power; maximal MUB unsupported")
+    return pn
+
+
 def _x_powers(modulus, r: int, count: int) -> np.ndarray:
     """Coefficient rows of x^0 .. x^(count-1) modulo the monic ascending `modulus` over Z_r.
 
@@ -106,7 +115,7 @@ def phase_exponents(p: int, n: int) -> np.ndarray:
     Odd p: E = tr(a x^2 + b x) in Z_p over the field labels, that is
     S[a, x^2] + S[b, x] mod p re-indexed from powers of x to labels.
     """
-    if n < 1 or factor_prime_power(p) != (p, 1) or p**n > MAX_FIELD_ORDER:
+    if field_order(p**n) != (p, n):
         raise ValueError(f"no field of order {p}^{n} <= {MAX_FIELD_ORDER} with p prime, n >= 1")
     q = p**n
     _, rows = _primitive_powers(p, n)

@@ -14,27 +14,27 @@ the sharded draw of the one `AliasTable` it holds, made anew on each pass; an
 sharing one `RecordHeader`.  Copies flow in blocks of at most _BLOCK, so no temporary
 grows with n.  One alias core decides each copy's (column, moved) pair from its double;
 `write_record` writes a stream's cells, ordered from those decisions, to a file, and
-`RecordStream.counted` (`estimator.record_counts`) counts the decisions of all its
-shards into one table without ordering them.  A file is counted by `counted`
+`RecordStream.counted` counts the decisions of all its shards into one table without
+ordering them.  A file is counted by `counted`
 (`read_record`, whose labels are read in _CHUNK_BYTES chunks and made cells by
 `_label_cells`, the one place that does so).  So `sqst simulate` and the commands
 that estimate hold no n-long array.
 
-Record files exist in two formats sharing one header line
+Record files exist in two formats sharing one header line, and `RecordHeader`'s rule
 
     #SQST v1 d=<d> mode=<mode> seed=<seed> n=<n> mub=<16 hex chars>
 
-* text: the header line, with its LF at most _HEADER_LINE_BYTES, then exactly n
-  body lines ``<m>,<k>`` (`_LINE`: labels of 1 to 5 ASCII digits, <= 65535), each
-  ended by LF or CRLF, the last one's optional; no signs, spaces or empty lines.
-  Text is written and parsed in numpy blocks, a chunk's whole lines at a time.  The
-  parser only accepts; `_body_fault` reads a refused block line by line to name its fault;
+* text: the header line, then exactly n body lines ``<m>,<k>`` (`_LINE`: labels of
+  1 to 5 ASCII digits, <= 65535), each ended by LF or CRLF, the last one's optional;
+  no signs, spaces or empty lines.  Text is written and parsed in numpy blocks, a
+  chunk's whole lines at a time.  The parser only accepts; `_body_fault` reads a
+  refused block line by line to name its fault;
 * binary: the header line NUL-padded to 128 bytes, then n little-endian
   (uint16 m, uint16 k) pairs.
 
-A file is read once, front to back: the header first, then the body block by
-block (ASCII, then grammar, then label ranges), raising the first fault in
-file order.
+A file is read once, front to back: the header from one _HEADER_BLOCK read, then
+the body block by block (ASCII, then grammar, then label ranges), raising the
+first fault in file order.
 
 The ``mub`` field fingerprints the basis family that produced the record;
 `check_family` is the one place that refuses a record or distribution whose
@@ -50,10 +50,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .fields import field_order
 from .mub import MubFamily, born_weights
 from .states import philox_rng, require_density
 
-_HEADER_BLOCK = 128
+_HEADER_BLOCK = 128  # the one read that holds a header line and its LF, with a byte to spare
 MAX_CELLS = 1 << 16  # the most (basis, outcome) cells a uint16 cell index numbers
 # Copies per block of every n-long cell stream (drawn, counted or written): each
 # float64 or intp temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so
@@ -63,7 +64,6 @@ _BLOCK = 8_192
 _CHUNK_BYTES = 1 << 16  # bytes per read of a record file
 _MAX_DIGITS = 5  # digits of the largest uint16 label
 _QUOTE_BYTES = 40  # the most of a bad body line that its error message quotes
-_HEADER_LINE_BYTES = 1 << 16  # the longest text header line, LF included; a valid one is under 9 KB
 _LINE = re.compile(rb"(\d{1,5}),(\d{1,5})")  # a text body line, without its LF or CRLF
 
 
@@ -209,7 +209,11 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
 
 @dataclass(frozen=True)
 class RecordHeader:
-    """The provenance of a record: the fields of a record file's header line."""
+    """The fields of a record's header line, and the one rule for every record source:
+
+    n >= 1, d a family dimension (`fields.field_order`), and a line that with its LF
+    fits _HEADER_BLOCK - 1 bytes, so a binary header keeps a NUL of padding.
+    """
 
     d: int
     mode: PovmMode
@@ -220,9 +224,13 @@ class RecordHeader:
     def __post_init__(self):
         if self.n < 1:
             raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
-        cells = self.mode.basis_count(self.d) * self.d
-        if cells > MAX_CELLS:
-            raise RecordFormatError(f"d={self.d} {self.mode.value} record has {cells} cells, over {MAX_CELLS}")
+        try:
+            field_order(self.d)
+        except ValueError as exc:
+            raise RecordFormatError(str(exc)) from None
+        size = len(_header_line(self)) + 1
+        if size >= _HEADER_BLOCK:
+            raise RecordFormatError(f"header line of {size} bytes with its LF, over {_HEADER_BLOCK - 1}")
 
 
 def _fields(header: RecordHeader) -> dict:
@@ -311,8 +319,8 @@ def check_family(source, family: MubFamily, mode: PovmMode) -> None:
 def _label_cells(blocks, d: int, mode: PovmMode):
     """Yield the uint16 cells (m - first_basis) * d + k of file labels given as (ms, ks) blocks.
 
-    Each block's labels are range-checked, then decoded in uint16 arithmetic,
-    exact since the header holds the table to MAX_CELLS cells: no cell exceeds 0xFFFF.
+    Each block's labels are range-checked, then decoded in uint16 arithmetic, exact since
+    the header admits only family dimensions: d * (d + 1) <= MAX_CELLS, no cell over 0xFFFF.
     """
     first, count = mode.first_basis, mode.basis_count(d)
     for ms, ks in blocks:
@@ -321,7 +329,7 @@ def _label_cells(blocks, d: int, mode: PovmMode):
         if ks.max() >= d:
             raise RecordFormatError(f"outcome label outside 0..{d - 1}")
         cells = np.subtract(ms, first, dtype=np.uint16, casting="unsafe")
-        cells *= np.uint16(d & 0xFFFF)  # d = 2**16 is computational: its one m - first_basis is 0
+        cells *= np.uint16(d)
         np.add(cells, ks, out=cells, casting="unsafe")
         yield cells
 
@@ -361,16 +369,16 @@ def _header_line(record: RecordHeader) -> str:
     )
 
 
-def _parse_header(line: str) -> RecordHeader:
-    m = len(line) <= _HEADER_LINE_BYTES and _HEADER_RE.match(line.strip())  # _open_text cuts one past it
+def _parse_header(raw: bytes) -> RecordHeader:
+    """The header of a header line, LF included, read from one header block in either format."""
+    if not raw.isascii():
+        raise RecordFormatError("not an ASCII record file")
+    line = raw.decode("ascii")
+    m = line.endswith("\n") and _HEADER_RE.match(line.strip())
     if not m:
         raise RecordFormatError(f"corrupt record header: {line[:60]!r}")
     d, mode, seed, n, fp = m.groups()
-    try:
-        d, seed, n = int(d), int(seed), int(n)
-    except ValueError as exc:  # an integer field longer than int() accepts
-        raise RecordFormatError(f"corrupt record header: {exc}") from exc
-    return RecordHeader(d=d, mode=PovmMode(mode), seed=seed, n=n, mub_fingerprint=fp)
+    return RecordHeader(d=int(d), mode=PovmMode(mode), seed=int(seed), n=int(n), mub_fingerprint=fp)
 
 
 def write_record(record: RecordStream, path, binary: bool = False) -> None:
@@ -381,8 +389,6 @@ def write_record(record: RecordStream, path, binary: bool = False) -> None:
     """
     head = _header_line(record).encode("ascii") + b"\n"
     if binary:
-        if len(head) > _HEADER_BLOCK:
-            raise ValueError("header too long for the fixed binary layout")
         head = head.ljust(_HEADER_BLOCK, b"\x00")
     table = _cell_bytes(record.d, record.mode, binary)
     with open(path, "wb") as fh:
@@ -424,26 +430,27 @@ def read_record(path) -> RecordCounts:
 def _open_record(fh, path) -> tuple:
     """(header, cell blocks) of the open record file fh, read once, front to back.
 
-    The header is read and checked now; the blocks check the body as they read it.
+    The header is read and checked now, its faults named by path only here; the
+    blocks check the body as they read it.
     """
     head = fh.read(_HEADER_BLOCK)
-    if not head:
-        raise RecordFormatError(f"{path}: empty record file")
-    header, labels = (_open_binary if b"\x00" in head else _open_text)(fh, head, path)
+    try:
+        if not head:
+            raise RecordFormatError("empty record file")
+        header, labels = _open_binary(fh, head) if b"\x00" in head else _open_text(fh, head, path)
+    except RecordFormatError as exc:
+        raise RecordFormatError(f"{path}: {exc}") from exc
     return header, _label_cells(labels, header.d, header.mode)
 
 
-def _open_binary(fh, head: bytes, path) -> tuple:
+def _open_binary(fh, head: bytes) -> tuple:
     line, _, pad = head.partition(b"\x00")
     if pad.strip(b"\x00"):
-        raise RecordFormatError(f"{path}: garbage in binary header padding")
-    try:
-        header = _parse_header(line.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError(f"{path}: undecodable header") from exc
+        raise RecordFormatError("garbage in binary header padding")
+    header = _parse_header(line)
     body = max(0, os.fstat(fh.fileno()).st_size - _HEADER_BLOCK)
     if body != 4 * header.n:
-        raise RecordFormatError(f"{path}: body holds {body} bytes, header says n={header.n}")
+        raise RecordFormatError(f"body holds {body} bytes, header says n={header.n}")
     return header, _binary_blocks(fh)
 
 
@@ -456,17 +463,10 @@ def _binary_blocks(fh):
 
 
 def _open_text(fh, head: bytes, path) -> tuple:
-    """The header of a text record, read up to its LF or past _HEADER_LINE_BYTES, and the body's blocks."""
-    parts, size = [head], len(head)  # joined once: adding each chunk to the line would copy it each time
-    while b"\n" not in parts[-1] and size <= _HEADER_LINE_BYTES and (chunk := fh.read(_CHUNK_BYTES)):
-        parts.append(chunk)
-        size += len(chunk)
-    line = b"".join(parts)
-    cut = min(line.find(b"\n") + 1 or len(line), _HEADER_LINE_BYTES + 1)
-    if not line[:cut].isascii():
-        raise RecordFormatError(f"{path}: not an ASCII record file")
-    header = _parse_header(line[:cut].decode("ascii"))
-    return header, _text_blocks(fh, line[cut:], header.n, path)
+    """The header of a text record, whose LF must be among head's first 127 bytes, and the body's blocks."""
+    cut = head.find(b"\n", 0, _HEADER_BLOCK - 1) + 1  # 0: the line and its LF overrun the bound
+    header = _parse_header(head[:cut or _HEADER_BLOCK - 1])
+    return header, _text_blocks(fh, head[cut:], header.n, path)
 
 
 def _text_blocks(fh, carry: bytes, n: int, path):

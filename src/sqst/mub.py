@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import MAX_FIELD_ORDER, factor_prime_power, phase_exponents
+from .fields import field_order, phase_exponents
 from .states import save_complex_json
 
 _BLOCK_COEFFS = 32_768  # coefficients per block of a contraction's operand: 512 KiB of complex128
@@ -75,16 +75,10 @@ class MubFamily:
 def build_mub(d: int) -> MubFamily:
     """Build the maximal MUB family in prime-power dimension d.
 
-    Deterministic for fixed d.  Raises ValueError for dimensions that are
-    not prime powers (d = 6, 10, ...), where no maximal family is known.
+    Deterministic for fixed d.  Raises ValueError for every d `fields.field_order`
+    refuses: d past MAX_FIELD_ORDER, and non-prime-powers (d = 6, 10, ...).
     """
-    if d > MAX_FIELD_ORDER:  # before factoring: the trial division runs up to d
-        raise ValueError(f"dimension {d} exceeds maximum {MAX_FIELD_ORDER}")
-    pn = factor_prime_power(d)
-    if pn is None:
-        raise ValueError(f"dimension {d} is not a prime power; maximal MUB unsupported")
-    p, n = pn
-
+    p, n = field_order(d)
     exps = phase_exponents(p, n)  # [a, b, x], values in Z4 (p = 2) or Z_p
     phases = np.power(1j, np.arange(4.0)) if p == 2 else np.exp(2j * np.pi / p) ** np.arange(p)
     phases /= np.sqrt(d)

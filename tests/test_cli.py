@@ -168,6 +168,28 @@ def test_simulate_povm_both(tmp_path):
     assert off.n == diag.n == 200
 
 
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_simulate_writes_no_file_when_any_of_its_headers_is_refused(tmp_path, capsys, fmt):
+    # the offdiag header fits; the computational one, seed + 1 under a longer mode name, does not
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--povm", "both",
+               "--record-format", fmt, "--seed", "1" * 66, "--out", str(tmp_path / "pair")) == 1
+    assert capsys.readouterr().err == "error: header line of 130 bytes with its LF, over 127\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_the_longest_header_a_seed_allows_is_written_and_read_back(tmp_path, capsys, fmt):
+    path = tmp_path / "r"
+    base = ["simulate", "--dim", "2", "--state", "mixed", "--copies", "10",
+            "--record-format", fmt, "--out", str(path), "--quiet"]
+    assert run(*base, "--seed", "9" * 70) == 1 and not path.exists()  # 128 bytes with its LF
+    assert run(*base, "--seed", "9" * 69) == 0
+    assert read_record(path).seed == 10**69 - 1 and len(path.read_bytes().split(b"\n")[0]) == 126
+    capsys.readouterr()
+    assert run("estimate", "--record", str(path), "--element", "0,1") == 0
+    assert json.loads(capsys.readouterr().out)["estimates"][0]["n"] == 10
+
+
 def test_simulate_planner_mode(tmp_path):
     out = tmp_path / "r.txt"
     assert run("simulate", "--dim", "2", "--state", "mixed", "--epsilon", "0.1",
@@ -274,6 +296,27 @@ def test_estimate_checks_its_record_flags_before_reading_a_record(tmp_path, caps
     absent = str(tmp_path / "absent.txt")  # reading it would fail with another message
     assert run("estimate", *[f.format(absent=absent) for f in flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_HEAD = "#SQST v1 d={d} mode=computational seed=0 n={n} mub=0123456789abcdef\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"#SQST v9\n1,0\n", "corrupt record header: '#SQST v9\\n'"),
+    (_HEAD.format(d=2, n=0).encode("ascii"), "a record needs at least one outcome, header says n=0"),
+    (_HEAD.format(d=6, n=1).encode("ascii") + b"1,0\n",
+     "dimension 6 is not a prime power; maximal MUB unsupported"),
+    (_HEAD.format(d=2, n=1).encode("ascii").ljust(127, b"\x00") + b"z",
+     "garbage in binary header padding"),
+    (_HEAD.format(d=2, n=2).encode("ascii").ljust(128, b"\x00") + b"\x01\x00\x00\x00",
+     "body holds 4 bytes, header says n=2"),
+], ids=["corrupt", "n0", "d6", "padding", "body-size"])
+def test_a_header_fault_names_its_file_once(record_pair, tmp_path, capsys, data, message):
+    off, _ = record_pair
+    bad = tmp_path / "bad.record"
+    bad.write_bytes(data)
+    assert run("estimate", "--record", off, "--diag-record", str(bad), "--element", "0,0") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_estimate_requires_elements(record_pair):

@@ -9,7 +9,7 @@ from sqst import measurement
 from sqst.estimator import (bound_text, count_table, decompose_operator, estimate_diagonal,
                             estimate_element, extreme_operator, fold_diagonal, fold_element,
                             fold, fold_mean, hoeffding_tail, outcome_counts, plan_samples,
-                            plan_samples_general, record_counts)
+                            plan_samples_general)
 from sqst.measurement import (FingerprintMismatch, PovmMode, RecordCounts, RecordHeader,
                               counted, outcome_distribution, sample_record)
 from sqst.mub import build_mub, eta_table
@@ -509,7 +509,7 @@ def test_a_record_counted_once_folds_like_the_record():
     family = build_mub(64)
     record = sample_record(outcome_distribution(random_density(64, 4, 1), family,
                                                 PovmMode.OFFDIAG), 20_000, seed=5)
-    counted = record_counts(record)
+    counted = record.counted()
     assert isinstance(counted, RecordCounts) and counted.n == record.n
     assert np.array_equal(counted.counts, outcome_counts(record))
     for j in range(1, 64):
@@ -522,7 +522,7 @@ def test_count_table_draws_a_stream_anew_on_each_call(fam4):
     first, n = count_table(record, fam4, PovmMode.OFFDIAG)
     again, _ = count_table(record, fam4, PovmMode.OFFDIAG)
     assert n == 5_000 and first is not again and np.array_equal(first, again)
-    assert np.array_equal(first, record_counts(record).counts)
+    assert np.array_equal(first, record.counted().counts)
 
 
 def test_guarantee_states_what_hoeffding_proves(fam2):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import cells, vose_tables
 from sqst import measurement
-from sqst.estimator import outcome_counts, record_counts
+from sqst.estimator import outcome_counts
+from sqst.fields import MAX_FIELD_ORDER
 from sqst.measurement import (AliasTable, FingerprintMismatch, PovmMode, RecordFormatError,
                               RecordHeader, check_family, outcome_distribution, read_record,
                               sample_record, write_record)
@@ -100,22 +101,26 @@ def test_alias_table_rejects_bad_weights():
 
 
 def test_a_record_header_and_an_alias_table_share_one_cell_limit(tmp_path):
-    # 65536 cells: a d=256 offdiag table, whose last cell decodes exactly in uint16 arithmetic
+    # the header admits only family dimensions, whose largest (full) table fits the alias limit
+    d = MAX_FIELD_ORDER
     AliasTable(np.ones(measurement.MAX_CELLS))
-    path = tmp_path / "r.txt"
-    path.write_text(f"{_header(256, 'offdiag', 2)}\n257,255\n2,0\n")
-    counts = read_record(path).counts
-    assert counts.shape == (256, 256) and counts[255, 255] == counts[0, 0] == 1
-    # 65536 cells as a d = 2**16 computational table, a d past uint16, in both formats
-    path.write_text(f"{_header(65536, 'computational', 1)}\n1,65535\n")
-    (tmp_path / "r.bin").write_bytes((_header(65536, "computational", 1) + "\n").encode("ascii")
-                                     .ljust(128, b"\x00") + np.array([1, 65535], dtype="<u2").tobytes())
+    # its last cell decodes exactly in uint16 arithmetic, in both formats
+    (tmp_path / "r.txt").write_text(f"{_header(d, 'full', 2)}\n{d + 1},{d - 1}\n1,0\n")
+    (tmp_path / "r.bin").write_bytes((_header(d, "full", 2) + "\n").encode("ascii").ljust(128, b"\x00")
+                                     + np.array([[d + 1, d - 1], [1, 0]], dtype="<u2").tobytes())
     for name in ("r.txt", "r.bin"):
         counts = read_record(tmp_path / name).counts
-        assert counts.shape == (1, 65536) and counts[0, 65535] == counts.sum() == 1
-    # one cell more is refused by both (AliasTable: test_alias_table_rejects_bad_weights)
-    with pytest.raises(RecordFormatError, match="65537 cells, over 65536"):
-        RecordHeader(d=65_537, mode=PovmMode.COMPUTATIONAL, seed=0, n=1, mub_fingerprint="0" * 16)
+        assert counts.shape == (d + 1, d) and counts[d, d - 1] == counts[0, 0] == counts.sum() - 1
+    # past the families no header is admitted, whatever its table (AliasTable:
+    # test_alias_table_rejects_bad_weights)
+    for big, mode in ((256, PovmMode.OFFDIAG), (65_536, PovmMode.COMPUTATIONAL)):
+        with pytest.raises(RecordFormatError, match=f"dimension {big} exceeds maximum {d}"):
+            RecordHeader(d=big, mode=mode, seed=0, n=1, mub_fingerprint="0" * 16)
+
+
+def test_the_largest_family_table_fits_a_uint16_cell_index():
+    # `_label_cells` decodes (m - first_basis) * d + k in uint16: exact while this holds
+    assert MAX_FIELD_ORDER * (MAX_FIELD_ORDER + 1) <= measurement.MAX_CELLS == 1 << 16
 
 
 def _alias_weights():
@@ -310,7 +315,7 @@ def test_a_stream_builds_one_alias_table_for_all_its_shards_and_passes(fam3, ali
     assert alias_builds == [dist.probs.size]
     first, again = cells(record), cells(record)  # two passes, every shard drawn in each
     write_record(record, tmp_path / "r.bin", binary=True)
-    assert record_counts(record).counts.sum() == n
+    assert record.counted().counts.sum() == n
     assert alias_builds == [dist.probs.size] and np.array_equal(first, again)
     sample_record(dist, n, seed=9, shards=shards)
     assert alias_builds == [dist.probs.size] * 2  # one per stream
@@ -322,7 +327,7 @@ def test_sharded_sampling_memory_matches_one_shard():
     for shards in (1, 2):
         tracemalloc.start()
         try:
-            record_counts(sample_record(dist, 1_000_000, seed=11, shards=shards))
+            sample_record(dist, 1_000_000, seed=11, shards=shards).counted()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -400,7 +405,7 @@ def test_the_two_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
     n = 2 * measurement._BLOCK + 17
     path = tmp_path / "r"
     write_record(sample_record(dist, n, 7, shards), path, binary=binary)
-    read, drawn = read_record(path), record_counts(sample_record(dist, n, 7, shards))
+    read, drawn = read_record(path), sample_record(dist, n, 7, shards).counted()
     assert measurement._fields(read) == measurement._fields(drawn)
     assert np.array_equal(read.counts, drawn.counts)
     assert drawn.counts.sum() == n
@@ -450,7 +455,7 @@ def test_read_with_wrong_family_fails(fam2, fam3, tmp_path):
     write_record(record, path)
     again = read_record(path)
     assert measurement._fields(again) == measurement._fields(record)
-    assert np.array_equal(again.counts, record_counts(record).counts)
+    assert np.array_equal(again.counts, record.counted().counts)
     check_family(again, fam2, PovmMode.OFFDIAG)
     with pytest.raises(FingerprintMismatch):
         check_family(again, fam3, PovmMode.OFFDIAG)
@@ -506,7 +511,8 @@ def test_out_of_range_outcome_rejected(fam2, tmp_path):
     (2, "full", 4, 0, "basis label outside 1..3"),
     (2, "offdiag", 2, 2, "outcome label outside 0..1"),
     (3, "computational", 1, 3, "outcome label outside 0..2"),
-    (300, "offdiag", 2, 0, "90000 cells"),  # labels in range, but past a uint16 cell index
+    # labels in range, but a table past a uint16 cell index: the header refuses the dimension
+    (300, "offdiag", 2, 0, "dimension 300 exceeds maximum 64"),
 ], ids=["offdiag-basis", "full-basis", "offdiag-outcome", "computational-outcome", "uint16-cells"])
 def test_file_labels_outside_their_ranges_rejected(tmp_path, binary, d, mode, m, k, message):
     path = tmp_path / "r"
@@ -717,7 +723,7 @@ def test_crlf_and_missing_final_newline_read_like_lf(many_path, tmp_path):
         assert np.array_equal(cells(tmp_path / name), cells(record)), name
         again = read_record(tmp_path / name)
         assert measurement._fields(again) == measurement._fields(record), name
-        assert np.array_equal(again.counts, record_counts(record).counts), name
+        assert np.array_equal(again.counts, record.counted().counts), name
 
 
 @pytest.mark.parametrize("line", ["+1,0", " 1,0", "1_0,0", "1,", ",0", "1,2,3", "", "1,0 ",
@@ -828,7 +834,8 @@ def test_read_record_agrees_with_counting_the_decoded_cells(tmp_path, monkeypatc
         "lf.txt", "crlf.txt", "no_final_lf.txt", "crlf_no_final_lf.txt", "long_lines.txt",
         "lf.bin"}
     assert outcomes["crlf.txt"] == outcomes["lf.bin"] == outcomes["long_lines.txt"]
-    assert outcomes["non_ascii_and_bad_header.txt"][1].startswith("corrupt record header")
+    assert outcomes["non_ascii_and_bad_header.txt"][1].startswith(
+        f"{paths['non_ascii_and_bad_header.txt']}: corrupt record header")
     # the earlier fault, unless one chunk holds both: within a block grammar comes before range
     one_block = paths["range_then_grammar_fault.txt"].stat().st_size <= chunk
     assert outcomes["range_then_grammar_fault.txt"][1].startswith(
@@ -836,7 +843,8 @@ def test_read_record_agrees_with_counting_the_decoded_cells(tmp_path, monkeypatc
         "basis label outside 2..5")
     assert "bad outcome line 2997: '2,0000" in outcomes["overlong_line.txt"][1]
     assert outcomes["range_fault.txt"][1].startswith("basis label outside 2..5")
-    assert outcomes["n0.bin"][1] == "a record needs at least one outcome, header says n=0"
+    assert outcomes["n0.bin"][1] == (f"{paths['n0.bin']}: "
+                                     "a record needs at least one outcome, header says n=0")
 
 
 class _ReadOnce:
@@ -934,7 +942,10 @@ def test_a_header_fault_wins_over_any_body_fault_and_the_line_count_comes_last(
 
     cases = {
         "corrupt record header": [b"#SQST v9" + data[8:] for data in faulty],
-        "90000 cells, over 65536": [under(_header(300, "offdiag", 3000), data) for data in faulty],
+        "dimension 300 exceeds maximum 64": [under(_header(300, "offdiag", 3000), data)
+                                             for data in faulty],
+        "dimension 6 is not a prime power": [under(_header(6, "offdiag", 3000), data)
+                                             for data in faulty],
         # a header of n = 0 over a body of lines or pairs
         "at least one outcome, header says n=0": [
             under(_header(4, "offdiag", 0), text),
@@ -1037,14 +1048,17 @@ def _with_lines(**lines) -> bytes:
 _HEAD = (_header(4, "offdiag", 5) + "\n").encode("ascii")
 _DAMAGED = {  # the message of each damaged file, the same before the parser only accepted
     "empty": (b"", "{path}: empty record file"),
-    "garbage_header": (b"hello\n" + _with_lines(), "corrupt record header: 'hello\\n'"),
+    "garbage_header": (b"hello\n" + _with_lines(), "{path}: corrupt record header: 'hello\\n'"),
     "non_ascii_header": (_HEAD.replace(b"cd", b"c\xe9") + _with_lines(),
                          "{path}: not an ASCII record file"),
     "unended_header": (_HEAD[:-1] + b"1" * 70_000,
-                       "corrupt record header: "
+                       "{path}: corrupt record header: "
                        "'#SQST v1 d=4 mode=offdiag seed=0 n=5 mub=0123456789abcdef111'"),
+    # one header rule for both formats: a binary header line ends in its LF too
+    "unended_binary_header": (_HEAD[:-1].ljust(128, b"\x00") + b"\x02\x00\x00\x00" * 5,
+                              f"{{path}}: corrupt record header: {_HEAD[:-1].decode()!r}"),
     "zero_copies": (_HEAD.replace(b"n=5", b"n=0") + _with_lines(),
-                    "a record needs at least one outcome, header says n=0"),
+                    "{path}: a record needs at least one outcome, header says n=0"),
     "non_ascii_line": (_HEAD + _with_lines(l4=b"2,\xe9"), "{path}: not an ASCII record file"),
     "sign": (_HEAD + _with_lines(l3=b"+2,0"), "{path}: bad outcome line 3: '+2,0'"),
     "leading_space": (_HEAD + _with_lines(l3=b" 2,0"), "{path}: bad outcome line 3: ' 2,0'"),
@@ -1086,21 +1100,67 @@ def test_each_damaged_file_gets_its_exact_message(tmp_path, name):
 def test_a_header_line_past_its_bound_is_refused_once_the_bound_is_read(tmp_path, monkeypatch,
                                                                         chunk):
     monkeypatch.setattr(measurement, "_CHUNK_BYTES", chunk)
-    head, bound = _header(4, "offdiag", 1), measurement._HEADER_LINE_BYTES
+    block = measurement._HEADER_BLOCK
+    head, bound = _header(4, "offdiag", 1), block - 1
+    pair = np.array([2, 0], dtype="<u2").tobytes()
     cases = {  # trailing spaces keep a header valid, while its line, LF included, fits the bound
-        "at_bound.txt": head.ljust(bound - 1) + "\n2,0\n",
-        "past_bound.txt": head.ljust(bound) + "\n2,0\n",
-        "no_lf.txt": head + "1" * (4 << 20),
+        "at_bound.txt": (head.ljust(bound - 1) + "\n2,0\n").encode("ascii"),
+        "past_bound.txt": (head.ljust(bound) + "\n2,0\n").encode("ascii"),
+        "no_lf.txt": (head + "1" * (4 << 20)).encode("ascii"),
+        "at_bound.bin": (head.ljust(bound - 1) + "\n\x00").encode("ascii") + pair,
+        # a full block: no NUL is left to mark it binary, and its LF ends no line in time
+        "past_bound.bin": (head.ljust(bound) + "\n").encode("ascii") + pair,
     }
     for name, data in cases.items():
         path = tmp_path / name
-        path.write_bytes(data.encode("ascii"))
+        path.write_bytes(data)
         with open(path, "rb") as raw:
             fh = _ReadOnce(raw)
             try:
-                outcome = measurement.counted(*measurement._open_record(fh, path)).n
+                header, blocks = measurement._open_record(fh, path)
             except RecordFormatError as exc:
                 outcome = str(exc)
-            assert fh.bytes_read <= measurement._HEADER_BLOCK + bound + chunk, name
-        expected = 1 if name == "at_bound.txt" else f"corrupt record header: {data[:60]!r}"
+            else:
+                assert fh.bytes_read == block, name
+                outcome = measurement.counted(header, blocks).n
+            assert fh.bytes_read <= block + chunk, name
+        at_bound = name.startswith("at_bound")
+        expected = 1 if at_bound else f"{path}: corrupt record header: {data[:60].decode()!r}"
         assert outcome == expected, name
+
+
+def test_a_record_round_trips_at_every_header_length_up_to_the_bound(fam2, tmp_path):
+    # seeds of 1 to 80 digits give every header length, LF included, from the shortest past 127
+    dist = outcome_distribution(random_density(2, 2, 3), fam2, PovmMode.FULL)
+    lengths = []
+    for digits in range(1, 81):
+        seed = 10**digits - 1
+        size = len(_header(2, "full", 5, fam2.fingerprint(), seed)) + 1
+        if size >= measurement._HEADER_BLOCK:  # refused before any file is written
+            with pytest.raises(RecordFormatError, match=f"header line of {size} bytes"):
+                sample_record(dist, 5, seed)
+            continue
+        lengths.append(size)
+        record = sample_record(dist, 5, seed)
+        for binary in (False, True):
+            path = tmp_path / f"r{size}.{'bin' if binary else 'txt'}"
+            write_record(record, path, binary=binary)
+            again = read_record(path)
+            assert measurement._fields(again) == measurement._fields(record), path
+            assert np.array_equal(cells(path), cells(record)), path
+        assert path.read_bytes()[measurement._HEADER_BLOCK - 1] == 0  # one NUL at the least
+    assert lengths == list(range(lengths[0], measurement._HEADER_BLOCK))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("d", [0, 1, 6, 65, 256, 65_536])
+def test_a_header_outside_the_families_is_refused_within_the_header_block(tmp_path, binary, d):
+    head = (_header(d, "computational", 1) + "\n").encode("ascii")
+    path = tmp_path / "r"
+    path.write_bytes(head.ljust(128, b"\x00") + np.array([1, 0], dtype="<u2").tobytes() if binary
+                     else head + b"1,0\n" * 1000)
+    with open(path, "rb") as raw:
+        fh = _ReadOnce(raw)
+        with pytest.raises(RecordFormatError, match=f"^{path}: dimension {d} "):
+            measurement._open_record(fh, path)
+        assert fh.bytes_read <= measurement._HEADER_BLOCK
