@@ -1,9 +1,10 @@
 """Command-line front end for planning, simulating, estimating, and projecting.
 
 Subcommands: plan, mub, simulate, estimate, tomography, reproduce-fig2,
-bounds-check, operator-estimate.  All randomness is derived from --seed via
-counter-based Philox streams, so every command is reproducible from its flags
-alone, including runs that use a worker pool.
+bounds-check, operator-estimate.  All randomness is derived from the seeds in
+the flags via counter-based Philox streams, so every command is reproducible from
+its flags alone, including runs that use a worker pool.  A command's document goes
+to stdout (or --out), its summary lines to stderr.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _say(args, message: str) -> None:
+    """A summary line, on stderr so that stdout holds only the command's document."""
     if not args.quiet:
-        print(message)
+        print(message, file=sys.stderr)
 
 
 def parse_state(spec: str, d: int | None = None) -> np.ndarray:
@@ -132,15 +134,15 @@ def cmd_mub(args) -> int:
         mub.save_mub(family, args.out)
         _say(args, f"wrote {args.out}")
     if args.format == "json":
-        print(json.dumps({
+        _emit(json.dumps({
             "d": report.d,
             "passed": report.passed,
             "max_orthonormality_dev": report.max_orthonormality_dev,
             "max_unbiasedness_dev": report.max_unbiasedness_dev,
             "fingerprint": family.fingerprint(),
-        }))
-    else:
-        _say(args, f"{report} fingerprint={family.fingerprint()}")
+        }) + "\n", None)
+    elif not args.quiet:
+        _emit(f"{report} fingerprint={family.fingerprint()}\n", None)
     return 0 if report.passed else 1
 
 
@@ -402,13 +404,13 @@ def cmd_bounds_check(args) -> int:
     monotone_ok = _schatten_monotone_ok(args.dim, args.seed)
     passed = failures == 0 and monotone_ok
     if args.format == "json":
-        print(json.dumps({"d": args.dim, "trials": args.trials, "failures": failures,
+        _emit(json.dumps({"d": args.dim, "trials": args.trials, "failures": failures,
                           "worst_slack": worst_slack, "schatten_monotone": monotone_ok,
-                          "passed": passed}))
-    else:
+                          "passed": passed}) + "\n", None)
+    elif not args.quiet:
         status = "pass" if passed else "FAIL"
-        _say(args, f"d={args.dim} trials={args.trials}: {status} "
-                   f"(worst slack {worst_slack:.3e}, {failures} chain failures)")
+        _emit(f"d={args.dim} trials={args.trials}: {status} "
+              f"(worst slack {worst_slack:.3e}, {failures} chain failures)\n", None)
     return 0 if passed else 1
 
 
@@ -425,7 +427,7 @@ def _schatten_monotone_ok(d: int, seed: int, trials: int = 50) -> bool:
 # operator-estimate
 
 
-def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
+def _load_phases(spec: str, d: int) -> np.ndarray:
     kind, _, rest = spec.partition(":")
     if kind == "file":
         phases = states.number_array(states.load_json(rest))
@@ -433,8 +435,7 @@ def _load_phases(spec: str, d: int, seed: int) -> np.ndarray:
             raise ValueError(f"phase file {rest} is not an array of numbers")
         return phases  # extreme_operator checks its shape and values
     if kind == "random":
-        phase_seed = int(rest) if rest else seed
-        rng = philox_rng(phase_seed, _PHASE_STREAM)
+        rng = philox_rng(int(rest) if rest else 0, _PHASE_STREAM)
         return rng.uniform(0.0, 2.0 * np.pi, size=(d + 1, d))
     raise ValueError(f"unknown phase spec {spec!r}")
 
@@ -451,8 +452,7 @@ def cmd_operator_estimate(args) -> int:
     if args.operator is not None:
         matrix = states.load_matrix(args.operator.partition(":")[2])
     else:
-        phases = _load_phases("random" if args.phases is None else args.phases, record.d,
-                              args.seed)
+        phases = _load_phases("random" if args.phases is None else args.phases, record.d)
     truth = parse_state(args.truth, record.d) if args.truth else None  # before the fold
     if args.operator is not None:
         coeffs = estimator.decompose_operator(matrix, family)
@@ -559,14 +559,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json"], help="machine-readable output format")
     p.set_defaults(func=cmd_bounds_check)
 
-    p = sub.add_parser("operator-estimate", parents=[seed, out, quiet],
+    p = sub.add_parser("operator-estimate", parents=[out, quiet],
                        help="mean value of an operator from a full-mode record")
     p.add_argument("--record", required=True, help="full-mode record file")
     p.add_argument("--operator", help="file:PATH with the operator matrix")
     p.add_argument("--extreme", type=float, default=None,
                    help="coefficient bound K of an extreme-manifold operator")
     p.add_argument("--phases", default=None,
-                   help="file:PATH | random[:seed] (with --extreme; default random)")
+                   help="file:PATH | random[:seed] (with --extreme; default random:0)")
     p.add_argument("--truth", help="known state for the exact mean")
     p.set_defaults(func=cmd_operator_estimate)
 

@@ -34,7 +34,7 @@ Record files exist in two formats sharing one header line, and `RecordHeader`'s 
 
 A file is read once, front to back: the header from one _HEADER_BLOCK read, then
 the body block by block (ASCII, then grammar, then label ranges), raising the
-first fault in file order.
+first fault in file order, named by its path in `read_record` alone.
 
 The ``mub`` field fingerprints the basis family that produced the record;
 `check_family` is the one place that refuses a record or distribution whose
@@ -211,8 +211,8 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
 class RecordHeader:
     """The fields of a record's header line, and the one rule for every record source:
 
-    n >= 1, d a family dimension (`fields.field_order`), and a line that with its LF
-    fits _HEADER_BLOCK - 1 bytes, so a binary header keeps a NUL of padding.
+    n >= 1, seed >= 0, d a family dimension (`fields.field_order`), and a line that with
+    its LF fits _HEADER_BLOCK - 1 bytes, so a binary header keeps a NUL of padding.
     """
 
     d: int
@@ -224,6 +224,8 @@ class RecordHeader:
     def __post_init__(self):
         if self.n < 1:
             raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
+        if self.seed < 0:
+            raise RecordFormatError(f"a record's seed must be >= 0, header says seed={self.seed}")
         try:
             field_order(self.d)
         except ValueError as exc:
@@ -336,8 +338,6 @@ def _label_cells(blocks, d: int, mode: PovmMode):
 
 def _shard_sizes(n: int, shards: int) -> list:
     """The copies of each shard that draws any: the first n % shards draw one more."""
-    if n < 1:
-        raise ValueError("need at least one copy to measure")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     base, extra = divmod(n, shards)
@@ -424,22 +424,21 @@ def read_record(path) -> RecordCounts:
     Its memory does not grow with n; `check_family` ties the table to a family.
     """
     with open(path, "rb") as fh:
-        return counted(*_open_record(fh, path))
+        try:
+            return counted(*_open_record(fh))
+        except RecordFormatError as exc:  # every fault of the file, named here once
+            raise RecordFormatError(f"{path}: {exc}") from exc
 
 
-def _open_record(fh, path) -> tuple:
+def _open_record(fh) -> tuple:
     """(header, cell blocks) of the open record file fh, read once, front to back.
 
-    The header is read and checked now, its faults named by path only here; the
-    blocks check the body as they read it.
+    The header is read and checked now; the blocks check the body as they read it.
     """
     head = fh.read(_HEADER_BLOCK)
-    try:
-        if not head:
-            raise RecordFormatError("empty record file")
-        header, labels = _open_binary(fh, head) if b"\x00" in head else _open_text(fh, head, path)
-    except RecordFormatError as exc:
-        raise RecordFormatError(f"{path}: {exc}") from exc
+    if not head:
+        raise RecordFormatError("empty record file")
+    header, labels = _open_binary(fh, head) if b"\x00" in head else _open_text(fh, head)
     return header, _label_cells(labels, header.d, header.mode)
 
 
@@ -462,14 +461,14 @@ def _binary_blocks(fh):
         yield pairs[:, 0], pairs[:, 1]
 
 
-def _open_text(fh, head: bytes, path) -> tuple:
+def _open_text(fh, head: bytes) -> tuple:
     """The header of a text record, whose LF must be among head's first 127 bytes, and the body's blocks."""
     cut = head.find(b"\n", 0, _HEADER_BLOCK - 1) + 1  # 0: the line and its LF overrun the bound
     header = _parse_header(head[:cut or _HEADER_BLOCK - 1])
-    return header, _text_blocks(fh, head[cut:], header.n, path)
+    return header, _text_blocks(fh, head[cut:], header.n)
 
 
-def _text_blocks(fh, carry: bytes, n: int, path):
+def _text_blocks(fh, carry: bytes, n: int):
     """Labels (m, k) of the text body, carry and then fh's bytes, the whole lines of one chunk at a time.
 
     Each block's lines are parsed and counted, and its partial last line is carried into the
@@ -483,18 +482,18 @@ def _text_blocks(fh, carry: bytes, n: int, path):
         stop = data.rfind(b"\n") + 1 if chunk else len(data)  # at the end, the unended last line
         block, carry = data[:stop], data[stop:]
         if block:
-            m, k = _parse_text_block(np.frombuffer(block, dtype=np.uint8), path, lines + 2)
+            m, k = _parse_text_block(np.frombuffer(block, dtype=np.uint8), lines + 2)
             yield m, k
             lines += m.size
         if len(carry) > _QUOTE_BYTES + 1:
-            raise _body_fault(carry, path, lines + 2)
+            raise _body_fault(carry, lines + 2)
         if not chunk:
             break
     if lines != n:
-        raise RecordFormatError(f"{path}: {lines} outcome lines, header says n={n}")
+        raise RecordFormatError(f"{lines} outcome lines, header says n={n}")
 
 
-def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
+def _parse_text_block(seg: np.ndarray, first_line: int) -> tuple:
     """int32 labels (m, k) of the whole ``m,k`` lines in seg, whose first is file line first_line.
 
     It only accepts: any other block raises the fault `_body_fault` names.  Offsets are
@@ -526,26 +525,26 @@ def _parse_text_block(seg: np.ndarray, path, first_line: int) -> tuple:
                 k += np.where(place < k_len, digits.take(stops - 1 - place), 0) * np.int32(10**place)
             if longest < _MAX_DIGITS or max(m.max(), k.max()) <= 0xFFFF:  # 4 digits are <= 9999
                 return m, k
-    raise _body_fault(seg.tobytes(), path, first_line)
+    raise _body_fault(seg.tobytes(), first_line)
 
 
-def _body_fault(block: bytes, path, first_line: int) -> RecordFormatError | None:
+def _body_fault(block: bytes, first_line: int) -> RecordFormatError | None:
     """The first fault of a text body block, whose first line is file line first_line, or None.
 
     The grammar's reference, a line at a time: a non-ASCII byte comes first, then the
     first line, without its LF and the CR of a CRLF, outside _LINE or over 0xFFFF.
     """
     if not block.isascii():
-        return RecordFormatError(f"{path}: not an ASCII record file")
+        return RecordFormatError("not an ASCII record file")
     lines = re.split(rb"\r?\n", block)  # an unended last line keeps its CR
     for i, line in enumerate(lines[:-1] if block.endswith(b"\n") else lines):
         match = _LINE.fullmatch(line)
         if not match or max(int(match[1]), int(match[2])) > 0xFFFF:
-            return _bad_line(path, first_line + i, line)
+            return _bad_line(first_line + i, line)
 
 
-def _bad_line(path, number: int, line: bytes) -> RecordFormatError:
+def _bad_line(number: int, line: bytes) -> RecordFormatError:
     """The grammar fault of file line number, quoting at most _QUOTE_BYTES of its bytes."""
     more = "..." if len(line) > _QUOTE_BYTES else ""
     text = line[:_QUOTE_BYTES].decode("ascii")
-    return RecordFormatError(f"{path}: bad outcome line {number}: {text!r}{more}")
+    return RecordFormatError(f"bad outcome line {number}: {text!r}{more}")

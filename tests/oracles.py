@@ -17,12 +17,13 @@ def cells(source) -> np.ndarray:
     """The ordered uint16 cells of a `RecordStream`, or of the record file at path source.
 
     The library keeps no ordered record in memory; tests that read the order
-    gather it here from the stream's draw or the file's decoded labels.
+    gather it here from the stream's draw or the file's decoded labels.  A file's fault
+    is raised as `_open_record` raises it, without the path `read_record` adds.
     """
     if isinstance(source, measurement.RecordStream):
         return np.concatenate(list(source.cell_blocks())).astype(np.uint16)
     with open(source, "rb") as fh:
-        _, blocks = measurement._open_record(fh, source)
+        _, blocks = measurement._open_record(fh)
         return np.concatenate(list(blocks))  # _label_cells' own uint16 cells
 
 

@@ -168,12 +168,18 @@ def test_simulate_povm_both(tmp_path):
     assert off.n == diag.n == 200
 
 
-@pytest.mark.parametrize("fmt", ["text", "binary"])
-def test_simulate_writes_no_file_when_any_of_its_headers_is_refused(tmp_path, capsys, fmt):
+@pytest.mark.parametrize("povm, seed, message", [
     # the offdiag header fits; the computational one, seed + 1 under a longer mode name, does not
-    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--povm", "both",
-               "--record-format", fmt, "--seed", "1" * 66, "--out", str(tmp_path / "pair")) == 1
-    assert capsys.readouterr().err == "error: header line of 130 bytes with its LF, over 127\n"
+    ("both", "1" * 66, "header line of 130 bytes with its LF, over 127"),
+    ("offdiag", "-5", "a record's seed must be >= 0, header says seed=-5"),
+    ("both", "-5", "a record's seed must be >= 0, header says seed=-5"),
+], ids=["both-long-seed", "offdiag-negative-seed", "both-negative-seed"])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_simulate_writes_no_file_when_any_of_its_headers_is_refused(tmp_path, capsys, fmt, povm,
+                                                                    seed, message):
+    assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--povm", povm,
+               "--record-format", fmt, "--seed", seed, "--out", str(tmp_path / "x.txt")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -317,6 +323,22 @@ def test_a_header_fault_names_its_file_once(record_pair, tmp_path, capsys, data,
     bad.write_bytes(data)
     assert run("estimate", "--record", off, "--diag-record", str(bad), "--element", "0,0") == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("flag, mode, line, fault", [
+    ("--record", "offdiag", "1,0", "basis label outside 2..3 for mode offdiag"),
+    ("--record", "offdiag", "2,7", "outcome label outside 0..1"),
+    ("--diag-record", "computational", "1,7", "outcome label outside 0..1"),
+], ids=["offdiag-basis", "offdiag-outcome", "diag-outcome"])
+@pytest.mark.parametrize("command", ["estimate", "tomography"])
+def test_a_label_range_fault_names_its_file(record_pair, tmp_path, capsys, command, flag, mode,
+                                            line, fault):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(_header(mode, 1) + line + "\n")
+    records = dict(zip(["--record", "--diag-record"], record_pair), **{flag: str(bad)})
+    extra = ["--element", "0,1", "--element", "0,0"] if command == "estimate" else []
+    assert run(command, *[a for pair in records.items() for a in pair], *extra) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: {fault}\n")
 
 
 def test_estimate_requires_elements(record_pair):
@@ -755,6 +777,57 @@ def test_operator_estimate_rejects_foreign_family_record(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+def test_operator_estimate_phases_default_to_random_0(full_record, capsys):
+    outs = []
+    for phases in ([], ["--phases", "random:0"]):
+        assert run("operator-estimate", "--record", full_record, "--extreme", "0.25", *phases) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# stdout holds only the command's document; summary lines go to stderr
+
+
+@pytest.mark.parametrize("project", ["maxnorm", "clip", "none"])
+def test_tomography_stdout_is_one_json_document(record_pair, capsys, project):
+    off, diag = record_pair
+    assert run("tomography", "--record", off, "--diag-record", diag, "--project", project) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)  # a second document would raise "Extra data"
+    if project == "none":
+        note = "linear estimate is not positive semidefinite (expected; use --project)\n"
+        assert captured.err == ("" if payload["psd"] else note)
+    else:
+        assert captured.err.startswith(f"projected d=2 method={payload['method']} t_star=")
+
+
+def test_operator_estimate_stdout_is_one_json_document(full_record, capsys):
+    assert run("operator-estimate", "--record", full_record, "--extreme", "0.25") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["n"] == 40000
+    assert captured.err.startswith("mean estimate ") and captured.err.count("\n") == 1
+
+
+def test_reproduce_fig2_stdout_is_the_csv_it_writes_to_out(tmp_path, capsys):
+    argv = ["reproduce-fig2", "--dims", "2,3", "--trials", "2", "--epsilon", "0.1",
+            "--delta", "0.1", "--seed", "4"]
+    assert run(*argv) == 0
+    captured = capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "f.csv")) == 0
+    assert capsys.readouterr() == ("", captured.err)
+    assert captured.out == (tmp_path / "f.csv").read_text()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["d=2", "d=3"]
+
+
+def test_mub_json_with_out_prints_one_json_document(tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    assert run("mub", "--dim", "3", "--format", "json", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is True
+    assert captured.err == f"wrote {out}\n"
+
+
 # ---------------------------------------------------------------------------
 # state spec parsing
 
@@ -835,7 +908,7 @@ OPTIONS = {
                   "--delta",
     "reproduce-fig2": "--seed --out --quiet --dims --trials --epsilon --delta --workers",
     "bounds-check": "--seed --quiet --dim --trials --format",
-    "operator-estimate": "--seed --out --quiet --record --operator --extreme --phases --truth",
+    "operator-estimate": "--out --quiet --record --operator --extreme --phases --truth",
 }
 
 
@@ -845,7 +918,7 @@ def test_each_subcommand_takes_exactly_its_options():
     taken = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
              - {"--help"} for name, p in sub.choices.items()}
     assert taken == {name: set(flags.split()) for name, flags in OPTIONS.items()}
-    assert sum(map(len, taken.values())) == 63
+    assert sum(map(len, taken.values())) == 62
 
 
 def test_every_flag_in_the_readme_command_line_section_is_taken():
@@ -864,6 +937,8 @@ def test_every_flag_in_the_readme_command_line_section_is_taken():
     (["mub", "--dim", "2"], ["--seed", "1"]),
     (["estimate", "--record", "r.txt", "--element", "0,1"], ["--seed", "1"]),
     (["tomography", "--record", "r.txt", "--diag-record", "d.txt"], ["--seed", "1"]),
+    # the phase seed is taken once, by --phases random:S
+    (["operator-estimate", "--record", "r.txt", "--extreme", "0.2"], ["--seed", "1"]),
     (["bounds-check", "--dim", "2", "--trials", "1"], ["--out", "f.json"]),
     # --k-bound and --dim select the bounded-operator planner: there is no switch for it
     (["plan", "--epsilon", "0.05", "--delta", "0.01", "--k-bound", "0.2", "--dim", "4"],

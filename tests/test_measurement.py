@@ -378,12 +378,14 @@ def test_sample_record_rejects_zero_copies(fam2):
         sample_record(dist, 0, seed=1)
 
 
-@pytest.mark.parametrize("n, shards, message",
-                         [(0, 1, "at least one copy"), (5, 0, "shards must be >= 1")])
-def test_sample_record_refuses_bad_arguments_before_writing(fam2, tmp_path, n, shards, message):
+@pytest.mark.parametrize("n, seed, shards, message", [
+    (0, 1, 1, "at least one outcome"), (5, 1, 0, "shards must be >= 1"),
+    (5, -1, 1, "seed must be >= 0, header says seed=-1$")])
+def test_sample_record_refuses_bad_arguments_before_writing(fam2, tmp_path, n, seed, shards,
+                                                            message):
     dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
     with pytest.raises(ValueError, match=message):
-        write_record(sample_record(dist, n, 1, shards), tmp_path / "r.txt")
+        write_record(sample_record(dist, n, seed, shards), tmp_path / "r.txt")
     assert not (tmp_path / "r.txt").exists()
 
 
@@ -619,7 +621,7 @@ def test_read_record_parses_or_raises_format_error(tmp_path_factory, d, mode, n,
     try:
         ordered = cells(path)
     except RecordFormatError as exc:
-        assert counted == (type(exc).__name__, str(exc))
+        assert counted == (type(exc).__name__, f"{path}: {exc}")
         return
     record = read_record(path)
     assert (record.d, record.mode.value, record.n) == (d, mode, n)
@@ -828,6 +830,8 @@ def test_read_record_agrees_with_counting_the_decoded_cells(tmp_path, monkeypatc
     outcomes = {}
     for name, path in paths.items():
         counted = _outcome(lambda p: np.bincount(cells(p), minlength=size), path)
+        if isinstance(counted, tuple):  # read_record names the file in the oracle's fault
+            counted = (counted[0], f"{path}: {counted[1]}")
         outcomes[name] = _outcome(lambda p: read_record(p).counts.ravel(), path)
         assert outcomes[name] == counted, name
     assert {name for name, out in outcomes.items() if isinstance(out, list)} == {
@@ -839,10 +843,11 @@ def test_read_record_agrees_with_counting_the_decoded_cells(tmp_path, monkeypatc
     # the earlier fault, unless one chunk holds both: within a block grammar comes before range
     one_block = paths["range_then_grammar_fault.txt"].stat().st_size <= chunk
     assert outcomes["range_then_grammar_fault.txt"][1].startswith(
-        f"{paths['range_then_grammar_fault.txt']}: bad outcome line" if one_block else
-        "basis label outside 2..5")
+        f"{paths['range_then_grammar_fault.txt']}: "
+        + ("bad outcome line" if one_block else "basis label outside 2..5"))
     assert "bad outcome line 2997: '2,0000" in outcomes["overlong_line.txt"][1]
-    assert outcomes["range_fault.txt"][1].startswith("basis label outside 2..5")
+    assert outcomes["range_fault.txt"][1].startswith(
+        f"{paths['range_fault.txt']}: basis label outside 2..5")
     assert outcomes["n0.bin"][1] == (f"{paths['n0.bin']}: "
                                      "a record needs at least one outcome, header says n=0")
 
@@ -874,7 +879,7 @@ def test_a_record_file_is_read_once_front_to_back(tmp_path, monkeypatch, chunk, 
     expected = (pairs[:, 0] - 2) * 4 + pairs[:, 1]  # d=4 offdiag, bases 2..5
     with open(paths[name], "rb") as raw:
         fh = _ReadOnce(raw)
-        header, blocks = measurement._open_record(fh, paths[name])
+        header, blocks = measurement._open_record(fh)
         assert fh.bytes_read == measurement._HEADER_BLOCK  # the header line, and no body line
         decoded = np.concatenate(list(blocks))
         assert fh.bytes_read == raw.tell() == paths[name].stat().st_size
@@ -893,9 +898,9 @@ def test_an_overlong_line_is_refused_at_once_and_quoted_short(tmp_path, monkeypa
     with open(path, "rb") as raw:
         fh = _ReadOnce(raw)
         with pytest.raises(RecordFormatError) as exc:
-            measurement.counted(*measurement._open_record(fh, path))
+            measurement.counted(*measurement._open_record(fh))
         assert fh.bytes_read <= len(head) + 2 * max(chunk, measurement._HEADER_BLOCK)
-    assert str(exc.value) == f"{path}: bad outcome line 2: '2,{'0' * 38}'..."
+    assert str(exc.value) == f"bad outcome line 2: '2,{'0' * 38}'..."
     assert len(str(exc.value)) < 200
 
 
@@ -1020,9 +1025,9 @@ def test_the_parser_accepts_exactly_the_blocks_without_a_reference_fault():
         block = _random_block(rng)
         if not block:
             continue
-        fault = measurement._body_fault(block, "r.txt", 2)
+        fault = measurement._body_fault(block, 2)
         try:
-            m, k = measurement._parse_text_block(np.frombuffer(block, dtype=np.uint8), "r.txt", 2)
+            m, k = measurement._parse_text_block(np.frombuffer(block, dtype=np.uint8), 2)
         except RecordFormatError as exc:
             assert fault is not None and str(exc) == str(fault), block
             outcomes["refused"] += 1
@@ -1046,7 +1051,7 @@ def _with_lines(**lines) -> bytes:
 
 
 _HEAD = (_header(4, "offdiag", 5) + "\n").encode("ascii")
-_DAMAGED = {  # the message of each damaged file, the same before the parser only accepted
+_DAMAGED = {  # the message of each damaged file, every one naming the file
     "empty": (b"", "{path}: empty record file"),
     "garbage_header": (b"hello\n" + _with_lines(), "{path}: corrupt record header: 'hello\\n'"),
     "non_ascii_header": (_HEAD.replace(b"cd", b"c\xe9") + _with_lines(),
@@ -1079,8 +1084,9 @@ _DAMAGED = {  # the message of each damaged file, the same before the parser onl
                  "{path}: bad outcome line 3: '2,00000000000000000000000000000000000000'..."),
     "non_ascii_after_grammar_in_one_block": (_HEAD + _with_lines(l3=b"2;0", l6=b"\xe9"),
                                              "{path}: not an ASCII record file"),
-    "basis_range": (_HEAD + _with_lines(l5=b"65535,0"), "basis label outside 2..5 for mode offdiag"),
-    "outcome_range": (_HEAD + _with_lines(l5=b"2,4"), "outcome label outside 0..3"),
+    "basis_range": (_HEAD + _with_lines(l5=b"65535,0"),
+                    "{path}: basis label outside 2..5 for mode offdiag"),
+    "outcome_range": (_HEAD + _with_lines(l5=b"2,4"), "{path}: outcome label outside 0..3"),
     "one_line_short": (_HEAD + _with_lines()[:-4], "{path}: 4 outcome lines, header says n=5"),
     "one_line_more": (_HEAD + _with_lines() + b"2,2\n", "{path}: 6 outcome lines, header says n=5"),
 }
@@ -1117,7 +1123,7 @@ def test_a_header_line_past_its_bound_is_refused_once_the_bound_is_read(tmp_path
         with open(path, "rb") as raw:
             fh = _ReadOnce(raw)
             try:
-                header, blocks = measurement._open_record(fh, path)
+                header, blocks = measurement._open_record(fh)
             except RecordFormatError as exc:
                 outcome = str(exc)
             else:
@@ -1125,7 +1131,7 @@ def test_a_header_line_past_its_bound_is_refused_once_the_bound_is_read(tmp_path
                 outcome = measurement.counted(header, blocks).n
             assert fh.bytes_read <= block + chunk, name
         at_bound = name.startswith("at_bound")
-        expected = 1 if at_bound else f"{path}: corrupt record header: {data[:60].decode()!r}"
+        expected = 1 if at_bound else f"corrupt record header: {data[:60].decode()!r}"
         assert outcome == expected, name
 
 
@@ -1161,6 +1167,23 @@ def test_a_header_outside_the_families_is_refused_within_the_header_block(tmp_pa
                      else head + b"1,0\n" * 1000)
     with open(path, "rb") as raw:
         fh = _ReadOnce(raw)
-        with pytest.raises(RecordFormatError, match=f"^{path}: dimension {d} "):
-            measurement._open_record(fh, path)
+        with pytest.raises(RecordFormatError, match=f"^dimension {d} "):
+            measurement._open_record(fh)
         assert fh.bytes_read <= measurement._HEADER_BLOCK
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_a_negative_seed_is_refused_at_the_header_with_the_path(tmp_path, binary):
+    head = (_header(2, "offdiag", 1, seed=-5) + "\n").encode("ascii")
+    path = tmp_path / "r"
+    path.write_bytes(head.ljust(128, b"\x00") + np.array([2, 0], dtype="<u2").tobytes() if binary
+                     else head + b"2,0\n" * 1000)
+    message = "a record's seed must be >= 0, header says seed=-5"
+    with open(path, "rb") as raw:
+        fh = _ReadOnce(raw)
+        with pytest.raises(RecordFormatError, match=f"^{message}$"):
+            measurement._open_record(fh)
+        assert fh.bytes_read <= measurement._HEADER_BLOCK
+    with pytest.raises(RecordFormatError) as exc:
+        read_record(path)
+    assert str(exc.value) == f"{path}: {message}"

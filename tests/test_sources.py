@@ -101,3 +101,30 @@ def test_the_caller_check_sees_every_spelling_and_only_callers():
     tests = ast.parse("from a import only_tested\nonly_tested()\nKept().unused()\n")
     assert _uncalled(package, others) == ["a.Kept.unused", "a.only_tested", "a.recursive"]
     assert _uncalled(package, [*others, tests]) == ["a.recursive"]
+
+
+def _stdout_writes(tree: ast.Module) -> list:
+    """Lines outside `_emit` that print without file= or name stdout, in any spelling."""
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_emit" for n in ast.walk(node)}
+    return sorted({n.lineno for n in ast.walk(tree) if id(n) not in inside and (
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print"
+        and not any(k.arg == "file" for k in n.keywords)
+        or isinstance(n, ast.Attribute) and n.attr in ("stdout", "__stdout__")
+        or isinstance(n, ast.Name) and n.id == "stdout"
+        or isinstance(n, ast.ImportFrom) and any(a.name == "stdout" for a in n.names))})
+
+
+def test_the_cli_writes_to_stdout_only_in_emit():
+    # stdout holds the command's document alone, so a pipe can parse it; summaries go to stderr
+    source = PACKAGE / "cli.py"
+    assert _stdout_writes(ast.parse(source.read_text(), str(source))) == []
+
+
+def test_the_stdout_check_sees_every_spelling():
+    tree = ast.parse("import sys\nimport sys as s\nfrom sys import stdout\n"
+                     "def _emit(text):\n    sys.stdout.write(text)\n    print(text)\n"
+                     "def say(text):\n    print(text, file=sys.stderr)\n    print(text)\n"
+                     "    sys.stdout.write(text)\n    s.stdout.flush()\n    stdout.write(text)\n"
+                     "    print(text, file=sys.stdout)\n    sys.__stdout__.write(text)\n")
+    assert _stdout_writes(tree) == [3, 9, 10, 11, 12, 13, 14]
