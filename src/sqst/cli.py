@@ -10,6 +10,7 @@ to stdout (or --out), its summary lines to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -44,41 +45,48 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def parse_state(spec: str, d: int | None = None) -> np.ndarray:
-    """Build a density matrix from a preset string or a matrix file.
+def _integers(text: str, what: str, count: int | None = None) -> list:
+    """The one grammar of a typed integer list: count (or any number of) comma-separated fields
+    of ASCII digits, each an integer >= 0; a fault names what, the flag or preset that carried text."""
+    parts = text.split(",")
+    if count in (None, len(parts)) and all(p.isascii() and p.isdigit() for p in parts):
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return [int(p) for p in parts]
+    need = "one integer" if count == 1 else f"{count or 'one or more'} comma-separated integers"
+    raise ValueError(f"{what} needs {need} >= 0 in ASCII digits; got {text!r}")
+
+
+def parse_state(spec: str, d: int) -> np.ndarray:
+    """Build a d-dimensional density matrix from a preset string or a matrix file.
 
     Presets: ``mixed``, ``basis:i``, ``superposition:i,j,a,b`` (a, b parsed as
     Python complex literals, e.g. ``0.5+0.5j``), ``random:rank[,seed]``, and
     ``file:PATH`` for the JSON matrix format.
     """
     kind, _, rest = spec.partition(":")
+    what = f"state preset {spec!r}"
     if kind == "file":
         rho = states.load_matrix(rest)
-    elif d is None:
-        raise ValueError(f"state preset {spec!r} needs an explicit dimension")
     elif kind == "mixed":
         rho = np.eye(d, dtype=np.complex128) / d
     elif kind == "basis":
-        i = int(rest)
+        (i,) = _integers(rest, what, 1)
         if not 0 <= i < d:
             raise ValueError(f"basis label {i} outside 0..{d - 1}")
-        rho = np.zeros((d, d), dtype=np.complex128)
-        rho[i, i] = 1.0
+        rho = np.diag(np.eye(1, d, i, dtype=np.complex128)[0])
     elif kind == "superposition":
-        parts = rest.split(",")
-        if len(parts) != 4:
-            raise ValueError("superposition preset needs i,j,a,b")
-        i, j = int(parts[0]), int(parts[1])
-        rho = states.make_pure_superposition(i, j, complex(parts[2]), complex(parts[3]), d)
+        labels, *amplitudes = rest.rsplit(",", 2)  # no complex literal holds a comma
+        if len(amplitudes) != 2:
+            raise ValueError(f"{what} needs i,j,a,b")
+        i, j = _integers(labels, what, 2)
+        rho = states.make_pure_superposition(i, j, *map(complex, amplitudes), d)
     elif kind == "random":
-        parts = rest.split(",") if rest else ["1"]
-        rank = int(parts[0])
-        seed = int(parts[1]) if len(parts) > 1 else 0
+        rank, seed = _integers(rest, what, 2) if "," in rest else [*_integers(rest or "1", what, 1), 0]
         rho = states.random_density(d, rank, seed)
     else:
         raise ValueError(f"unknown state spec {spec!r}")
     rho = states.require_density(rho)
-    if d is not None and rho.shape[0] != d:
+    if rho.shape[0] != d:
         raise ValueError(f"state file has dimension {rho.shape[0]}, expected {d}")
     return rho
 
@@ -86,6 +94,22 @@ def parse_state(spec: str, d: int | None = None) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _family(d: int) -> mub.MubFamily:
     return mub.build_mub(d)
+
+
+def _records(*wanted) -> tuple:
+    """(family, records): the record at each (path, mode), or None for no path, each checked against
+    the family of the first read (`measurement.check_family`) and, if refused, named by its path."""
+    family, records = None, []
+    for path, mode in wanted:
+        record = measurement.read_record(path) if path else None
+        if record is not None:
+            family = family or _family(record.d)
+            try:
+                measurement.check_family(record, family, mode)
+            except ValueError as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
+        records.append(record)
+    return family, records
 
 
 def _complex_pair(z: complex) -> dict:
@@ -197,17 +221,10 @@ def cmd_simulate(args) -> int:
 # estimate
 
 
-def _parse_element(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"element {text!r} is not of the form i,j")
-    return int(parts[0]), int(parts[1])
-
-
 def cmd_estimate(args) -> int:
     if not args.element:
         raise ValueError("give at least one --element i,j")
-    elements = [_parse_element(e) for e in args.element]
+    elements = [_integers(e, "--element", 2) for e in args.element]
     estimator._check_plan_args(args.epsilon, args.delta)  # flags before the records are read
     if not (args.record or args.diag_record):
         raise ValueError("give --record (off-diagonal) and/or --diag-record")
@@ -216,9 +233,8 @@ def cmd_estimate(args) -> int:
             raise ValueError(f"element {i},{i} is diagonal: needs --diag-record")
         if i != j and not args.record:
             raise ValueError(f"element {i},{j} is off-diagonal: needs --record")
-    offdiag = measurement.read_record(args.record) if args.record else None
-    diag = measurement.read_record(args.diag_record) if args.diag_record else None
-    family = _family((offdiag or diag).d)
+    family, (offdiag, diag) = _records((args.record, PovmMode.OFFDIAG),
+                                       (args.diag_record, PovmMode.COMPUTATIONAL))
     truth = parse_state(args.truth, family.d) if args.truth else None
 
     results = []
@@ -235,12 +251,8 @@ def cmd_estimate(args) -> int:
         results.append(row)
 
     if args.format == "csv":
-        cols = ["i", "j", "re", "im", "n", "epsilon", "delta"]
-        if truth is not None:
-            cols.append("abs_error")
-        lines = [",".join(cols)]
-        for row in results:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
+        cols = ["i", "j", "re", "im", "n", "epsilon", "delta"] + ["abs_error"] * (truth is not None)
+        lines = [",".join(cols)] + [",".join(_csv_cell(row.get(c)) for c in cols) for row in results]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(json.dumps({"estimates": results}) + "\n", args.out)
@@ -263,10 +275,9 @@ def cmd_tomography(args) -> int:
     if args.project != "maxnorm" and args.tol is not None:
         raise ValueError(f"--tol applies only to --project maxnorm, not {args.project}")
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
-    offdiag = measurement.read_record(args.record)
-    diag = measurement.read_record(args.diag_record)
-    truth = parse_state(args.truth, offdiag.d) if args.truth else None  # before the solve
-    family = _family(offdiag.d)
+    family, (offdiag, diag) = _records((args.record, PovmMode.OFFDIAG),
+                                       (args.diag_record, PovmMode.COMPUTATIONAL))
+    truth = parse_state(args.truth, family.d) if args.truth else None  # before the solve
     linear = tomography.assemble_linear_estimate(offdiag, diag, family,
                                                  args.epsilon, args.delta)
     payload = {"d": linear.d}
@@ -368,7 +379,7 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
 
 
 def cmd_reproduce_fig2(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
+    dims = _integers(args.dims, "--dims")
     n, rows, summaries = reproduce_fig2(dims, args.trials, args.epsilon, args.delta,
                                         args.seed, args.workers)
     lines = ["d,trial,abs_error"]
@@ -435,7 +446,7 @@ def _load_phases(spec: str, d: int) -> np.ndarray:
             raise ValueError(f"phase file {rest} is not an array of numbers")
         return phases  # extreme_operator checks its shape and values
     if kind == "random":
-        rng = philox_rng(int(rest) if rest else 0, _PHASE_STREAM)
+        rng = philox_rng(*_integers(rest or "0", "--phases", 1), _PHASE_STREAM)
         return rng.uniform(0.0, 2.0 * np.pi, size=(d + 1, d))
     raise ValueError(f"unknown phase spec {spec!r}")
 
@@ -447,8 +458,7 @@ def cmd_operator_estimate(args) -> int:
         raise ValueError("--phases applies only to --extreme, not to --operator")
     if args.operator is not None and args.operator.partition(":")[0] != "file":
         raise ValueError("--operator takes file:PATH")
-    record = measurement.read_record(args.record)  # after the flag checks: reading is slow
-    family = _family(record.d)
+    family, (record,) = _records((args.record, PovmMode.FULL))  # after the flag checks: reading is slow
     if args.operator is not None:
         matrix = states.load_matrix(args.operator.partition(":")[2])
     else:
@@ -576,6 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every subcommand that takes it, before any file is opened
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,18 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import (OutcomeDistribution, PovmMode, RecordCounts, RecordStream,
+from .measurement import (MAX_COPIES, OutcomeDistribution, PovmMode, RecordCounts, RecordStream,
                           check_family)
 from .mub import MubFamily, born_weights, eta_table, projector_sum
 
 
 def _copies(formula, **inputs) -> float:
-    """formula(), a planned copy count, refused on overflow or from 2**53 on."""
+    """formula(), a planned copy count, refused on overflow or from MAX_COPIES = 2**53 on."""
     try:
         x = formula()
     except (OverflowError, ZeroDivisionError):  # a square or a product past the float range
         x = math.inf
-    if not x < 2**53:  # past it a float count cannot tell n from n + 1
+    if not x < MAX_COPIES:  # past it a float count cannot tell n from n + 1
         named = ", ".join(f"{k}={v}" for k, v in inputs.items())
         raise ValueError(f"cannot plan for {named}: the copy count overflows or reaches 2**53")
     return x

@@ -1,24 +1,20 @@
 """POVM outcome distributions, record sampling, and record persistence.
 
-This is the experimental phase of the protocol: pick the POVM mode, compute
-the exact Born distribution over (basis m, outcome k) pairs, draw N
-independent outcomes, and keep them as the universal measurement record.
+This is the experimental phase of the protocol: pick the POVM mode, compute the exact Born
+distribution over (basis m, outcome k) pairs, draw N independent outcomes, and keep them as
+the universal measurement record.  In memory an outcome is one cell index
+(m - first_basis) * d + k into the (basis, outcome) count table; the labels (m, k) exist only
+in record files.
 
-In memory an outcome is one cell index (m - first_basis) * d + k into the
-(basis, outcome) count table; the labels (m, k) exist only in record files.
-
-No estimate reads the order of outcomes, only the count table, so no ordered
-record is kept in memory.  A record is a `RecordStream` (what `sample_record` returns:
-the sharded draw of the one `AliasTable` it holds, made anew on each pass; an
-`OutcomeDistribution` is the Born table alone), a file, or a `RecordCounts` table, all
-sharing one `RecordHeader`.  Copies flow in blocks of at most _BLOCK, so no temporary
-grows with n.  One alias core decides each copy's (column, moved) pair from its double;
-`write_record` writes a stream's cells, ordered from those decisions, to a file, and
-`RecordStream.counted` counts the decisions of all its shards into one table without
-ordering them.  A file is counted by `counted`
-(`read_record`, whose labels are read in _CHUNK_BYTES chunks and made cells by
-`_label_cells`, the one place that does so).  So `sqst simulate` and the commands
-that estimate hold no n-long array.
+No estimate reads the order of outcomes, only the count table, so no ordered record is kept
+in memory.  A record is a `RecordStream` (what `sample_record` returns: the sharded draw of
+the one `AliasTable` it holds, made anew on each pass), a file, or a `RecordCounts` table, all
+on one `RecordHeader`; an `OutcomeDistribution` is the Born table alone.  Copies flow in
+blocks of at most _BLOCK, so no temporary grows with n.  One alias core decides each copy's
+(column, moved) pair from its double: `write_record` writes a stream's cells, ordered from
+those decisions, and `RecordStream.counted` counts them, unordered, over all its shards.
+`read_record` counts a file's labels, read in _CHUNK_BYTES chunks and made cells by
+`_label_cells` alone.  So `sqst simulate` and the commands that estimate hold no n-long array.
 
 Record files exist in two formats sharing one header line, and `RecordHeader`'s rule
 
@@ -56,6 +52,7 @@ from .states import philox_rng, require_density
 
 _HEADER_BLOCK = 128  # the one read that holds a header line and its LF, with a byte to spare
 MAX_CELLS = 1 << 16  # the most (basis, outcome) cells a uint16 cell index numbers
+MAX_COPIES = 1 << 53  # the first copy count a float cannot tell from the next: no record reaches it
 # Copies per block of every n-long cell stream (drawn, counted or written): each
 # float64 or intp temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so
 # blocks reuse heap memory rather than fault fresh pages in.  The cells do not
@@ -209,11 +206,9 @@ def outcome_distribution(rho: np.ndarray, family: MubFamily, mode: PovmMode) -> 
 
 @dataclass(frozen=True)
 class RecordHeader:
-    """The fields of a record's header line, and the one rule for every record source:
-
-    n >= 1, seed >= 0, d a family dimension (`fields.field_order`), and a line that with
-    its LF fits _HEADER_BLOCK - 1 bytes, so a binary header keeps a NUL of padding.
-    """
+    """A record's header fields, and the one rule for every record source: 1 <= n < MAX_COPIES,
+    seed >= 0, d a family dimension (`fields.field_order`), and a line that with its LF fits
+    _HEADER_BLOCK - 1 bytes, so a binary header keeps a NUL of padding."""
 
     d: int
     mode: PovmMode
@@ -224,6 +219,8 @@ class RecordHeader:
     def __post_init__(self):
         if self.n < 1:
             raise RecordFormatError(f"a record needs at least one outcome, header says n={self.n}")
+        if self.n >= MAX_COPIES:
+            raise RecordFormatError(f"a record holds fewer than 2**53 outcomes, header says n={self.n}")
         if self.seed < 0:
             raise RecordFormatError(f"a record's seed must be >= 0, header says seed={self.seed}")
         try:

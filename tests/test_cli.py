@@ -168,17 +168,24 @@ def test_simulate_povm_both(tmp_path):
     assert off.n == diag.n == 200
 
 
-@pytest.mark.parametrize("povm, seed, message", [
+@pytest.mark.parametrize("povm, flags, message", [
     # the offdiag header fits; the computational one, seed + 1 under a longer mode name, does not
-    ("both", "1" * 66, "header line of 130 bytes with its LF, over 127"),
-    ("offdiag", "-5", "a record's seed must be >= 0, header says seed=-5"),
-    ("both", "-5", "a record's seed must be >= 0, header says seed=-5"),
-], ids=["both-long-seed", "offdiag-negative-seed", "both-negative-seed"])
+    ("both", ["--seed", "1" * 66], "header line of 130 bytes with its LF, over 127"),
+    # a negative seed is refused at the flag, before any header is built
+    ("offdiag", ["--seed", "-5"], "--seed must be >= 0, got -5"),
+    ("both", ["--seed", "-5"], "--seed must be >= 0, got -5"),
+    # refused before any copy is drawn: never write or draw a record this long
+    ("offdiag", ["--copies", str(2**53)],
+     "a record holds fewer than 2**53 outcomes, header says n=9007199254740992"),
+    ("both", ["--copies", "9" * 20],
+     "a record holds fewer than 2**53 outcomes, header says n=99999999999999999999"),
+], ids=["both-long-seed", "offdiag-negative-seed", "both-negative-seed", "offdiag-2_53-copies",
+        "both-20-digit-copies"])
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 def test_simulate_writes_no_file_when_any_of_its_headers_is_refused(tmp_path, capsys, fmt, povm,
-                                                                    seed, message):
+                                                                    flags, message):
     assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "10", "--povm", povm,
-               "--record-format", fmt, "--seed", seed, "--out", str(tmp_path / "x.txt")) == 1
+               "--record-format", fmt, *flags, "--out", str(tmp_path / "x.txt")) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -845,7 +852,7 @@ def test_parse_state_file_round_trip(tmp_path):
     rho = make_pure_superposition(0, 2, 1, 1j, 3)
     path = tmp_path / "state.json"
     save_matrix(rho, path)
-    assert np.allclose(parse_state(f"file:{path}"), rho)
+    assert np.allclose(parse_state(f"file:{path}", 3), rho)
     with pytest.raises(ValueError, match="dimension"):
         parse_state(f"file:{path}", 4)
 
@@ -877,8 +884,6 @@ def test_simulate_takes_every_state_require_density_takes(tmp_path, capsys):
 def test_parse_state_rejects_unknown():
     with pytest.raises(ValueError, match="unknown"):
         parse_state("bogus:1", 2)
-    with pytest.raises(ValueError, match="dimension"):
-        parse_state("mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -1046,6 +1051,7 @@ _FILE_FLAGS = {
                                  "--diag-record", "{bad}"],
     "operator-estimate --record": ["operator-estimate", "--record", "{bad}", "--extreme", "0.2"],
 }
+_FOREIGN = "0123456789abcdef"  # the fingerprint of no family
 _D65536 = b"#SQST v1 d=65536 mode=computational seed=0 n=1 mub=0123456789abcdef"
 _DAMAGED_INPUTS = {
     "empty": b"",
@@ -1079,6 +1085,14 @@ def valid_inputs(tmp_path_factory):
                "--out", str(tmp / "full.txt"), "--quiet") == 0
     for name, data in _DAMAGED_INPUTS.items():
         (tmp / name).write_bytes(data)
+    # valid records outside the d=2 family: another dimension, and a foreign fingerprint
+    assert run("simulate", "--dim", "4", "--state", "mixed", "--copies", "10", "--povm", "both",
+               "--out", str(tmp / "d4"), "--quiet") == 0
+    assert run("simulate", "--dim", "4", "--state", "mixed", "--copies", "10", "--povm", "full",
+               "--out", str(tmp / "d4.full.txt"), "--quiet") == 0
+    for mode, line in (("offdiag", "2,0"), ("computational", "1,0"), ("full", "1,0")):
+        (tmp / f"foreign.{mode}.txt").write_text(
+            f"#SQST v1 d=2 mode={mode} seed=0 n=1 mub={_FOREIGN}\n{line}\n")
     return tmp
 
 
@@ -1093,6 +1107,111 @@ def test_a_damaged_input_file_exits_1_with_one_error_line(valid_inputs, tmp_path
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and not captured.out
     assert not any(tmp_path.iterdir())
+
+
+# every record flag beside valid d=2 records of the other flag ({tmp}), and the mode it needs;
+# the family is that of the first record a command reads: --record's, where it is given
+_RECORD_FLAGS = {
+    "estimate --record": (["estimate", "--record", "{bad}", "--diag-record", "{tmp}/rec.diag.txt",
+                           "--element", "0,1", "--element", "0,0"], "offdiag"),
+    "estimate --diag-record": (["estimate", "--record", "{tmp}/rec.offdiag.txt", "--diag-record",
+                                "{bad}", "--element", "0,1", "--element", "0,0"], "computational"),
+    "tomography --record": (["tomography", "--record", "{bad}", "--diag-record",
+                             "{tmp}/rec.diag.txt", "--quiet"], "offdiag"),
+    "tomography --diag-record": (["tomography", "--record", "{tmp}/rec.offdiag.txt",
+                                  "--diag-record", "{bad}", "--quiet"], "computational"),
+    "operator-estimate --record": (["operator-estimate", "--record", "{bad}", "--extreme", "0.2",
+                                    "--quiet"], "full"),
+}
+_FILES = {"offdiag": "rec.offdiag.txt", "computational": "rec.diag.txt", "full": "full.txt"}
+
+
+@pytest.mark.parametrize("case", ["mode", "dimension", "fingerprint"])
+@pytest.mark.parametrize("flag", list(_RECORD_FLAGS))
+def test_a_valid_record_outside_the_family_names_its_file(valid_inputs, capsys, flag, case):
+    argv, mode = _RECORD_FLAGS[flag]
+    other = "computational" if mode == "offdiag" else "offdiag"
+    bad = valid_inputs / {"mode": _FILES[other], "dimension": "d4." + _FILES[mode].removeprefix("rec."),
+                          "fingerprint": f"foreign.{mode}.txt"}[case]
+    named, message = bad, {
+        "mode": f"mode {other} where {mode} is required",
+        "dimension": "dimension 4 != family dimension 2",
+        "fingerprint": f"fingerprint {_FOREIGN} does not match family {build_mub(2).fingerprint()}",
+    }[case]
+    argv = [a.format(tmp=valid_inputs, bad=bad) for a in argv]
+    if case == "dimension" and flag.endswith(" --record"):  # read first: it sets the family
+        others = [a for a in argv if a.startswith(str(valid_inputs)) and a != str(bad)]
+        if not others:
+            assert run(*argv) == 0
+            return
+        named, message = others[0], "dimension 2 != family dimension 4"
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {named}: {message}\n")
+
+
+_STATE_FIELDS = ["basis:{}", "superposition:{},1,1,1", "superposition:0,{},1,1", "random:{}",
+                 "random:1,{}"]
+_STATE_COUNTS = ["basis:0,1", "superposition:0,1", "superposition:0,1,1", "superposition:0,1,2,1,1",
+                 "random:1,2,3", "random:,"]
+# every typed integer list sqst parses itself: its command with the malformed value at {bad} (after
+# "=", so that argparse takes a leading "-" as the value), the values with one field at {}, and
+# values whose field count is wrong; output goes under {out}
+_TYPED_FLAGS = {
+    "estimate --element": (["estimate", "--record", "{tmp}/rec.offdiag.txt", "--out", "{out}/e.json",
+                            "--element={bad}"], ["{},1", "0,{}"], ["0", "0,1,2", ","]),
+    "reproduce-fig2 --dims": (["reproduce-fig2", "--trials", "1", "--out", "{out}/f.csv",
+                               "--dims={bad}"], ["{}", "2,{}", "{},2"], ["2,,3"]),
+    "simulate --state": (["simulate", "--dim", "2", "--copies", "10", "--out", "{out}/r.txt",
+                          "--state={bad}"], _STATE_FIELDS, _STATE_COUNTS),
+    "estimate --truth": (["estimate", "--record", "{tmp}/rec.offdiag.txt", "--element", "0,1",
+                          "--out", "{out}/e.json", "--truth={bad}"], _STATE_FIELDS, _STATE_COUNTS),
+    "tomography --truth": (["tomography", "--record", "{tmp}/rec.offdiag.txt", "--diag-record",
+                            "{tmp}/rec.diag.txt", "--out", "{out}/t.json", "--truth={bad}"],
+                           _STATE_FIELDS, _STATE_COUNTS),
+    "operator-estimate --truth": (["operator-estimate", "--record", "{tmp}/full.txt", "--extreme",
+                                   "0.2", "--out", "{out}/o.json", "--truth={bad}"],
+                                  _STATE_FIELDS, _STATE_COUNTS),
+    "operator-estimate --phases": (["operator-estimate", "--record", "{tmp}/full.txt", "--extreme",
+                                    "0.2", "--out", "{out}/o.json", "--phases={bad}"],
+                                   ["random:{}"], ["random:1,2", "random:,"]),
+    # --seed is an argparse int: only its sign is sqst's to refuse
+    **{f"{command} --seed": ([command, *flags, "--seed={bad}"], [], ["-1", "-" + "9" * 60])
+       for command, flags in [
+           ("simulate", ["--dim", "2", "--state", "mixed", "--copies", "10", "--out", "{out}/r.txt"]),
+           ("reproduce-fig2", ["--dims", "2", "--trials", "1", "--out", "{out}/f.csv"]),
+           ("bounds-check", ["--dim", "2", "--trials", "1"])]},
+}
+# a field of each kind the grammar refuses, ASCII digits alone being allowed
+_BAD_FIELDS = {"letter": "x", "minus": "-1", "plus": "+1", "space": " 1", "trailing_space": "1 ",
+               "underscore": "1_0", "arabic_indic_digit": "\u0661", "fullwidth_digit": "\uff11",
+               "superscript": "\u00b9", "empty": ""}
+_TYPED_CASES = [(flag, value) for flag, (_, fields, counts) in _TYPED_FLAGS.items()
+                for value in [f.format(bad) for f in fields for bad in _BAD_FIELDS.values()] + counts
+                if value != "random:"]  # the default seed's spelling
+
+
+@pytest.mark.parametrize("flag, value", _TYPED_CASES, ids=[f"{f}={v!r}" for f, v in _TYPED_CASES])
+def test_a_malformed_typed_value_exits_1_naming_its_flag_or_text(valid_inputs, tmp_path, capsys,
+                                                                 flag, value):
+    argv = [a.format(tmp=valid_inputs, out=tmp_path, bad=value) for a in _TYPED_FLAGS[flag][0]]
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag.split()[1] in captured.err or value in captured.err, captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not any(tmp_path.iterdir())
+
+
+def test_every_flag_whose_text_sqst_parses_has_a_malformed_value_case():
+    # a string flag that is neither --out nor a choice: a new one fails here until a sweep covers it
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {f"{name} {a.option_strings[-1]}" for name, p in sub.choices.items()
+              for a in p._actions if a.option_strings and a.nargs != 0 and a.type is None
+              and a.choices is None and a.option_strings != ["--out"]}
+    assert len(parsed) == 13
+    assert parsed <= set(_FILE_FLAGS) | set(_TYPED_FLAGS), parsed - set(_FILE_FLAGS) - set(_TYPED_FLAGS)
+    assert set(_RECORD_FLAGS) == {f for f in _FILE_FLAGS if f.endswith("record")}
 
 
 @pytest.mark.parametrize("operator, truth, bad, fault", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cells, vose_tables
-from sqst import measurement
+from sqst import estimator, measurement
 from sqst.estimator import outcome_counts
 from sqst.fields import MAX_FIELD_ORDER
 from sqst.measurement import (AliasTable, FingerprintMismatch, PovmMode, RecordFormatError,
@@ -380,13 +380,27 @@ def test_sample_record_rejects_zero_copies(fam2):
 
 @pytest.mark.parametrize("n, seed, shards, message", [
     (0, 1, 1, "at least one outcome"), (5, 1, 0, "shards must be >= 1"),
-    (5, -1, 1, "seed must be >= 0, header says seed=-1$")])
+    (5, -1, 1, "seed must be >= 0, header says seed=-1$"),
+    (2**53, 1, 1, r"fewer than 2\*\*53 outcomes, header says n=9007199254740992$")])
 def test_sample_record_refuses_bad_arguments_before_writing(fam2, tmp_path, n, seed, shards,
                                                             message):
     dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
     with pytest.raises(ValueError, match=message):
         write_record(sample_record(dist, n, seed, shards), tmp_path / "r.txt")
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_a_record_holds_fewer_than_2_53_copies_as_the_planner_plans(fam2):
+    # built, never drawn: a record's header rule is checked when the record is made
+    dist = outcome_distribution(np.eye(2, dtype=complex) / 2, fam2, PovmMode.OFFDIAG)
+    assert measurement.MAX_COPIES == 2**53
+    assert sample_record(dist, 2**53 - 1, seed=0).n == 2**53 - 1
+    header = dict(d=2, mode=PovmMode.OFFDIAG, seed=0, mub_fingerprint="0" * 16)
+    assert RecordHeader(**header, n=2**53 - 1).n == 2**53 - 1
+    with pytest.raises(RecordFormatError, match=r"^a record holds fewer than 2\*\*53 outcomes"):
+        RecordHeader(**header, n=2**53)
+    with pytest.raises(ValueError, match=r"reaches 2\*\*53"):  # the planner's bound is the same
+        estimator.plan_samples(1e-8, 0.1)
 
 
 def test_a_record_stream_draws_the_same_cells_on_every_pass(fam3):
@@ -955,6 +969,10 @@ def test_a_header_fault_wins_over_any_body_fault_and_the_line_count_comes_last(
         "at least one outcome, header says n=0": [
             under(_header(4, "offdiag", 0), text),
             (_header(4, "offdiag", 0) + "\n").encode("ascii").ljust(128, b"\x00") + binary[128:]],
+        # and of n = 2**53, a copy count no float tells from the next
+        "fewer than 2\\*\\*53 outcomes, header says n=9007199254740992": [
+            under(_header(4, "offdiag", 2**53), text),
+            (_header(4, "offdiag", 2**53) + "\n").encode("ascii").ljust(128, b"\x00") + binary[128:]],
         # the binary body size is checked on the header, before a pair is read
         "body holds 11996 bytes": [binary[:128] + b"\x01\x00" + binary[130:-4]],
         # the line count is checked at the end of the file, so any body fault comes first
@@ -1064,6 +1082,13 @@ _DAMAGED = {  # the message of each damaged file, every one naming the file
                               f"{{path}}: corrupt record header: {_HEAD[:-1].decode()!r}"),
     "zero_copies": (_HEAD.replace(b"n=5", b"n=0") + _with_lines(),
                     "{path}: a record needs at least one outcome, header says n=0"),
+    "copies_from_2_53": (_HEAD.replace(b"n=5", b"n=9007199254740992") + _with_lines(),
+                         "{path}: a record holds fewer than 2**53 outcomes, "
+                         "header says n=9007199254740992"),
+    "binary_copies_from_2_53": (_HEAD.replace(b"n=5", b"n=9007199254740992").ljust(128, b"\x00")
+                                + b"\x02\x00\x00\x00" * 5,
+                                "{path}: a record holds fewer than 2**53 outcomes, "
+                                "header says n=9007199254740992"),
     "non_ascii_line": (_HEAD + _with_lines(l4=b"2,\xe9"), "{path}: not an ASCII record file"),
     "sign": (_HEAD + _with_lines(l3=b"+2,0"), "{path}: bad outcome line 3: '+2,0'"),
     "leading_space": (_HEAD + _with_lines(l3=b" 2,0"), "{path}: bad outcome line 3: ' 2,0'"),
