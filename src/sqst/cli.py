@@ -2,9 +2,9 @@
 
 Subcommands: plan, mub, simulate, estimate, tomography, reproduce-fig2,
 bounds-check, operator-estimate.  All randomness is derived from the seeds in
-the flags via counter-based Philox streams, so every command is reproducible from
-its flags alone, including runs that use a worker pool.  A command's document goes
-to stdout (or --out), its summary lines to stderr.
+the flags via keyed PCG64DXSM streams (`states.stream_rng`), so every command is
+reproducible from its flags alone, including runs that use a worker pool.  A
+command's document goes to stdout (or --out), its summary lines to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimator, fields, measurement, mub, states, tomography
 from .measurement import PovmMode
-from .states import philox_rng
+from .states import stream_rng
 
 _PHASE_STREAM = 101  # stream tag for random extreme-operator phases
 _DIAG_STREAM_OFFSET = 1  # seed offset for the computational record in --povm both
@@ -56,39 +56,49 @@ def _integers(text: str, what: str, count: int | None = None) -> list:
     raise ValueError(f"{what} needs {need} >= 0 in ASCII digits; got {text!r}")
 
 
-def parse_state(spec: str, d: int) -> np.ndarray:
+def parse_state(spec: str, d: int, flag: str = "--state") -> np.ndarray:
     """Build a d-dimensional density matrix from a preset string or a matrix file.
 
     Presets: ``mixed``, ``basis:i``, ``superposition:i,j,a,b`` (a, b parsed as
     Python complex literals, e.g. ``0.5+0.5j``), ``random:rank[,seed]``, and
-    ``file:PATH`` for the JSON matrix format.
+    ``file:PATH`` for the JSON matrix format.  A preset's fault names flag, the
+    option that carried spec, and the whole spec; a file's fault names its path.
     """
     kind, _, rest = spec.partition(":")
-    what = f"state preset {spec!r}"
-    if kind == "file":
-        rho = states.load_matrix(rest)
-    elif kind == "mixed":
-        rho = np.eye(d, dtype=np.complex128) / d
-    elif kind == "basis":
-        (i,) = _integers(rest, what, 1)
-        if not 0 <= i < d:
-            raise ValueError(f"basis label {i} outside 0..{d - 1}")
-        rho = np.diag(np.eye(1, d, i, dtype=np.complex128)[0])
-    elif kind == "superposition":
-        labels, *amplitudes = rest.rsplit(",", 2)  # no complex literal holds a comma
-        if len(amplitudes) != 2:
-            raise ValueError(f"{what} needs i,j,a,b")
-        i, j = _integers(labels, what, 2)
-        rho = states.make_pure_superposition(i, j, *map(complex, amplitudes), d)
-    elif kind == "random":
-        rank, seed = _integers(rest, what, 2) if "," in rest else [*_integers(rest or "1", what, 1), 0]
-        rho = states.random_density(d, rank, seed)
-    else:
-        raise ValueError(f"unknown state spec {spec!r}")
-    rho = states.require_density(rho)
+    if kind != "file":
+        try:
+            return states.require_density(_preset(kind, rest, d))
+        except ValueError as exc:
+            raise ValueError(f"{flag} {spec!r}: {exc}") from exc
+    rho = states.require_density(states.load_matrix(rest))
     if rho.shape[0] != d:
         raise ValueError(f"state file has dimension {rho.shape[0]}, expected {d}")
     return rho
+
+
+def _preset(kind: str, rest: str, d: int) -> np.ndarray:
+    if kind == "mixed":
+        return np.eye(d, dtype=np.complex128) / d
+    if kind == "basis":
+        (i,) = _integers(rest, kind, 1)
+        if not 0 <= i < d:
+            raise ValueError(f"basis label {i} outside 0..{d - 1}")
+        return np.diag(np.eye(1, d, i, dtype=np.complex128)[0])
+    if kind == "superposition":
+        labels, *amplitudes = rest.rsplit(",", 2)  # no complex literal holds a comma
+        if len(amplitudes) != 2:
+            raise ValueError("superposition needs i,j,a,b")
+        i, j = _integers(labels, kind, 2)
+        try:
+            a, b = map(complex, amplitudes)
+        except ValueError:
+            raise ValueError("amplitudes a and b must be Python complex literals, "
+                             "e.g. 0.5+0.5j") from None
+        return states.make_pure_superposition(i, j, a, b, d)
+    if kind == "random":
+        rank, seed = [*_integers(rest or "1", kind, 1 + ("," in rest)), 0][:2]
+        return states.random_density(d, rank, seed)
+    raise ValueError(f"unknown state preset {kind!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,7 +245,7 @@ def cmd_estimate(args) -> int:
             raise ValueError(f"element {i},{j} is off-diagonal: needs --record")
     family, (offdiag, diag) = _records((args.record, PovmMode.OFFDIAG),
                                        (args.diag_record, PovmMode.COMPUTATIONAL))
-    truth = parse_state(args.truth, family.d) if args.truth else None
+    truth = parse_state(args.truth, family.d, "--truth") if args.truth else None
 
     results = []
     for i, j in elements:
@@ -277,7 +287,7 @@ def cmd_tomography(args) -> int:
     estimator._check_plan_args(args.epsilon, args.delta)  # before the records are read
     family, (offdiag, diag) = _records((args.record, PovmMode.OFFDIAG),
                                        (args.diag_record, PovmMode.COMPUTATIONAL))
-    truth = parse_state(args.truth, family.d) if args.truth else None  # before the solve
+    truth = parse_state(args.truth, family.d, "--truth") if args.truth else None  # before the solve
     linear = tomography.assemble_linear_estimate(offdiag, diag, family,
                                                  args.epsilon, args.delta)
     payload = {"d": linear.d}
@@ -316,7 +326,7 @@ def cmd_tomography(args) -> int:
 def _fig2_trial(task) -> tuple:
     d, trial, seed, n = task
     family = _family(d)
-    rng = philox_rng(seed, d, trial)
+    rng = stream_rng(seed, d, trial)
     pair = rng.choice(d, size=2, replace=False)
     i, j = int(pair[0]), int(pair[1])
     amp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -341,7 +351,7 @@ def reproduce_fig2(dims, trials: int, epsilon: float, delta: float, seed: int,
     """Random superposition states, one off-diagonal estimated per trial.
 
     Returns (copies per trial, rows sorted by (d, trial), per-dimension
-    summaries).  Per-trial Philox streams (seed, d, trial) make the output
+    summaries).  Per-trial streams keyed (seed, d, trial) make the output
     independent of worker scheduling; at most one worker process runs per
     usable CPU, however many are asked for.
     """
@@ -407,7 +417,7 @@ def cmd_bounds_check(args) -> int:
     worst_slack = math.inf
     failures = 0
     for trial in range(args.trials):
-        e = states.random_hermitian(args.dim, philox_rng(args.seed, trial))
+        e = states.random_hermitian(args.dim, stream_rng(args.seed, trial))
         report = states.check_norm_chain(e)
         worst_slack = min(worst_slack, min(report.slacks))
         if not report.passed:
@@ -428,7 +438,7 @@ def cmd_bounds_check(args) -> int:
 def _schatten_monotone_ok(d: int, seed: int, trials: int = 50) -> bool:
     ps = [1, 1.5, 2, 4, np.inf]
     for trial in range(trials):
-        vals = states.schatten_norms(states.random_hermitian(d, philox_rng(seed, 7000, trial)), ps)
+        vals = states.schatten_norms(states.random_hermitian(d, stream_rng(seed, 7000, trial)), ps)
         if any(lo < hi - 1e-10 * max(d, 1) for lo, hi in zip(vals, vals[1:])):
             return False
     return True
@@ -446,7 +456,7 @@ def _load_phases(spec: str, d: int) -> np.ndarray:
             raise ValueError(f"phase file {rest} is not an array of numbers")
         return phases  # extreme_operator checks its shape and values
     if kind == "random":
-        rng = philox_rng(*_integers(rest or "0", "--phases", 1), _PHASE_STREAM)
+        rng = stream_rng(*_integers(rest or "0", "--phases", 1), _PHASE_STREAM)
         return rng.uniform(0.0, 2.0 * np.pi, size=(d + 1, d))
     raise ValueError(f"unknown phase spec {spec!r}")
 
@@ -463,7 +473,7 @@ def cmd_operator_estimate(args) -> int:
         matrix = states.load_matrix(args.operator.partition(":")[2])
     else:
         phases = _load_phases("random" if args.phases is None else args.phases, record.d)
-    truth = parse_state(args.truth, record.d) if args.truth else None  # before the fold
+    truth = parse_state(args.truth, record.d, "--truth") if args.truth else None  # before the fold
     if args.operator is not None:
         coeffs = estimator.decompose_operator(matrix, family)
     else:

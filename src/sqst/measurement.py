@@ -48,7 +48,7 @@ import numpy as np
 
 from .fields import field_order
 from .mub import MubFamily, born_weights
-from .states import philox_rng, require_density
+from .states import require_density, stream_rng
 
 _HEADER_BLOCK = 128  # the one read that holds a header line and its LF, with a byte to spare
 MAX_CELLS = 1 << 16  # the most (basis, outcome) cells a uint16 cell index numbers
@@ -242,7 +242,7 @@ class RecordStream(RecordHeader):
     """A sampled record, the one `sample_record(dist, n, seed, shards)` returns.
 
     It holds the distribution's alias table, built once, not the cells: each pass over
-    `cell_blocks` draws them again, shard s from the Philox stream (seed, s), in shard
+    `cell_blocks` draws them again, shard s from the stream keyed (seed, s), in shard
     order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK,
     and each `counted` draws them again from the same doubles, counted but not ordered.
     """
@@ -253,7 +253,7 @@ class RecordStream(RecordHeader):
     def _draws(self):
         """(rng, size) of each shard, in shard order."""
         for s, size in enumerate(_shard_sizes(self.n, self.shards)):
-            yield philox_rng(self.seed, s), size
+            yield stream_rng(self.seed, s), size
 
     def cell_blocks(self):
         for rng, size in self._draws():
@@ -344,7 +344,7 @@ def _shard_sizes(n: int, shards: int) -> list:
 def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> RecordStream:
     """n independent outcomes, drawn anew on each pass; deterministic per (dist, n, seed, shards).
 
-    Shard s draws its slice from the Philox stream (seed, s), so generating
+    Shard s draws its slice from the stream keyed (seed, s), so generating
     the shards concurrently and concatenating them in shard order reproduces
     the record's cells exactly.  Bad arguments are refused now, not on the
     first pass.

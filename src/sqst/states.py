@@ -1,4 +1,4 @@
-"""Density matrices, the one Hermitian check, and the matrix-norm machinery.
+"""Density matrices, the one generator, the one Hermitian check, and the norm machinery.
 
 Matrices are plain complex numpy arrays; the functions here validate the
 structural invariants (Hermiticity to 1e-12, unit trace, positive spectrum)
@@ -21,13 +21,13 @@ TRACE_TOL = 1e-12
 EIGEN_TOL = 1e-10
 
 
-def philox_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed by (seed, *stream).
+def stream_rng(seed: int, *stream: int) -> np.random.Generator:
+    """PCG64DXSM generator keyed by SeedSequence((seed, *stream)): the package's one generator.
 
-    Distinct streams are statistically independent and reproducible, which
+    Distinct keys give statistically independent, reproducible streams, which
     is what makes sharded sampling and worker pools deterministic.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, stream)])))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([int(seed), *map(int, stream)])))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
@@ -92,7 +92,7 @@ def random_density(d: int, rank: int, seed: int) -> np.ndarray:
     """Rank-r state from the Hilbert-Schmidt (Wishart) ensemble, deterministic per seed."""
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} outside 1..{d}")
-    rng = philox_rng(seed)
+    rng = stream_rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
     m = (m + m.conj().T) / 2  # G G^+ is Hermitian only up to rounding; make it exact

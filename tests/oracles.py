@@ -9,7 +9,7 @@ import numpy as np
 
 from sqst import measurement
 from sqst.fields import _CONWAY
-from sqst.states import philox_rng, random_density, random_hermitian, max_norm
+from sqst.states import max_norm, random_density, random_hermitian, stream_rng
 from sqst.tomography import project_psd_clip
 
 
@@ -98,14 +98,14 @@ def maxnorm_projection_grid_d3(x: np.ndarray, final_width: float = 1e-4,
     """Direct search over the factorized state parameterization Y = AA*/tr.
 
     The parameterization has no constraints, so the search only ever
-    evaluates the objective; directions come from a fixed Philox stream and
+    evaluates the objective; directions come from a fixed keyed stream and
     the step halves whenever no direction improves, down to final_width.
     """
     w, v = np.linalg.eigh(project_psd_clip(x).rho)
     a0 = (v * np.sqrt(np.clip(w, 1e-12, None))) @ v.conj().T
     best_p = np.concatenate([a0.real.reshape(-1), a0.imag.reshape(-1)])
     best_t = float(np.abs(_d3_matrices(best_p[None])[0] - x).max())
-    rng = philox_rng(seed)
+    rng = stream_rng(seed)
     h = 0.25
     while h > final_width:
         dirs = rng.standard_normal((n_dirs, 18))
@@ -125,7 +125,7 @@ def random_nonpsd_matrix(d: int, seed: int, perturbation: float = 0.1) -> np.nda
     """Random state plus a max-norm-0.1 Hermitian kick, retried until non-PSD."""
     for sub in range(1000):
         rho = random_density(d, d, seed * 1000 + sub)
-        e = random_hermitian(d, philox_rng(seed, sub, 7))
+        e = random_hermitian(d, stream_rng(seed, sub, 7))
         e *= perturbation / max_norm(e)
         cand = rho + e
         if np.linalg.eigvalsh(cand).min() < -1e-3:

@@ -19,8 +19,8 @@ from sqst.estimator import (decompose_operator, extreme_operator, fold_element, 
                             plan_samples_general)
 from sqst.measurement import PovmMode, outcome_distribution, sample_record
 from sqst.mub import build_mub, verify_mub
-from sqst.states import (check_norm_chain, max_norm, philox_rng, random_density,
-                         random_hermitian, schatten_norms)
+from sqst.states import (check_norm_chain, max_norm, random_density, random_hermitian,
+                         schatten_norms, stream_rng)
 from sqst.tomography import (assemble_linear_estimate, project_psd_clip,
                              project_psd_maxnorm)
 
@@ -61,7 +61,7 @@ def test_criterion_2_exact_mixture_identity():
                     if i != j:
                         worst_elem = max(worst_elem,
                                          abs(fold_element(dist, family, i, j) - rho[i, j]))
-        rng = philox_rng(2, d)
+        rng = stream_rng(2, d)
         for rep in range(50):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = random_density(d, d, seed=20_000 * d + rep)
@@ -80,7 +80,7 @@ def test_criterion_3_operator_round_trip():
     worst = 0.0
     for d in FOLD_DIMS:
         family = build_mub(d)
-        rng = philox_rng(3, d)
+        rng = stream_rng(3, d)
         ops = [np.eye(d, dtype=complex)]
         unit = np.zeros((d, d), dtype=complex)
         unit[min(1, d - 1), 0] = 1.0  # matrix unit |j><i|
@@ -128,7 +128,7 @@ def test_criterion_6_norm_chain():
     monotone_ok = True
     for d in (2, 4, 8, 16, 32):
         for trial in range(1000):
-            e = random_hermitian(d, philox_rng(6, d, trial))
+            e = random_hermitian(d, stream_rng(6, d, trial))
             report = check_norm_chain(e)
             worst_slack = min(worst_slack, min(report.slacks) / d)
             if not report.passed:
@@ -226,7 +226,7 @@ def test_criterion_9_general_operator_estimation():
     hits = 0
     runs = 200
     for run in range(runs):
-        rng = philox_rng(9, run)
+        rng = stream_rng(9, run)
         phases = rng.uniform(0, 2 * np.pi, (d + 1, d))
         coeffs = extreme_operator(phases, k, family)
         rho = random_density(d, 1 + run % d, seed=60_000 + run)

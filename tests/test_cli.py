@@ -19,7 +19,7 @@ from sqst import estimator, measurement
 from sqst.cli import _build_parser, _fig2_trial, main, parse_state, reproduce_fig2
 from sqst.measurement import PovmMode, check_family, read_record
 from sqst.mub import MubFamily, build_mub, eta_table, verify_mub
-from sqst.states import make_pure_superposition, philox_rng, random_density, save_matrix
+from sqst.states import make_pure_superposition, random_density, save_matrix, stream_rng
 
 
 def run(*argv) -> int:
@@ -629,7 +629,7 @@ def test_estimate_and_tomography_peak_memory_is_flat_in_n(tmp_path):
 def test_fig2_trial_is_the_fold_of_the_counts_of_its_draw():
     d, trial, seed, n = 8, 3, 17, 2 * measurement._BLOCK + 17
     family = build_mub(d)
-    rng = philox_rng(seed, d, trial)  # the trial's own draws, in its order
+    rng = stream_rng(seed, d, trial)  # the trial's own draws, in its order
     i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
     amp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     amp /= np.linalg.norm(amp)
@@ -1153,24 +1153,28 @@ _STATE_FIELDS = ["basis:{}", "superposition:{},1,1,1", "superposition:0,{},1,1",
                  "random:1,{}"]
 _STATE_COUNTS = ["basis:0,1", "superposition:0,1", "superposition:0,1,1", "superposition:0,1,2,1,1",
                  "random:1,2,3", "random:,"]
+# the wrong field counts, values out of their preset's range at d = 2, and an amplitude that is
+# no complex literal
+_STATE_VALUES = [*_STATE_COUNTS, "basis:9", "superposition:0,9,1,1", "random:9",
+                 "superposition:0,1,x,1"]
 # every typed integer list sqst parses itself: its command with the malformed value at {bad} (after
 # "=", so that argparse takes a leading "-" as the value), the values with one field at {}, and
-# values whose field count is wrong; output goes under {out}
+# whole values, such as those whose field count is wrong; output goes under {out}
 _TYPED_FLAGS = {
     "estimate --element": (["estimate", "--record", "{tmp}/rec.offdiag.txt", "--out", "{out}/e.json",
                             "--element={bad}"], ["{},1", "0,{}"], ["0", "0,1,2", ","]),
     "reproduce-fig2 --dims": (["reproduce-fig2", "--trials", "1", "--out", "{out}/f.csv",
                                "--dims={bad}"], ["{}", "2,{}", "{},2"], ["2,,3"]),
     "simulate --state": (["simulate", "--dim", "2", "--copies", "10", "--out", "{out}/r.txt",
-                          "--state={bad}"], _STATE_FIELDS, _STATE_COUNTS),
+                          "--state={bad}"], _STATE_FIELDS, _STATE_VALUES),
     "estimate --truth": (["estimate", "--record", "{tmp}/rec.offdiag.txt", "--element", "0,1",
-                          "--out", "{out}/e.json", "--truth={bad}"], _STATE_FIELDS, _STATE_COUNTS),
+                          "--out", "{out}/e.json", "--truth={bad}"], _STATE_FIELDS, _STATE_VALUES),
     "tomography --truth": (["tomography", "--record", "{tmp}/rec.offdiag.txt", "--diag-record",
                             "{tmp}/rec.diag.txt", "--out", "{out}/t.json", "--truth={bad}"],
-                           _STATE_FIELDS, _STATE_COUNTS),
+                           _STATE_FIELDS, _STATE_VALUES),
     "operator-estimate --truth": (["operator-estimate", "--record", "{tmp}/full.txt", "--extreme",
                                    "0.2", "--out", "{out}/o.json", "--truth={bad}"],
-                                  _STATE_FIELDS, _STATE_COUNTS),
+                                  _STATE_FIELDS, _STATE_VALUES),
     "operator-estimate --phases": (["operator-estimate", "--record", "{tmp}/full.txt", "--extreme",
                                     "0.2", "--out", "{out}/o.json", "--phases={bad}"],
                                    ["random:{}"], ["random:1,2", "random:,"]),
@@ -1197,7 +1201,9 @@ def test_a_malformed_typed_value_exits_1_naming_its_flag_or_text(valid_inputs, t
     assert run(*argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert flag.split()[1] in captured.err or value in captured.err, captured.err
+    named = [flag.split()[1] in captured.err, value in captured.err]
+    # a state preset's fault names both its flag and the whole preset
+    assert all(named) if flag.endswith(("--state", "--truth")) else any(named), captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert not any(tmp_path.iterdir())
 

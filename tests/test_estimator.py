@@ -13,7 +13,7 @@ from sqst.estimator import (bound_text, count_table, decompose_operator, estimat
 from sqst.measurement import (FingerprintMismatch, PovmMode, RecordCounts, RecordHeader,
                               counted, outcome_distribution, sample_record)
 from sqst.mub import build_mub, eta_table
-from sqst.states import make_pure_superposition, max_norm, philox_rng, random_density
+from sqst.states import make_pure_superposition, max_norm, random_density, stream_rng
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_estimate_is_pure_fold_reorder_invariant(fam4):
     rho = random_density(4, 4, seed=2)
     dist = outcome_distribution(rho, fam4, PovmMode.OFFDIAG)
     record = sample_record(dist, 100_000, seed=77)
-    perm = philox_rng(3).permutation(record.n)
+    perm = stream_rng(3).permutation(record.n)
     shuffled = _counted(4, PovmMode.OFFDIAG, record.mub_fingerprint, cells(record)[perm],
                         seed=record.seed)
     for (i, j) in [(0, 1), (2, 3), (1, 0)]:
@@ -160,7 +160,7 @@ def _check_unit_mean_square(z, bounds, what: str) -> None:
 
 @pytest.mark.parametrize("d", MOMENT_DIMS)
 def test_two_support_probabilities_are_the_born_distribution(d):
-    family, rng = build_mub(d), philox_rng(91, d)
+    family, rng = build_mub(d), stream_rng(91, d)
     for _ in range(3):
         i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
         a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -171,7 +171,7 @@ def test_two_support_probabilities_are_the_born_distribution(d):
 
 
 def test_mean_square_error_is_the_exact_second_moment():
-    rng = philox_rng(92)
+    rng = stream_rng(92)
     n = plan_samples(0.01, 0.01)  # fig-2's 119,830 copies
     for d in MOMENT_DIMS:  # fig-2's element states: a|i> + b|j>
         family, z, bounds = build_mub(d), [], []
@@ -345,7 +345,7 @@ def test_decompose_matrix_unit_matches_eta():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_decompose_reconstruct_round_trip(d):
     family = build_mub(d)
-    rng = philox_rng(31, d)
+    rng = stream_rng(31, d)
     for _ in range(20):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         coeffs = decompose_operator(a, family)
@@ -381,7 +381,7 @@ def test_extreme_single_phase_block(fam2):
 
 
 def test_extreme_coefficients_have_modulus_k(fam4):
-    rng = philox_rng(8)
+    rng = stream_rng(8)
     coeffs = extreme_operator(rng.uniform(0, 2 * np.pi, (5, 4)), 0.2, fam4)
     assert np.allclose(np.abs(coeffs.coeffs), 0.2, atol=1e-14)
     assert coeffs.k_bound == 0.2
@@ -392,7 +392,7 @@ def test_extreme_operator_norm_bounded(d):
     # K = 1/(d+1): each basis block has operator norm at most 1/(d+1), so the
     # assembled operator norm stays O(1); assert the generous bound 2
     family = build_mub(d)
-    rng = philox_rng(14, d)
+    rng = stream_rng(14, d)
     for _ in range(100 // max(1, d // 8)):
         phases = rng.uniform(0, 2 * np.pi, (d + 1, d))
         a = extreme_operator(phases, 1.0 / (d + 1), family).reconstruct(family)
@@ -426,7 +426,7 @@ def test_mean_fold_identity_is_one(fam4):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_mean_fold_matches_trace_oracle(d):
     family = build_mub(d)
-    rng = philox_rng(40, d)
+    rng = stream_rng(40, d)
     for rep in range(12):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = random_density(d, 1 + rep % d, 500 + rep)
@@ -454,7 +454,7 @@ def test_estimate_mean_mode_mismatch(fam2):
 
 
 def test_mean_fold_extreme_operator_matches_trace(fam4):
-    rng = philox_rng(55)
+    rng = stream_rng(55)
     for rep in range(10):
         phases = rng.uniform(0, 2 * np.pi, (5, 4))
         coeffs = extreme_operator(phases, 0.2, fam4)
@@ -558,7 +558,7 @@ def test_derived_radius_guarantees_delta_itself(fam2):
 
 
 def test_every_printed_guarantee_is_proved(fam2):
-    rng = philox_rng(20)
+    rng = stream_rng(20)
     refusals = 0
     for _ in range(300):
         n = int(rng.integers(1, 10**7))

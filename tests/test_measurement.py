@@ -18,7 +18,7 @@ from sqst.measurement import (AliasTable, FingerprintMismatch, PovmMode, RecordF
                               RecordHeader, check_family, outcome_distribution, read_record,
                               sample_record, write_record)
 from sqst.mub import build_mub
-from sqst.states import make_pure_superposition, philox_rng, random_density
+from sqst.states import make_pure_superposition, random_density, stream_rng
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_distribution_dimension_mismatch(fam2):
 def test_alias_table_matches_probabilities():
     probs = np.array([0.5, 0.125, 0.25, 0.125])
     table = AliasTable(probs)
-    draws = np.concatenate(list(table.blocks(philox_rng(4), 200_000)))
+    draws = np.concatenate(list(table.blocks(stream_rng(4), 200_000)))
     freq = np.bincount(draws, minlength=4) / len(draws)
     sigma = np.sqrt(probs * (1 - probs) / len(draws))
     assert np.all(np.abs(freq - probs) < 4 * sigma + 1e-12)
@@ -129,7 +129,7 @@ def _alias_weights():
     dominant[17] = 1.0
     yield from (np.array([0.3]), np.array([0.25, 0.75]), np.array([1.0, 0.0]), np.ones(7),
                 np.full(4096, 3.0), dominant, np.arange(4096.0))
-    rng = philox_rng(21)
+    rng = stream_rng(21)
     for k in rng.integers(1, 4097, size=200):
         w = rng.random(k) ** 3
         w[rng.random(k) < 0.2] = 0.0
@@ -152,6 +152,20 @@ def _chi2_threshold(df: int, alpha: float = 1e-6) -> float:
     return df * (1.0 - c + z * math.sqrt(c)) ** 3
 
 
+def _fits(counts: np.ndarray, probs: np.ndarray) -> bool:
+    """Whether counts pass the chi^2 test of probs at a 1e-6 false-alarm rate, no cell of
+    probability 0 having drawn a copy."""
+    zero = probs == 0
+    expected = counts.sum() * probs / probs.sum()
+    alone = expected >= 5  # cells with fewer expected draws share one pooled bin
+    pooled = ~alone & ~zero
+    obs, exp = counts[alone], expected[alone]
+    if pooled.any():
+        obs, exp = np.append(obs, counts[pooled].sum()), np.append(exp, expected[pooled].sum())
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    return counts[zero].sum() == 0 and chi2 < _chi2_threshold(obs.size - 1)
+
+
 @pytest.mark.parametrize("d, mode, seed", [
     (2, PovmMode.OFFDIAG, 31), (3, PovmMode.OFFDIAG, 32), (16, PovmMode.OFFDIAG, 33),
     (64, PovmMode.OFFDIAG, 34), (4, PovmMode.FULL, 35),
@@ -163,17 +177,17 @@ def test_drawn_cells_fit_the_born_distribution(d, mode, seed):
     dist = outcome_distribution(rho, build_mub(d), mode)
     n = 200_000
     counts = np.bincount(cells(sample_record(dist, n, seed)), minlength=dist.probs.size)
-    zero = dist.probs == 0
-    assert mode is PovmMode.OFFDIAG or zero.any()
-    assert counts[zero].sum() == 0
-    expected = n * dist.probs / dist.probs.sum()
-    alone = expected >= 5  # cells with fewer expected draws share one pooled bin
-    pooled = ~alone & ~zero
-    obs, exp = counts[alone], expected[alone]
-    if pooled.any():
-        obs, exp = np.append(obs, counts[pooled].sum()), np.append(exp, expected[pooled].sum())
-    chi2 = float(((obs - exp) ** 2 / exp).sum())
-    assert chi2 < _chi2_threshold(obs.size - 1)
+    assert mode is PovmMode.OFFDIAG or (dist.probs == 0).any()
+    assert _fits(counts, dist.probs)
+
+
+@pytest.mark.parametrize("d, seed", [(2, 36), (16, 37)])
+def test_counted_cells_fit_the_born_distribution(d, seed):
+    # fig 2's order-free path: a trial's copies from its keyed stream, counted, never ordered
+    rho = make_pure_superposition(0, d - 1, 0.6, 0.8j, d)
+    dist = outcome_distribution(rho, build_mub(d), PovmMode.OFFDIAG)
+    counts = AliasTable(dist.probs).counts(stream_rng(seed, d, 0), 119_830)
+    assert counts.sum() == 119_830 and _fits(counts, dist.probs)
 
 
 @pytest.mark.parametrize("block", [1000, None])  # None: one block of all n copies
@@ -238,7 +252,7 @@ def _walker_cells(table, u):
 def test_the_draw_decides_as_walkers_fractional_part():
     for s, w in enumerate(_alias_weights()):
         table = AliasTable(w)
-        u = philox_rng(s).random(2 * measurement._BLOCK + 17)
+        u = stream_rng(s).random(2 * measurement._BLOCK + 17)
         if w.size & (w.size - 1) == 0:  # K a power of two: u = t / K is exact, and u * K is t again
             t = table.threshold[table.threshold < w.size]
             u = np.concatenate([u, t / w.size, np.nextafter(t, 0.0) / w.size])
@@ -251,8 +265,8 @@ def test_the_draw_decides_as_walkers_fractional_part():
 def test_counting_a_draw_is_the_bincount_of_its_cells(n):
     for s, w in enumerate(_alias_weights()):
         table = AliasTable(w)
-        counts = table.counts(philox_rng(s), n)
-        ordered = np.concatenate(list(table.blocks(philox_rng(s), n)))
+        counts = table.counts(stream_rng(s), n)
+        ordered = np.concatenate(list(table.blocks(stream_rng(s), n)))
         assert counts.dtype == np.intp, s
         assert np.array_equal(counts, np.bincount(ordered, minlength=w.size)), s
 
@@ -262,7 +276,7 @@ def test_sampling_memory_is_bounded_by_a_block():
     n = 1_000_000
     tracemalloc.start()
     try:
-        dist.sample_cells(philox_rng(11, 0), n)  # the ordered draw: the stream's cells in order
+        dist.sample_cells(stream_rng(11, 0), n)  # the ordered draw: the stream's cells in order
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,8 +315,8 @@ def alias_builds(monkeypatch):
 def test_a_distribution_builds_no_alias_table_and_each_ordered_draw_one(fam3, alias_builds, mode):
     dist = outcome_distribution(random_density(3, 2, 4), fam3, mode)
     assert alias_builds == [] and not hasattr(dist, "alias")
-    dist.sample_cells(philox_rng(1, 0), 10)
-    dist.sample_cells(philox_rng(1, 0), 10)
+    dist.sample_cells(stream_rng(1, 0), 10)
+    dist.sample_cells(stream_rng(1, 0), 10)
     assert alias_builds == [dist.probs.size] * 2
 
 
@@ -367,7 +381,7 @@ def test_shard_concatenation_contract(fam3):
     sizes = [251, 250, 250, 250]
     parts = []
     for s, size in enumerate(sizes):
-        parts.append(dist.sample_cells(philox_rng(9, s), size))
+        parts.append(dist.sample_cells(stream_rng(9, s), size))
     flat = np.concatenate(parts)
     assert np.array_equal(cells(whole), flat)
 
@@ -425,7 +439,7 @@ def test_the_two_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
     assert measurement._fields(read) == measurement._fields(drawn)
     assert np.array_equal(read.counts, drawn.counts)
     assert drawn.counts.sum() == n
-    first = dist.sample_cells(philox_rng(7, 0), n // shards)  # shard 0 draws these first
+    first = dist.sample_cells(stream_rng(7, 0), n // shards)  # shard 0 draws these first
     assert first.dtype == np.uint16
     assert np.array_equal(first, cells(path)[:first.size])
 
@@ -683,7 +697,7 @@ def test_multi_block_text_round_trip_is_byte_identical(many_path, tmp_path):
 @pytest.mark.parametrize("n", [1, 131_073])  # one line, and several blocks plus a partial one
 def test_text_body_matches_a_line_by_line_writer(tmp_path, d, mode, n):
     size = mode.basis_count(d) * d
-    cells = philox_rng(d, n).integers(0, size, n)
+    cells = stream_rng(d, n).integers(0, size, n)
     cells[-1] = size - 1  # the longest line, last in the final partial block
     record = _GivenCells(d=d, mode=mode, seed=0, n=n, mub_fingerprint="0" * 16,
                          cells=cells.astype(np.uint16))

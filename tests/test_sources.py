@@ -37,6 +37,45 @@ def test_the_json_encoder_check_sees_every_spelling():
     assert _json_dump_calls(tree) == [4, 5, 6, 7]
 
 
+# what builds a numpy generator, bit generator or seed sequence
+_GENERATORS = {"default_rng", "Generator", "SeedSequence", "Philox", "PCG64", "PCG64DXSM", "SFC64",
+               "MT19937", "RandomState"}
+
+
+def _generator_builds(tree: ast.Module) -> list:
+    """(top-level definition, line) of each call that builds a generator, through an attribute
+    (np.random.X, an alias's .X) or a name imported from numpy.random under any alias."""
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+                for a in node.names if a.name in _GENERATORS}
+    return [(getattr(top, "name", None), node.lineno) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr in _GENERATORS
+                or isinstance(node.func, ast.Name) and node.func.id in imported)]
+
+
+def test_stream_rng_is_the_one_place_the_package_builds_a_generator():
+    # one keyed stream per (seed, stream...) key is the whole determinism contract
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources
+    builds = {(p.name, top) for p in sources
+              for top, _ in _generator_builds(ast.parse(p.read_text(), str(p)))}
+    assert builds == {("states.py", "stream_rng")}
+
+
+def test_the_generator_check_sees_every_spelling():
+    tree = ast.parse("import numpy as np\nimport numpy.random as npr\n"
+                     "from numpy.random import Philox, SFC64 as S, Generator as G\n"
+                     "np.random.default_rng(1)\nnpr.PCG64(1)\nPhilox(1)\nS(1)\n"
+                     "def keyed(seed):\n"
+                     "    return G(np.random.PCG64DXSM(np.random.SeedSequence([seed])))\n"
+                     "def draw(rng: np.random.Generator):\n    return rng.random(2)\n"
+                     "class Legacy:\n    rng = npr.RandomState(npr.MT19937(0))\n"
+                     "np.random.random(2)\nrandom.Random(1)\n")
+    assert _generator_builds(tree) == [(None, 4), (None, 5), (None, 6), (None, 7), ("keyed", 9),
+                                       ("keyed", 9), ("keyed", 9), ("Legacy", 13), ("Legacy", 13)]
+
+
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 

@@ -8,9 +8,9 @@ import pytest
 
 from sqst import states
 from sqst.states import (check_norm_chain, load_json, load_matrix, make_pure_superposition,
-                         matrix_from_json, matrix_to_json, max_norm, number_array, philox_rng,
+                         matrix_from_json, matrix_to_json, max_norm, number_array,
                          random_density, random_hermitian, require_density,
-                         require_hermitian, save_matrix, schatten_norms)
+                         require_hermitian, save_matrix, schatten_norms, stream_rng)
 
 
 def test_plus_state_offdiagonal():
@@ -109,7 +109,7 @@ def test_eigen_pauli_x():
 
 def test_eigen_reconstruction_fuzz():
     for seed in range(10):
-        h = random_hermitian(6, philox_rng(seed))
+        h = random_hermitian(6, stream_rng(seed))
         w, v = np.linalg.eigh(require_hermitian(h))
         assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-10
         assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
@@ -151,7 +151,7 @@ def test_schatten_rejects_p_below_one():
 def test_schatten_monotone_in_p():
     ps = [1, 1.5, 2, 4, np.inf]
     for seed in range(20):
-        vals = schatten_norms(random_hermitian(5, philox_rng(seed)), ps)
+        vals = schatten_norms(random_hermitian(5, stream_rng(seed)), ps)
         for a in range(len(ps) - 1):
             assert vals[a] >= vals[a + 1] - 1e-12
 
@@ -159,7 +159,7 @@ def test_schatten_monotone_in_p():
 @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
 def test_schatten_norms_and_norm_chain_agree_with_the_svd_norms(d):
     for seed in range(5):
-        e = random_hermitian(d, philox_rng(21, d, seed))
+        e = random_hermitian(d, stream_rng(21, d, seed))
         svd = [np.linalg.norm(e, "nuc"), np.linalg.norm(e, "fro"), np.linalg.norm(e, 2)]
         tol = 1e-12 * svd[0]
         assert schatten_norms(e, [1, 2, np.inf]) == pytest.approx(svd, rel=0, abs=tol)
@@ -186,7 +186,7 @@ def test_norm_chain_takes_one_spectrum(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(states.np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
-    assert check_norm_chain(random_hermitian(8, philox_rng(3))).passed
+    assert check_norm_chain(random_hermitian(8, stream_rng(3))).passed
     assert len(calls) == 1
 
 
@@ -224,7 +224,7 @@ def test_norm_chain_all_ones_matrix():
 def test_norm_chain_fuzz():
     for seed in range(60):
         d = 2 + seed % 31
-        assert check_norm_chain(random_hermitian(d, philox_rng(seed))).passed
+        assert check_norm_chain(random_hermitian(d, stream_rng(seed))).passed
 
 
 def test_norm_chain_fails_on_any_slack_below_tolerance():
@@ -318,9 +318,8 @@ def test_load_json_names_the_file_in_every_decode_fault(tmp_path, data, message)
         load_json(path)
 
 
-def test_philox_streams_are_independent_and_reproducible():
-    a = philox_rng(3, 1).standard_normal(4)
-    b = philox_rng(3, 1).standard_normal(4)
-    c = philox_rng(3, 2).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_keyed_streams_are_reproducible_distinct_and_pcg64dxsm():
+    assert np.array_equal(stream_rng(3, 1).random(4), stream_rng(3, 1).random(4))
+    drawn = [stream_rng(*key).random(4).tolist() for key in [(3, 1), (3, 2), (1, 3)]]
+    assert len({tuple(u) for u in drawn}) == 3  # the key's order matters, not just its members
+    assert isinstance(stream_rng(3, 1).bit_generator, np.random.PCG64DXSM)

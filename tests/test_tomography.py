@@ -9,7 +9,7 @@ import sqst.tomography as tomography
 from sqst.estimator import fold_diagonal, fold_element
 from sqst.measurement import PovmMode, RecordCounts, outcome_distribution, sample_record
 from sqst.mub import build_mub
-from sqst.states import TRACE_TOL, density_fault, max_norm, philox_rng, random_density
+from sqst.states import TRACE_TOL, density_fault, max_norm, random_density, stream_rng
 from sqst.tomography import (assemble_linear_estimate, error_report, project_psd_clip,
                              project_psd_maxnorm)
 
@@ -89,7 +89,7 @@ def test_linear_estimate_has_unit_trace_to_rounding(d):
     # rho_L's diagonal is the computational frequencies, so `--project none`
     # reports psd through the one state rule, trace check included
     family = build_mub(d)
-    rng = philox_rng(7, d)
+    rng = stream_rng(7, d)
     for n in (1, 7, 300_000):
         records = [RecordCounts(d=d, mode=mode, seed=0, n=n, mub_fingerprint=family.fingerprint(),
                                 counts=rng.multinomial(n, rng.dirichlet(np.ones(bases * d)))
