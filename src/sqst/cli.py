@@ -245,6 +245,10 @@ def cmd_estimate(args) -> int:
             raise ValueError(f"element {i},{j} is off-diagonal: needs --record")
     family, (offdiag, diag) = _records((args.record, PovmMode.OFFDIAG),
                                        (args.diag_record, PovmMode.COMPUTATIONAL))
+    for text, (i, j) in zip(args.element, elements):  # d is known once the records are read
+        for name, index in (("i", i), ("j", j)):
+            if index >= family.d:
+                raise ValueError(f"--element {text!r}: index {name}={index} outside 0..{family.d - 1}")
     truth = parse_state(args.truth, family.d, "--truth") if args.truth else None
 
     results = []

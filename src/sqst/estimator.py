@@ -5,12 +5,12 @@ Every estimate is the same linear fold of a (basis, outcome) table:
     fold(table, total, weights) = (table * weights).sum() / total
 
 where the table is a record's outcome counts with total n, or an exact
-distribution's probabilities with total 1.  A record file is counted as it is
-read (`measurement.read_record`), and a sampled record stream as it is drawn,
-without ordering its cells (`RecordStream.counted`); both give the same table
-for the same record.  `count_table` is the one way to get the table (it draws and
-counts a stream on each call), and it checks mode, dimension and MUB
-fingerprint on the way.  Only the weights differ: eta_ij
+distribution's probabilities with total 1.  A record file's cells as it is read
+(`measurement.read_record`) and a sampled stream's as it is drawn
+(`RecordStream.counted`) are counted one way, by `measurement.counted`, so the
+same record gives the same table.  `count_table` is the one way to get the table
+(it draws and counts a stream on each call), and it checks mode, dimension and
+MUB fingerprint on the way.  Only the weights differ: eta_ij
 for an off-diagonal element, a unit vector for a diagonal, (d+1)-scaled
 projector coefficients for an operator mean.  So any element, or any
 operator in the bounded manifold, can be re-estimated from the same record

@@ -10,11 +10,11 @@ No estimate reads the order of outcomes, only the count table, so no ordered rec
 in memory.  A record is a `RecordStream` (what `sample_record` returns: the sharded draw of
 the one `AliasTable` it holds, made anew on each pass), a file, or a `RecordCounts` table, all
 on one `RecordHeader`; an `OutcomeDistribution` is the Born table alone.  Copies flow in
-blocks of at most _BLOCK, so no temporary grows with n.  One alias core decides each copy's
-(column, moved) pair from its double: `write_record` writes a stream's cells, ordered from
-those decisions, and `RecordStream.counted` counts them, unordered, over all its shards.
-`read_record` counts a file's labels, read in _CHUNK_BYTES chunks and made cells by
-`_label_cells` alone.  So `sqst simulate` and the commands that estimate hold no n-long array.
+blocks of at most _BLOCK, so no temporary grows with n.  A stream's cells come from its
+alias table's draw; a file's from its labels, read in _CHUNK_BYTES chunks and made cells by
+`_label_cells` alone.  `counted` counts both the same way, one bincount per block, and
+`write_record` writes a stream's cells.  So `sqst simulate` and the commands that estimate
+hold no n-long array.
 
 Record files exist in two formats sharing one header line, and `RecordHeader`'s rule
 
@@ -90,8 +90,8 @@ class AliasTable:
     the integer part of v picks the column c, and v >= threshold[c] moves the copy
     to the column's alias.  threshold[c] is the least double >= c + prob[c], so the
     decision is the exact one v - c >= prob[c] of Walker's fractional part.  One
-    core makes these (column, moved) decisions a block at a time; `blocks` turns
-    them into the ordered cells and `counts` counts them without ordering them.
+    core gives each copy its slot, c or K + c when moved; `blocks` gathers the slots'
+    cells in draw order, and `counts` bincounts the slots without ordering them.
     Cells are uint16, so K <= MAX_CELLS.
     """
 
@@ -125,41 +125,36 @@ class AliasTable:
         # sum - c is exact (Sterbenz), so it is below prob exactly where the sum rounded down
         low = self.threshold - columns < self.prob
         self.threshold[low] = np.nextafter(self.threshold[low], np.inf)
+        self._cells = np.concatenate([np.arange(k), self.alias])  # the cell of each slot
 
-    def _decided(self, draws):
-        """(col, moved) of each block of at most _BLOCK copies, for each (rng, size) of draws in turn.
+    def _decided(self, rng: np.random.Generator, size: int):
+        """Yield each copy's slot col + K * moved, size copies from rng, in blocks of at most _BLOCK.
 
-        Copy i of a draw uses the i-th double u of its rng: col = floor(u * K), which is
-        below K for every u < 1 and K <= 2**53, and moved = u * K >= threshold[col].  So
-        the decisions do not depend on the block size, and the temporaries stay a block long.
+        Copy i uses the i-th double u of rng: col = floor(u * K), which is below K for
+        every u < 1 and K <= 2**53, and moved = u * K >= threshold[col].  So the slots do
+        not depend on the block size, and the temporaries stay a block long.
         """
         k = self.prob.size
-        for rng, size in draws:
-            for start in range(0, size, _BLOCK):
-                u = rng.random(min(_BLOCK, size - start))
-                u *= k
-                col = u.astype(np.intp)
-                yield col, u >= self.threshold.take(col)
+        for start in range(0, size, _BLOCK):
+            u = rng.random(min(_BLOCK, size - start))
+            u *= k
+            col = u.astype(np.intp)
+            col += k * (u >= self.threshold.take(col))
+            yield col
 
     def blocks(self, rng: np.random.Generator, size: int):
         """Yield size cells drawn from rng, in draw order, as intp arrays of at most _BLOCK copies each."""
-        for col, moved in self._decided([(rng, size)]):
-            yield np.where(moved, self.alias.take(col), col)
+        for slots in self._decided(rng, size):
+            yield self._cells.take(slots)
 
     def counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The multiplicity of each cell over size copies drawn from rng: the bincount of `blocks`."""
-        return self._counted([(rng, size)])
+        """Each cell's intp multiplicity over size copies from rng: `blocks`' bincount, unordered.
 
-    def _counted(self, draws) -> np.ndarray:
-        """The intp multiplicity of each cell over every copy of draws, in one table.
-
-        Each block is counted by (column, moved) in one bincount of col + K * moved,
-        without ordering its cells; the moved half goes to the aliases once, at the end.
-        """
+        The slots are counted, and the moved half goes to the aliases once, at the end."""
         k = self.prob.size
         both = np.zeros(2 * k, dtype=np.intp)
-        for col, moved in self._decided(draws):
-            both += np.bincount(col + k * moved, minlength=2 * k)
+        for slots in self._decided(rng, size):
+            both += np.bincount(slots, minlength=2 * k)
         counts = both[:k].copy()
         np.add.at(counts, self.alias, both[k:])
         return counts
@@ -243,25 +238,20 @@ class RecordStream(RecordHeader):
 
     It holds the distribution's alias table, built once, not the cells: each pass over
     `cell_blocks` draws them again, shard s from the stream keyed (seed, s), in shard
-    order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK,
-    and each `counted` draws them again from the same doubles, counted but not ordered.
+    order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK;
+    `counted` counts one such pass.
     """
 
     table: AliasTable = field(repr=False)
     shards: int
 
-    def _draws(self):
-        """(rng, size) of each shard, in shard order."""
-        for s, size in enumerate(_shard_sizes(self.n, self.shards)):
-            yield stream_rng(self.seed, s), size
-
     def cell_blocks(self):
-        for rng, size in self._draws():
-            yield from self.table.blocks(rng, size)
+        for s, size in enumerate(_shard_sizes(self.n, self.shards)):
+            yield from self.table.blocks(stream_rng(self.seed, s), size)
 
     def counted(self) -> RecordCounts:
-        """The record's `RecordCounts`: every shard drawn and counted, unordered, into one table."""
-        return _with_counts(self, self.table._counted(self._draws()))
+        """The record's `RecordCounts`: its cells drawn anew and counted as a file's are."""
+        return counted(self, self.cell_blocks())
 
 
 @dataclass(frozen=True)
@@ -276,21 +266,12 @@ class RecordCounts(RecordHeader):
     counts: np.ndarray = field(repr=False)
 
 
-def count_cells(blocks, size: int) -> np.ndarray:
-    """The multiplicity of each of size cells over the blocks, one bincount per block."""
+def counted(header: RecordHeader, blocks) -> RecordCounts:
+    """The `RecordCounts` of header whose cells are blocks: the one count of every record, file or stream."""
+    size = header.mode.basis_count(header.d) * header.d
     counts = np.zeros(size, dtype=np.intp)
     for block in blocks:
         counts += np.bincount(block, minlength=size)
-    return counts
-
-
-def counted(header: RecordHeader, blocks) -> RecordCounts:
-    """The `RecordCounts` of header whose cells are blocks."""
-    return _with_counts(header, count_cells(blocks, header.mode.basis_count(header.d) * header.d))
-
-
-def _with_counts(header: RecordHeader, counts: np.ndarray) -> RecordCounts:
-    """The `RecordCounts` of header with the flat count table counts, made read-only."""
     counts = counts.reshape(-1, header.d)
     counts.setflags(write=False)
     return RecordCounts(**_fields(header), counts=counts)

@@ -1162,7 +1162,9 @@ _STATE_VALUES = [*_STATE_COUNTS, "basis:9", "superposition:0,9,1,1", "random:9",
 # whole values, such as those whose field count is wrong; output goes under {out}
 _TYPED_FLAGS = {
     "estimate --element": (["estimate", "--record", "{tmp}/rec.offdiag.txt", "--out", "{out}/e.json",
-                            "--element={bad}"], ["{},1", "0,{}"], ["0", "0,1,2", ","]),
+                            "--element={bad}"], ["{},1", "0,{}"], ["0", "0,1,2", ",", "0,2", "2,0"]),
+    "estimate --element diagonal": (["estimate", "--diag-record", "{tmp}/rec.diag.txt", "--out",
+                                     "{out}/e.json", "--element={bad}"], [], ["2,2"]),
     "reproduce-fig2 --dims": (["reproduce-fig2", "--trials", "1", "--out", "{out}/f.csv",
                                "--dims={bad}"], ["{}", "2,{}", "{},2"], ["2,,3"]),
     "simulate --state": (["simulate", "--dim", "2", "--copies", "10", "--out", "{out}/r.txt",
@@ -1202,8 +1204,8 @@ def test_a_malformed_typed_value_exits_1_naming_its_flag_or_text(valid_inputs, t
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     named = [flag.split()[1] in captured.err, value in captured.err]
-    # a state preset's fault names both its flag and the whole preset
-    assert all(named) if flag.endswith(("--state", "--truth")) else any(named), captured.err
+    # a state preset's or an element's fault names both its flag and the whole value
+    assert all(named) if flag.split()[1] in ("--state", "--truth", "--element") else any(named), captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert not any(tmp_path.iterdir())
 

@@ -427,7 +427,7 @@ def test_a_record_stream_draws_the_same_cells_on_every_pass(fam3):
         assert np.array_equal(np.concatenate(blocks), cells(sample_record(dist, n, 6, 3)))
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards", [1, 3, 4])
 @pytest.mark.parametrize("binary", [False, True])
 def test_the_two_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
     # a sampled record written to a file and read back, or counted as it is drawn

@@ -42,16 +42,21 @@ _GENERATORS = {"default_rng", "Generator", "SeedSequence", "Philox", "PCG64", "P
                "MT19937", "RandomState"}
 
 
-def _generator_builds(tree: ast.Module) -> list:
-    """(top-level definition, line) of each call that builds a generator, through an attribute
-    (np.random.X, an alias's .X) or a name imported from numpy.random under any alias."""
+def _calls(tree: ast.Module, module: str, names: set) -> list:
+    """(top-level definition, line) of each call to one of names, through an attribute
+    (module.X, an alias's .X) or a name imported from module under any alias."""
     imported = {a.asname or a.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
-                for a in node.names if a.name in _GENERATORS}
+                if isinstance(node, ast.ImportFrom) and node.module == module
+                for a in node.names if a.name in names}
     return [(getattr(top, "name", None), node.lineno) for top in tree.body for node in ast.walk(top)
             if isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Attribute) and node.func.attr in _GENERATORS
+                isinstance(node.func, ast.Attribute) and node.func.attr in names
                 or isinstance(node.func, ast.Name) and node.func.id in imported)]
+
+
+def _generator_builds(tree: ast.Module) -> list:
+    """(top-level definition, line) of each call that builds a generator."""
+    return _calls(tree, "numpy.random", _GENERATORS)
 
 
 def test_stream_rng_is_the_one_place_the_package_builds_a_generator():
@@ -74,6 +79,28 @@ def test_the_generator_check_sees_every_spelling():
                      "np.random.random(2)\nrandom.Random(1)\n")
     assert _generator_builds(tree) == [(None, 4), (None, 5), (None, 6), (None, 7), ("keyed", 9),
                                        ("keyed", 9), ("keyed", 9), ("Legacy", 13), ("Legacy", 13)]
+
+
+def _bincounts(tree: ast.Module) -> list:
+    """(top-level definition, line) of each call to numpy's bincount."""
+    return _calls(tree, "numpy", {"bincount"})
+
+
+def test_a_record_is_counted_in_one_place():
+    # every record, file or stream, is counted by measurement.counted; AliasTable.counts
+    # bincounts the slots of draws that are never ordered (fig-2's trials)
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources
+    calls = {(p.name, top) for p in sources for top, _ in _bincounts(ast.parse(p.read_text(), str(p)))}
+    assert calls == {("measurement.py", "counted"), ("measurement.py", "AliasTable")}
+
+
+def test_the_count_check_sees_every_spelling():
+    tree = ast.parse("import numpy as np\nimport numpy\nfrom numpy import bincount as b\n"
+                     "np.bincount(x)\nnumpy.bincount(x, minlength=2)\nb(x)\n"
+                     "def count(x):\n    return b(x, minlength=3)\n"
+                     "np.unique(x, return_counts=True)\nnp.histogram(x)\n")
+    assert _bincounts(tree) == [(None, 4), (None, 5), (None, 6), ("count", 8)]
 
 
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
