@@ -1,10 +1,12 @@
 """Command-line front end for planning, simulating, estimating, and projecting.
 
 Subcommands: plan, mub, simulate, estimate, tomography, reproduce-fig2,
-bounds-check, operator-estimate.  All randomness is derived from the seeds in
-the flags via keyed PCG64DXSM streams (`states.stream_rng`), so every command is
-reproducible from its flags alone, including runs that use a worker pool.  A
-command's document goes to stdout (or --out), its summary lines to stderr.
+bounds-check, operator-estimate.  All randomness comes from the seeds in the flags through
+keyed PCG64DXSM streams (`states.stream_rng`), one key per thing a command draws: a random
+state (seed,), a record's shard s (seed, mode tag, s), a fig-2 trial (seed, d, trial),
+bounds-check's matrices (seed, trial) and (seed, 7000, trial), random phases (seed, 101); so
+every command is reproducible from its flags alone, worker pool or not.  A command's
+document goes to stdout (or --out), its summary lines to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .measurement import PovmMode
 from .states import stream_rng
 
 _PHASE_STREAM = 101  # stream tag for random extreme-operator phases
-_DIAG_STREAM_OFFSET = 1  # seed offset for the computational record in --povm both
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +210,15 @@ def cmd_simulate(args) -> int:
     if args.povm == "both":
         if not args.out:
             raise ValueError("--povm both needs --out as a path prefix")
-        jobs = [
-            (PovmMode.OFFDIAG, args.seed, f"{args.out}.offdiag.{ext}"),
-            (PovmMode.COMPUTATIONAL, args.seed + _DIAG_STREAM_OFFSET, f"{args.out}.diag.{ext}"),
-        ]
+        jobs = [(PovmMode.OFFDIAG, f"{args.out}.offdiag.{ext}"),
+                (PovmMode.COMPUTATIONAL, f"{args.out}.diag.{ext}")]
     else:
         if not args.out:
             raise ValueError("simulate needs --out")
-        jobs = [(PovmMode(args.povm), args.seed, args.out)]
+        jobs = [(PovmMode(args.povm), args.out)]
     records = [(measurement.sample_record(measurement.outcome_distribution(rho, family, mode),
-                                          n, seed, shards=args.shards), path)
-               for mode, seed, path in jobs]  # every header is checked before any file is opened
+                                          n, args.seed, shards=args.shards), path)
+               for mode, path in jobs]  # every header is checked before any file is opened
     for record, path in records:
         measurement.write_record(record, path, binary=binary)  # drawn as it is written
         _say(args, f"wrote {path}: d={args.dim} mode={record.mode.value} n={n} seed={record.seed} "

@@ -62,6 +62,7 @@ _CHUNK_BYTES = 1 << 16  # bytes per read of a record file
 _MAX_DIGITS = 5  # digits of the largest uint16 label
 _QUOTE_BYTES = 40  # the most of a bad body line that its error message quotes
 _LINE = re.compile(rb"(\d{1,5}),(\d{1,5})")  # a text body line, without its LF or CRLF
+_MODE_STREAM = {"offdiag": 0, "full": 1, "computational": 2}  # mode tags: no two modes share a stream
 
 
 class PovmMode(enum.Enum):
@@ -236,10 +237,9 @@ def _fields(header: RecordHeader) -> dict:
 class RecordStream(RecordHeader):
     """A sampled record, the one `sample_record(dist, n, seed, shards)` returns.
 
-    It holds the distribution's alias table, built once, not the cells: each pass over
-    `cell_blocks` draws them again, shard s from the stream keyed (seed, s), in shard
-    order, as intp cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK;
-    `counted` counts one such pass.
+    It holds the distribution's alias table, built once, not the cells: each pass over `cell_blocks`
+    draws them again, shard s from the stream keyed (seed, mode tag, s), in shard order, as intp
+    cells (m - mode.first_basis) * d + k in blocks of at most _BLOCK; `counted` counts one such pass.
     """
 
     table: AliasTable = field(repr=False)
@@ -247,7 +247,7 @@ class RecordStream(RecordHeader):
 
     def cell_blocks(self):
         for s, size in enumerate(_shard_sizes(self.n, self.shards)):
-            yield from self.table.blocks(stream_rng(self.seed, s), size)
+            yield from self.table.blocks(stream_rng(self.seed, _MODE_STREAM[self.mode.value], s), size)
 
     def counted(self) -> RecordCounts:
         """The record's `RecordCounts`: its cells drawn anew and counted as a file's are."""
@@ -325,10 +325,9 @@ def _shard_sizes(n: int, shards: int) -> list:
 def sample_record(dist: OutcomeDistribution, n: int, seed: int, shards: int = 1) -> RecordStream:
     """n independent outcomes, drawn anew on each pass; deterministic per (dist, n, seed, shards).
 
-    Shard s draws its slice from the stream keyed (seed, s), so generating
-    the shards concurrently and concatenating them in shard order reproduces
-    the record's cells exactly.  Bad arguments are refused now, not on the
-    first pass.
+    Each shard draws from its own stream (`RecordStream`), so shards drawn concurrently and
+    concatenated in shard order give the record's cells exactly.  Bad arguments are refused
+    now, not on the first pass.
     """
     _shard_sizes(n, shards)
     return RecordStream(d=dist.d, mode=dist.mode, seed=seed, n=n,

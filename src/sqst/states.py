@@ -22,12 +22,13 @@ EIGEN_TOL = 1e-10
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
-    """PCG64DXSM generator keyed by SeedSequence((seed, *stream)): the package's one generator.
+    """PCG64DXSM generator of SeedSequence(seed, spawn_key=stream): the package's one generator.
 
-    Distinct keys give statistically independent, reproducible streams, which
-    is what makes sharded sampling and worker pools deterministic.
+    Distinct keys give independent streams for a seed below 2**128 and stream integers below
+    2**32: numpy pads the seed to four 32-bit words and appends one per stream integer.  A plain
+    entropy list [seed, *stream] aliases: it drops trailing zero words and splits wide integers.
     """
-    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([int(seed), *map(int, stream)])))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(int(seed), spawn_key=stream)))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 import sqst
 from oracles import cells
-from sqst import estimator, measurement
+from sqst import cli, estimator, measurement, states
 from sqst.cli import _build_parser, _fig2_trial, main, parse_state, reproduce_fig2
 from sqst.measurement import PovmMode, check_family, read_record
 from sqst.mub import MubFamily, build_mub, eta_table, verify_mub
@@ -166,10 +166,48 @@ def test_simulate_povm_both(tmp_path):
     assert off.mode is PovmMode.OFFDIAG
     assert diag.mode is PovmMode.COMPUTATIONAL
     assert off.n == diag.n == 200
+    for povm, suffix in (("offdiag", "offdiag"), ("computational", "diag")):  # same seed, header too
+        single = tmp_path / f"{povm}.txt"
+        assert run("simulate", "--dim", "2", "--state", "mixed", "--copies", "200",
+                   "--povm", povm, "--seed", "3", "--out", str(single)) == 0
+        assert Path(f"{prefix}.{suffix}.txt").read_bytes() == single.read_bytes()
+
+
+@pytest.fixture()
+def stream_states(monkeypatch):
+    """The initial (state, inc) of every generator the package builds, in build order."""
+    made, keyed = [], states.stream_rng
+
+    def recorded(seed, *stream):
+        rng = keyed(seed, *stream)
+        made.append(tuple(rng.bit_generator.state["state"].values()))
+        return rng
+
+    for module in (states, cli, measurement):  # random_density binds it in states
+        monkeypatch.setattr(module, "stream_rng", recorded)
+    return made
+
+
+@pytest.mark.parametrize("argv, generators", [
+    # a random state from (0,), each record's shards from (0, mode tag, s)
+    (["simulate", "--dim", "2", "--state", "random", "--copies", "30", "--povm", "both",
+      "--shards", "3", "--out", "{tmp}/r"], 7),
+    (["operator-estimate", "--record", "{record}", "--extreme", "0.25", "--phases", "random:9",
+      "--truth", "random:3,9"], 2),
+    (["bounds-check", "--dim", "2", "--trials", "5"], 5 + 50),
+    (["reproduce-fig2", "--dims", "2,3", "--trials", "3", "--epsilon", "0.2",
+      "--out", "{tmp}/fig2.csv"], 6),
+], ids=["simulate", "operator-estimate", "bounds-check", "reproduce-fig2"])
+def test_no_command_draws_two_things_from_one_stream(full_record, tmp_path, stream_states, argv,
+                                                     generators):
+    assert run(*[a.format(tmp=tmp_path, record=full_record) for a in argv], "--quiet") == 0
+    assert len(stream_states) == generators
+    assert len(set(stream_states)) == generators
 
 
 @pytest.mark.parametrize("povm, flags, message", [
-    # the offdiag header fits; the computational one, seed + 1 under a longer mode name, does not
+    # the offdiag header fits; the computational one, at the same seed under a longer mode name,
+    # does not
     ("both", ["--seed", "1" * 66], "header line of 130 bytes with its LF, over 127"),
     # a negative seed is refused at the flag, before any header is built
     ("offdiag", ["--seed", "-5"], "--seed must be >= 0, got -5"),

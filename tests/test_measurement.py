@@ -381,7 +381,7 @@ def test_shard_concatenation_contract(fam3):
     sizes = [251, 250, 250, 250]
     parts = []
     for s, size in enumerate(sizes):
-        parts.append(dist.sample_cells(stream_rng(9, s), size))
+        parts.append(dist.sample_cells(stream_rng(9, measurement._MODE_STREAM[dist.mode.value], s), size))
     flat = np.concatenate(parts)
     assert np.array_equal(cells(whole), flat)
 
@@ -439,7 +439,8 @@ def test_the_two_sinks_agree_on_one_source(fam3, tmp_path, shards, binary):
     assert measurement._fields(read) == measurement._fields(drawn)
     assert np.array_equal(read.counts, drawn.counts)
     assert drawn.counts.sum() == n
-    first = dist.sample_cells(stream_rng(7, 0), n // shards)  # shard 0 draws these first
+    shard0 = stream_rng(7, measurement._MODE_STREAM[dist.mode.value], 0)  # shard 0 draws these first
+    first = dist.sample_cells(shard0, n // shards)
     assert first.dtype == np.uint16
     assert np.array_equal(first, cells(path)[:first.size])
 

@@ -319,7 +319,12 @@ def test_load_json_names_the_file_in_every_decode_fault(tmp_path, data, message)
 
 
 def test_keyed_streams_are_reproducible_distinct_and_pcg64dxsm():
-    assert np.array_equal(stream_rng(3, 1).random(4), stream_rng(3, 1).random(4))
-    drawn = [stream_rng(*key).random(4).tolist() for key in [(3, 1), (3, 2), (1, 3)]]
-    assert len({tuple(u) for u in drawn}) == 3  # the key's order matters, not just its members
+    for keys in [
+        [(3, 1), (3, 2), (1, 3)],  # the key's order matters, not just its members
+        [(0,), (0, 0)], [(11,), (11, 0)], [(7, 4), (7, 4, 0)],  # a trailing zero is a key member
+        [(2**32 + 5,), (5, 1)],  # a seed past 32 bits is not a seed and a stream integer
+    ]:
+        drawn = [stream_rng(*key).random(4).tolist() for key in keys]
+        assert drawn == [stream_rng(*key).random(4).tolist() for key in keys], keys
+        assert len({tuple(u) for u in drawn}) == len(keys), keys
     assert isinstance(stream_rng(3, 1).bit_generator, np.random.PCG64DXSM)
